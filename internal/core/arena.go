@@ -1,12 +1,15 @@
 package core
 
+import "repro/internal/dom"
+
 // ReportArena is caller-owned backing storage for the reports of
 // serial checks and sweeps. With Request.Arena set, Run and a serial
 // RunAll (Workers == 1) take their Report, CircuitReport, PerOutput
-// slice, and per-check bookkeeping from the arena instead of the heap,
-// so a steady-state δ-sweep loop — the warm-started delay search, a
-// benchmark, a long harness run — performs zero allocations per sweep
-// once the arena has grown to the circuit's output count.
+// slice, dominator sets, per-check bookkeeping, and the carrier,
+// dominator and case-analysis workspace from the arena instead of the
+// heap, so a steady-state δ-sweep loop — the warm-started delay
+// search, a benchmark, a long harness run — performs zero allocations
+// per sweep once the arena has grown to the circuit's output count.
 //
 // The trade is ownership: everything returned from a call that used an
 // arena is valid only until the next call using the same arena, which
@@ -19,7 +22,8 @@ package core
 // An arena must not be shared by concurrent calls. The zero value is
 // ready to use.
 type ReportArena struct {
-	reports []*Report // per-check reports, allocated once and reused
+	reports []*Report        // per-check reports, allocated once and reused
+	doms    []dom.Dominators // per report slot: its DominatorSet backing
 	used    int
 	sweep   []*Report // runAllSerial's collection slice
 	perOut  []*Report // the aggregate's PerOutput backing
@@ -31,13 +35,15 @@ type ReportArena struct {
 // reusable.
 func (a *ReportArena) begin() { a.used = 0 }
 
-// report hands out the next reusable report slot, zeroed.
-func (a *ReportArena) report() *Report {
+// report hands out the next reusable report slot, zeroed, with the
+// backing its DominatorSet is copied into.
+func (a *ReportArena) report() (*Report, *dom.Dominators) {
 	if a.used == len(a.reports) {
 		a.reports = append(a.reports, new(Report))
+		a.doms = append(a.doms, dom.Dominators{})
 	}
-	r := a.reports[a.used]
+	r, d := a.reports[a.used], &a.doms[a.used]
 	a.used++
 	*r = Report{}
-	return r
+	return r, d
 }

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/constraint"
@@ -36,7 +37,8 @@ type decision struct {
 // context or deadline fires. rep.Backtracks and rep.Witness are filled
 // in.
 func (v *Verifier) caseAnalysis(rs *runState, sys *constraint.System, sink circuit.NetID, delta waveform.Time, rep *Report) Result {
-	var stack []decision
+	ws := rs.workspace()
+	ws.stack = ws.stack[:0]
 	rep.Backtracks = 0
 
 	// unwind closes every decision level still open. Exhausted searches
@@ -44,15 +46,15 @@ func (v *Verifier) caseAnalysis(rs *runState, sys *constraint.System, sink circu
 	// exits used to return with the whole stack's marks open — a trail
 	// leak now that warm-start keeps the system alive across checks.
 	unwind := func() {
-		for range stack {
+		for range ws.stack {
 			sys.Undo()
 		}
-		stack = stack[:0]
+		ws.stack = ws.stack[:0]
 	}
 
 	backtrack := func() bool {
-		for len(stack) > 0 {
-			top := &stack[len(stack)-1]
+		for len(ws.stack) > 0 {
+			top := &ws.stack[len(ws.stack)-1]
 			sys.Undo()
 			if !top.flipped {
 				top.flipped = true
@@ -61,7 +63,7 @@ func (v *Verifier) caseAnalysis(rs *runState, sys *constraint.System, sink circu
 				sys.Narrow(top.net, waveform.SettledTo(top.val))
 				return true
 			}
-			stack = stack[:len(stack)-1]
+			ws.stack = ws.stack[:len(ws.stack)-1]
 		}
 		return false
 	}
@@ -95,7 +97,7 @@ func (v *Verifier) caseAnalysis(rs *runState, sys *constraint.System, sink circu
 			continue
 		}
 		// Consistent at fixpoint: decide the next net.
-		net, val, ok := v.pickDecision(sys, sink, delta)
+		net, val, ok := v.pickDecision(ws, sys, sink, delta)
 		if !ok {
 			// Every primary input is classed: candidate vector.
 			vec := v.extractVector(sys)
@@ -114,10 +116,10 @@ func (v *Verifier) caseAnalysis(rs *runState, sys *constraint.System, sink circu
 			continue
 		}
 		sys.Mark()
-		stack = append(stack, decision{net: net, val: val})
+		ws.stack = append(ws.stack, decision{net: net, val: val})
 		rep.Stats.Decisions++
 		if rs.tracer != nil {
-			rs.tracer.Decision(len(stack), net, val)
+			rs.tracer.Decision(len(ws.stack), net, val)
 		}
 		sys.Narrow(net, waveform.SettledTo(val))
 	}
@@ -147,127 +149,115 @@ type objective struct {
 
 // pickDecision selects the next decision net and class, following the
 // paper's phase structure. It returns ok = false when all primary
-// inputs are already single-class.
-func (v *Verifier) pickDecision(sys *constraint.System, sink circuit.NetID, delta waveform.Time) (circuit.NetID, int, bool) {
-	carrier, dist := dom.DynamicCarriers(sys, sink, delta)
+// inputs are already single-class. It runs right after evaluate
+// returned PossibleViolation, so with dominators on it reads the
+// carriers and dominators of evaluate's last round off the workspace
+// instead of recomputing them on the same domains.
+func (v *Verifier) pickDecision(ws *workspace, sys *constraint.System, sink circuit.NetID, delta waveform.Time) (circuit.NetID, int, bool) {
+	if !v.opts.UseDominators {
+		ws.carrier, ws.dist = ws.dom.DynamicCarriers(sys, sink, delta)
+		ws.doms = dom.Dominators{}
+	}
+	carrier, dist := ws.carrier, ws.dist
 
 	// Phase 1: sensitising objectives on the non-carrier inputs of
 	// gates in the dynamic-carrier circuit, dominator segment by
 	// dominator segment, longest potential path first.
-	for _, o := range v.initialObjectives(sys, sink, delta, carrier, dist) {
+	for _, o := range v.initialObjectives(ws, sys) {
 		if n, val, ok := v.backtrace(sys, o.net, o.val); ok {
 			return n, val, true
 		}
 	}
 
-	// Phase 2: decisions on the whole circuit — undecided reconvergent
-	// fanout stems inside the carrier circuit, deepest first (the
-	// profound-effect nets the paper's modified FAN splits on).
-	var stems []objective
+	// Phase 2: decisions on the whole circuit — the undecided
+	// reconvergent fanout stem inside the carrier circuit with the
+	// longest dynamic distance, smallest id on ties (the profound-effect
+	// nets the paper's modified FAN splits on).
+	best := circuit.InvalidNet
 	for _, stem := range v.stems {
 		if !carrier[stem] {
 			continue
 		}
-		d := sys.Domain(stem)
-		if _, known := d.KnownValue(); known {
+		if _, known := sys.Domain(stem).KnownValue(); known {
 			continue
 		}
-		stems = append(stems, objective{net: stem, weight: dist[stem]})
+		if best == circuit.InvalidNet || dist[stem] > dist[best] ||
+			(dist[stem] == dist[best] && stem < best) {
+			best = stem
+		}
 	}
-	sort.Slice(stems, func(i, j int) bool {
-		if stems[i].weight != stems[j].weight {
-			return stems[i].weight > stems[j].weight
-		}
-		return stems[i].net < stems[j].net
-	})
-	for _, o := range stems {
-		d := sys.Domain(o.net)
-		val := 0
-		if d.W0.IsEmpty() || (!d.W1.IsEmpty() && v.cc.Cost(o.net, 1) < v.cc.Cost(o.net, 0)) {
-			val = 1
-		}
-		return o.net, val, true
+	if best != circuit.InvalidNet {
+		return best, v.preferredClass(sys, best), true
 	}
 
 	// Phase 3: complete backtrace from unjustified nets — outputs whose
 	// class is decided but not yet justified by their inputs — down to
-	// primary inputs; then any leftover undecided primary input,
-	// cheapest controllability first.
-	for _, u := range v.unjustified(sys) {
-		if n, val, ok := v.backtrace(sys, u.net, u.val); ok {
-			return n, val, true
+	// primary inputs, deepest first (justification decisions near the
+	// output constrain the most); then the undecided primary input of
+	// cheapest controllability, smallest id on ties.
+	if n, val, ok := v.backtraceUnjustified(sys); ok {
+		return n, val, true
+	}
+	pi, piCost := circuit.InvalidNet, int64(0)
+	for _, in := range v.c.PrimaryInputs() {
+		if _, known := sys.Domain(in).KnownValue(); known {
+			continue
+		}
+		cost := min(v.cc.Cost(in, 0), v.cc.Cost(in, 1))
+		if pi == circuit.InvalidNet || cost < piCost || (cost == piCost && in < pi) {
+			pi, piCost = in, cost
 		}
 	}
-	type piCand struct {
-		n    circuit.NetID
-		cost int64
-	}
-	var cands []piCand
-	for _, pi := range v.c.PrimaryInputs() {
-		if _, known := sys.Domain(pi).KnownValue(); !known {
-			cost := v.cc.Cost(pi, 0)
-			if c1 := v.cc.Cost(pi, 1); c1 < cost {
-				cost = c1
-			}
-			cands = append(cands, piCand{pi, cost})
-		}
-	}
-	if len(cands) == 0 {
+	if pi == circuit.InvalidNet {
 		return circuit.InvalidNet, 0, false
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].cost != cands[j].cost {
-			return cands[i].cost < cands[j].cost
-		}
-		return cands[i].n < cands[j].n
-	})
-	pi := cands[0].n
-	// Prefer the class that keeps the carrier paths sensitised: choose
-	// the one whose wave is non-empty with the later bound.
-	d := sys.Domain(pi)
-	val := 0
-	if d.W0.IsEmpty() || (!d.W1.IsEmpty() && v.cc.Cost(pi, 1) < v.cc.Cost(pi, 0)) {
-		val = 1
-	}
-	return pi, val, true
+	return pi, v.preferredClass(sys, pi), true
 }
 
-// unjustifiedGoal is a decided-but-unjustified gate output with its
-// decided class, used as a Phase-3 backtrace objective.
-type unjustifiedGoal struct {
-	net circuit.NetID
-	val int
+// preferredClass picks the class to try first on a decision net: the
+// only one its domain still allows, else the cheaper to control (0 on
+// ties).
+func (v *Verifier) preferredClass(sys *constraint.System, n circuit.NetID) int {
+	d := sys.Domain(n)
+	if d.W0.IsEmpty() || (!d.W1.IsEmpty() && v.cc.Cost(n, 1) < v.cc.Cost(n, 0)) {
+		return 1
+	}
+	return 0
 }
 
-// unjustified finds gate outputs whose domain is restricted to one
-// class while the gate's inputs do not yet force that class — the
-// paper's Phase-3 sources. A gate output with class v is justified when
-// either some input is pinned to a controlling value producing v, or
-// every input is pinned non-controlling and v is the resulting value
-// (with the parity/unate analogues).
-func (v *Verifier) unjustified(sys *constraint.System) []unjustifiedGoal {
-	var out []unjustifiedGoal
-	for i := 0; i < v.c.NumGates(); i++ {
-		g := v.c.Gate(circuit.GateID(i))
-		val, known := sys.Domain(g.Output).KnownValue()
-		if !known {
+// backtraceUnjustified backtraces from the paper's Phase-3 sources,
+// the unjustified gate outputs, deepest first and smallest id on ties
+// (the level order), returning the first decision point a backtrace
+// reaches.
+func (v *Verifier) backtraceUnjustified(sys *constraint.System) (circuit.NetID, int, bool) {
+	for _, n := range v.order {
+		val, ok := v.unjustified(sys, n)
+		if !ok {
 			continue
 		}
-		if v.justified(sys, g, val) {
-			continue
+		if d, dval, ok := v.backtrace(sys, n, val); ok {
+			return d, dval, true
 		}
-		out = append(out, unjustifiedGoal{net: g.Output, val: val})
 	}
-	// Deepest first: justification decisions near the output constrain
-	// the most.
-	sort.Slice(out, func(i, j int) bool {
-		li, lj := v.c.Level(out[i].net), v.c.Level(out[j].net)
-		if li != lj {
-			return li > lj
-		}
-		return out[i].net < out[j].net
-	})
-	return out
+	return circuit.InvalidNet, 0, false
+}
+
+// unjustified reports the decided class of net n when n is a gate
+// output whose domain is restricted to one class while the gate's
+// inputs do not yet force that class. A gate output with class v is
+// justified when either some input is pinned to a controlling value
+// producing v, or every input is pinned non-controlling and v is the
+// resulting value (with the parity/unate analogues).
+func (v *Verifier) unjustified(sys *constraint.System, n circuit.NetID) (int, bool) {
+	drv := v.c.Net(n).Driver
+	if drv == circuit.InvalidGate {
+		return 0, false
+	}
+	val, known := sys.Domain(n).KnownValue()
+	if !known || v.justified(sys, v.c.Gate(drv), val) {
+		return 0, false
+	}
+	return val, true
 }
 
 // justified reports whether the decided output class of gate g is
@@ -315,12 +305,10 @@ func (v *Verifier) justified(sys *constraint.System, g *circuit.Gate, val int) b
 // dynamic carriers should take the non-controlling value of the gate
 // they feed (sensitising the paths inside Ψ). Objectives are weighted
 // by the dynamic distance of the carrier output (favouring long paths)
-// and grouped by dominator segment.
-func (v *Verifier) initialObjectives(sys *constraint.System, sink circuit.NetID, delta waveform.Time, carrier []bool, dist []waveform.Time) []objective {
-	var doms dom.Dominators
-	if v.opts.UseDominators {
-		doms = dom.FromCarriers(v.c, carrier, dist, sink)
-	}
+// and grouped by dominator segment. Carriers, distances and dominators
+// come from the workspace; the returned slice is workspace storage.
+func (v *Verifier) initialObjectives(ws *workspace, sys *constraint.System) []objective {
+	carrier, dist, doms := ws.carrier, ws.dist, ws.doms
 	segOf := func(n circuit.NetID) int {
 		// Segment i covers nets at levels between dominator i+1
 		// (exclusive) and dominator i (inclusive).
@@ -335,8 +323,8 @@ func (v *Verifier) initialObjectives(sys *constraint.System, sink circuit.NetID,
 		}
 		return 0
 	}
-	var objs []objective
-	seen := make(map[circuit.NetID]bool)
+	objs := ws.objs[:0]
+	ws.newEpoch(v.c.NumNets())
 	for n := 0; n < v.c.NumNets(); n++ {
 		if !carrier[n] {
 			continue
@@ -352,13 +340,13 @@ func (v *Verifier) initialObjectives(sys *constraint.System, sink circuit.NetID,
 			continue // parity gates have no sensitising side value
 		}
 		for _, x := range g.Inputs {
-			if carrier[x] || seen[x] {
+			if carrier[x] || ws.seen[x] == ws.epoch {
 				continue
 			}
 			if _, known := sys.Domain(x).KnownValue(); known {
 				continue
 			}
-			seen[x] = true
+			ws.seen[x] = ws.epoch
 			objs = append(objs, objective{
 				net:    x,
 				val:    1 - ctrl,
@@ -367,15 +355,16 @@ func (v *Verifier) initialObjectives(sys *constraint.System, sink circuit.NetID,
 			})
 		}
 	}
-	sort.Slice(objs, func(i, j int) bool {
-		if objs[i].seg != objs[j].seg {
-			return objs[i].seg < objs[j].seg
+	slices.SortFunc(objs, func(a, b objective) int {
+		if a.seg != b.seg {
+			return cmp.Compare(a.seg, b.seg)
 		}
-		if objs[i].weight != objs[j].weight {
-			return objs[i].weight > objs[j].weight
+		if a.weight != b.weight {
+			return cmp.Compare(b.weight, a.weight)
 		}
-		return objs[i].net < objs[j].net
+		return cmp.Compare(a.net, b.net)
 	})
+	ws.objs = objs
 	return objs
 }
 

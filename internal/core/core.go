@@ -6,8 +6,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -162,6 +163,7 @@ type Verifier struct {
 	cc       *scoap.Controllability
 	table    *learn.Table    // nil unless UseLearning
 	stems    []circuit.NetID // cached reconvergent fanout stems
+	order    []circuit.NetID // dom.LevelOrder of c, shared via Prepared
 
 	coneMu sync.Mutex
 	cones  map[circuit.NetID]*coneVerifier // guarded by coneMu
@@ -259,7 +261,10 @@ func (v *Verifier) VerifyOnly(sink circuit.NetID, delta waveform.Time) Result {
 // evaluate is the evaluate() loop of Figure 4 extended with learning:
 // reach the fixpoint; on consistency apply learned implications and
 // dominator narrowing; repeat until nothing changes. An interrupted
-// solve returns Cancelled or Abandoned per the run state.
+// solve returns Cancelled or Abandoned per the run state. Each
+// dominator round leaves its carriers and dominators on the workspace;
+// after a PossibleViolation they describe the current domains, which
+// is what pickDecision relies on.
 func (v *Verifier) evaluate(rs *runState, sys *constraint.System, sink circuit.NetID, delta waveform.Time, rep *Report) Result {
 	round := 0
 	for {
@@ -276,10 +281,13 @@ func (v *Verifier) evaluate(rs *runState, sys *constraint.System, sink circuit.N
 			}
 		}
 		if v.opts.UseDominators {
-			doms := dom.Dynamic(sys, sink, delta)
+			ws := rs.workspace()
+			ws.carrier, ws.dist = ws.dom.DynamicCarriers(sys, sink, delta)
+			ws.doms = ws.dom.FromCarriers(v.c, v.order, ws.carrier, ws.dist, sink)
+			doms := ws.doms
 			if rep.Dominators == 0 {
 				rep.Dominators = len(doms.Nets)
-				rep.DominatorSet = doms
+				rep.DominatorSet = rs.keepDominators(doms)
 			}
 			narrowed := dom.NarrowDominators(sys, doms, delta)
 			if narrowed {
@@ -315,26 +323,30 @@ func (v *Verifier) stemCorrelation(rs *runState, sys *constraint.System, sink ci
 	if len(allStems) == 0 {
 		return PossibleViolation
 	}
-	carrier, _ := dom.DynamicCarriers(sys, sink, delta)
-	influence := influenceMask(v.c, carrier)
+	ws := rs.workspace()
+	carrier, _ := ws.dom.DynamicCarriers(sys, sink, delta)
+	influence := ws.influenceMask(v.c, carrier)
 	// Order: carrier stems first (the paper's criterion), then
 	// side-condition stems; deepest first within each group. A budget
 	// caps the splits so wide circuits stay tractable.
-	stems := append([]circuit.NetID(nil), allStems...)
-	sort.Slice(stems, func(i, j int) bool {
-		ci, cj := carrier[stems[i]], carrier[stems[j]]
-		if ci != cj {
-			return ci
+	stems := append(ws.stemOrder[:0], allStems...)
+	ws.stemOrder = stems
+	slices.SortFunc(stems, func(a, b circuit.NetID) int {
+		if ca, cb := carrier[a], carrier[b]; ca != cb {
+			if ca {
+				return -1
+			}
+			return 1
 		}
-		li, lj := v.c.Level(stems[i]), v.c.Level(stems[j])
-		if li != lj {
-			return li > lj
+		if la, lb := v.c.Level(a), v.c.Level(b); la != lb {
+			return cmp.Compare(lb, la)
 		}
-		return stems[i] < stems[j]
+		return cmp.Compare(a, b)
 	})
 	splits := 0
 	n := v.c.NumNets()
-	branch := make([]waveform.Signal, n)
+	ws.branch = slices.Grow(ws.branch[:0], n)[:n]
+	branch := ws.branch
 	for _, stem := range stems {
 		if !influence[stem] {
 			continue
@@ -407,16 +419,18 @@ func (v *Verifier) stemCorrelation(rs *runState, sys *constraint.System, sink ci
 			return res
 		}
 		// Refresh carrier information for subsequent stems.
-		carrier, _ = dom.DynamicCarriers(sys, sink, delta)
-		influence = influenceMask(v.c, carrier)
+		carrier, _ = ws.dom.DynamicCarriers(sys, sink, delta)
+		influence = ws.influenceMask(v.c, carrier)
 	}
 	return PossibleViolation
 }
 
 // influenceMask marks nets whose transitive fanout (including the net
-// itself) contains a carrier net.
-func influenceMask(c *circuit.Circuit, carrier []bool) []bool {
-	inf := make([]bool, len(carrier))
+// itself) contains a carrier net, into the workspace's influence
+// buffer.
+func (ws *workspace) influenceMask(c *circuit.Circuit, carrier []bool) []bool {
+	inf := slices.Grow(ws.influence[:0], len(carrier))[:len(carrier)]
+	ws.influence = inf
 	copy(inf, carrier)
 	topo := c.TopoGates()
 	for i := len(topo) - 1; i >= 0; i-- {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/delay"
+	"repro/internal/dom"
 	"repro/internal/learn"
 	"repro/internal/scoap"
 	"repro/internal/sim"
@@ -15,19 +16,20 @@ import (
 
 // Prepared is the immutable per-circuit precompute shared by every
 // verifier on a circuit: arrival-time analysis, SCOAP
-// controllabilities, reconvergent stems, the lazily-built static
-// learning table, and the per-sink fan-in cone slices used by
-// cone-sliced solving. A sweep over many δ values or option sets pays
-// for each analysis once — NewVerifier derives verifiers that all
-// point at the same Prepared. All methods are safe for concurrent
-// use: the cone cache grows under a mutex with per-sink once
-// initialisation, so parallel RunAll workers build distinct cones
-// concurrently but never duplicate one.
+// controllabilities, reconvergent stems, the level order of the
+// dominator computation, the lazily-built static learning table, and
+// the per-sink fan-in cone slices used by cone-sliced solving. A sweep
+// over many δ values or option sets pays for each analysis once —
+// NewVerifier derives verifiers that all point at the same Prepared.
+// All methods are safe for concurrent use: the cone cache grows under
+// a mutex with per-sink once initialisation, so parallel RunAll
+// workers build distinct cones concurrently but never duplicate one.
 type Prepared struct {
 	c        *circuit.Circuit
 	analysis *delay.Analysis
 	cc       *scoap.Controllability
 	stems    []circuit.NetID
+	order    []circuit.NetID // dom.LevelOrder of c
 
 	learnOnce sync.Once
 	learn     *learn.Table
@@ -43,6 +45,7 @@ func Prepare(c *circuit.Circuit) *Prepared {
 		analysis: delay.New(c),
 		cc:       scoap.Compute(c),
 		stems:    c.ReconvergentStems(),
+		order:    dom.LevelOrder(c),
 		cones:    make(map[circuit.NetID]*conePrep),
 	}
 }
@@ -65,7 +68,7 @@ func (p *Prepared) LearnTable() *learn.Table {
 // shared precompute.
 func (p *Prepared) NewVerifier(opts Options) *Verifier {
 	v := &Verifier{c: p.c, opts: opts, prep: p,
-		analysis: p.analysis, cc: p.cc, stems: p.stems}
+		analysis: p.analysis, cc: p.cc, stems: p.stems, order: p.order}
 	if opts.UseLearning {
 		v.table = p.LearnTable()
 	}
@@ -88,6 +91,7 @@ type conePrep struct {
 	analysis *delay.Analysis
 	cc       *scoap.Controllability
 	stems    []circuit.NetID
+	order    []circuit.NetID // dom.LevelOrder of cone
 
 	learnOnce sync.Once
 	learn     *learn.Table
@@ -129,6 +133,7 @@ func (cp *conePrep) build(p *Prepared, sink circuit.NetID) {
 	}
 	cp.cone, cp.cm = cone, cm
 	cp.analysis = delay.New(cone)
+	cp.order = dom.LevelOrder(cone)
 	// Arrival times and SCOAP controllabilities are functions of each
 	// net's fan-in alone, which the slice preserves, so the projection
 	// is identical to recomputing on the cone.
@@ -194,7 +199,7 @@ func (cv *coneVerifier) init(v *Verifier, sink circuit.NetID) {
 	subOpts := v.opts
 	subOpts.UseConeSlicing = false
 	sub := &Verifier{c: cp.cone, opts: subOpts,
-		analysis: cp.analysis, cc: cp.cc, stems: cp.stems}
+		analysis: cp.analysis, cc: cp.cc, stems: cp.stems, order: cp.order}
 	if v.opts.UseLearning {
 		sub.table = cp.learnTable(v.prep)
 	}
@@ -204,10 +209,11 @@ func (cv *coneVerifier) init(v *Verifier, sink circuit.NetID) {
 
 // runCone executes the check on the sink's fan-in cone slice and
 // translates the report back to original-circuit ids: the sink, the
-// witness vector, and the dominator nets. Primary inputs outside the
-// cone cannot affect the sink, so the expanded witness sets them to 0;
-// its simulated settle time on the original circuit equals the one
-// certified on the cone. The caller's tracer sees original ids
+// witness vector, and the dominator nets (mapped in place: run already
+// copied the set out of the workspace into storage the report owns).
+// Primary inputs outside the cone cannot affect the sink, so the
+// expanded witness sets them to 0; its simulated settle time on the
+// original circuit equals the one certified on the cone. The caller's tracer sees original ids
 // throughout: CheckStart/CheckDone fire here against the original
 // sink, and a translating wrapper renames the nets of inner events.
 func (v *Verifier) runCone(ctx context.Context, req Request, cv *coneVerifier) *Report {
@@ -227,7 +233,9 @@ func (v *Verifier) runCone(ctx context.Context, req Request, cv *coneVerifier) *
 		}
 		rep.Witness = w
 	}
-	rep.DominatorSet = rep.DominatorSet.MapNets(cv.cm.FromCone)
+	for i, n := range rep.DominatorSet.Nets {
+		rep.DominatorSet.Nets[i] = cv.cm.FromCone[n]
+	}
 	if outer != nil {
 		outer.CheckDone(rep)
 	}

@@ -88,6 +88,12 @@ type runState struct {
 
 	cancelled bool // context cancelled or deadline exceeded
 	exhausted bool // propagation budget exhausted
+
+	// ws is the stage 2–4 scratch storage; it survives initRunState so
+	// an arena-held run state keeps it across checks. domBuf, when
+	// non-nil, is the arena slot backing the report's DominatorSet.
+	ws     *workspace
+	domBuf *dom.Dominators
 }
 
 // resolveBudget merges a request budget with the Options default:
@@ -107,6 +113,7 @@ func (v *Verifier) initRunState(rs *runState, ctx context.Context, req *Request)
 		maxBack:   resolveBudget(req.Budgets.MaxBacktracks, v.opts.MaxBacktracks),
 		maxSplits: resolveBudget(req.Budgets.MaxStemSplits, v.opts.MaxStemSplits),
 		tracer:    req.Tracer,
+		ws:        rs.ws,
 	}
 	if req.Budgets.MaxPropagations > 0 {
 		rs.maxProps = req.Budgets.MaxPropagations
@@ -218,14 +225,16 @@ func (v *Verifier) run(ctx context.Context, req Request) *Report {
 	}
 	var rs *runState
 	var rep *Report
+	var domBuf *dom.Dominators
 	if req.Arena != nil {
 		rs = &req.Arena.rs
-		rep = req.Arena.report()
+		rep, domBuf = req.Arena.report()
 	} else {
 		rs = new(runState)
 		rep = new(Report)
 	}
 	v.initRunState(rs, ctx, &req)
+	rs.domBuf = domBuf
 	*rep = Report{
 		Sink: req.Sink, Delta: req.Delta,
 		AfterGITD: StageSkipped, AfterStem: StageSkipped, CaseAnalysis: StageSkipped,
@@ -307,7 +316,7 @@ func (v *Verifier) run(ctx context.Context, req Request) *Report {
 		sys.Narrow(req.Sink, waveform.CheckOutput(req.Delta))
 		sys.ScheduleAll()
 		if v.opts.UseStaticDominators {
-			doms := dom.Static(v.c, v.analysis, req.Sink, req.Delta)
+			doms := rs.workspace().dom.Static(v.c, v.order, v.analysis, req.Sink, req.Delta)
 			dom.NarrowDominators(sys, doms, req.Delta)
 		}
 	}

@@ -206,7 +206,7 @@ func TestRunAllParallelIdenticalToSerial(t *testing.T) {
 	}
 }
 
-func suiteCircuit(t *testing.T, name string) *circuit.Circuit {
+func suiteCircuit(t testing.TB, name string) *circuit.Circuit {
 	t.Helper()
 	for _, e := range gen.SubstituteSuite() {
 		if e.Name == name {

@@ -9,7 +9,7 @@
 package dom
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/constraint"
@@ -26,142 +26,52 @@ type Dominators struct {
 	Dist []waveform.Time
 }
 
-// dominatorsOfT computes the dominators of the terminal vertex T in the
-// carrier DAG Ψ′ (Definition 6): vertices are the carrier nets plus T,
-// edges run from each gate output to its carrier inputs, and every
-// carrier with no carrier predecessor (primary inputs of Ψ) feeds T.
-// The result is the idom chain of T excluding T itself, i.e. the nets
-// on every path from the source (the checked output) to T, ordered from
-// the source down.
-func dominatorsOfT(c *circuit.Circuit, carrier []bool, sink circuit.NetID) []circuit.NetID {
-	if !carrier[sink] {
-		return nil
+// LevelOrder returns every net of c ordered by decreasing circuit
+// level, ties by increasing id. Every edge y→x of a carrier DAG Ψ′ runs
+// from a higher level to a lower one, so filtering this order by a
+// carrier mask yields a topological order of Ψ′ with the checked
+// output first. The order depends on the circuit alone: compute it once
+// per circuit and pass it to every Workspace call on that circuit.
+func LevelOrder(c *circuit.Circuit) []circuit.NetID {
+	maxL := c.MaxLevel()
+	// Counting sort on level, scanning ids in increasing order so each
+	// level's bucket keeps them sorted.
+	start := make([]int, maxL+2)
+	for n := 0; n < c.NumNets(); n++ {
+		start[maxL-c.Level(circuit.NetID(n))+1]++
 	}
-	// Order carrier nets topologically for Ψ′: decreasing circuit
-	// level puts the sink first and every edge y→x forward.
-	var verts []circuit.NetID
-	for n := range carrier {
-		if carrier[n] {
-			verts = append(verts, circuit.NetID(n))
-		}
+	for l := 1; l < len(start); l++ {
+		start[l] += start[l-1]
 	}
-	sort.Slice(verts, func(i, j int) bool {
-		li, lj := c.Level(verts[i]), c.Level(verts[j])
-		if li != lj {
-			return li > lj
-		}
-		return verts[i] < verts[j]
-	})
-	if verts[0] != sink {
-		// The sink must be the unique source of Ψ′; carriers outside
-		// its fan-in cone would violate the construction.
-		return nil
+	order := make([]circuit.NetID, c.NumNets())
+	for n := 0; n < c.NumNets(); n++ {
+		b := maxL - c.Level(circuit.NetID(n))
+		order[start[b]] = circuit.NetID(n)
+		start[b]++
 	}
-	const tVertex = -1 // ord position of T is len(verts); idom index -1 = unset
-	ord := make([]int32, len(carrier))
-	for i, v := range verts {
-		ord[v] = int32(i)
-	}
-	nT := len(verts) // T's position
-	idom := make([]int, len(verts)+1)
-	for i := range idom {
-		idom[i] = tVertex
-	}
-	idom[0] = 0 // source's idom is itself
-
-	intersect := func(a, b int) int {
-		for a != b {
-			for a > b {
-				a = idom[a]
-			}
-			for b > a {
-				b = idom[b]
-			}
-		}
-		return a
-	}
-
-	// Predecessors in Ψ′ of a carrier net x: the carrier outputs of the
-	// gates x feeds. Predecessors of T: carriers with no carrier
-	// gate-input (primary inputs of Ψ and conservative dead ends).
-	var tPreds []int
-	for i := 1; i < len(verts); i++ {
-		x := verts[i]
-		best := tVertex
-		for _, g := range c.Net(x).Fanout {
-			y := c.Gate(g).Output
-			if !carrier[y] {
-				continue
-			}
-			p := int(ord[y])
-			if idom[p] == tVertex && p != 0 {
-				continue // unreachable from the source; skip
-			}
-			if best == tVertex {
-				best = p
-			} else {
-				best = intersect(best, p)
-			}
-		}
-		idom[i] = best
-	}
-	for i, x := range verts {
-		hasCarrierInput := false
-		if d := c.Net(x).Driver; d != circuit.InvalidGate {
-			for _, in := range c.Gate(d).Inputs {
-				if carrier[in] {
-					hasCarrierInput = true
-					break
-				}
-			}
-		}
-		if !hasCarrierInput {
-			if i == 0 || idom[i] != tVertex {
-				tPreds = append(tPreds, i)
-			}
-		}
-	}
-	if len(tPreds) == 0 {
-		return nil
-	}
-	best := tPreds[0]
-	for _, p := range tPreds[1:] {
-		best = intersect(best, p)
-	}
-	idom[nT] = best
-
-	// Walk T's idom chain up to the source.
-	var doms []circuit.NetID
-	for v := idom[nT]; ; v = idom[v] {
-		doms = append(doms, verts[v])
-		if v == 0 {
-			break
-		}
-	}
-	// Reverse to source-first order.
-	for i, j := 0, len(doms)-1; i < j; i, j = i+1, j-1 {
-		doms[i], doms[j] = doms[j], doms[i]
-	}
-	return doms
+	return order
 }
 
-// Static computes the static timing dominators of the check
-// (c, sink, δ) with the Lemma-3 distance bound top_{d→s}.
-func Static(c *circuit.Circuit, a *delay.Analysis, sink circuit.NetID, delta waveform.Time) Dominators {
-	carrier := delay.StaticCarrierMask(c, a, sink, delta)
-	nets := dominatorsOfT(c, carrier, sink)
-	toSink := delay.ToNet(c, sink)
-	d := Dominators{Nets: nets}
-	for _, n := range nets {
-		d.Dist = append(d.Dist, toSink[n])
-	}
-	return d
-}
+// Workspace owns every buffer of carrier and dominator computation, so
+// a caller that asks for carriers and dominators repeatedly — the
+// evaluate loop after every fixpoint, case analysis at every decision —
+// allocates nothing once the buffers have grown to the largest circuit
+// seen. Results returned by a method (masks, distances, dominator
+// slices) alias the workspace and are valid only until the next call
+// on it; copy what must outlive that. One workspace may serve circuits
+// of any size in turn, but must not be used concurrently. The zero
+// value is ready to use.
+type Workspace struct {
+	mask []bool          // dynamic carrier mask, by net
+	dist []waveform.Time // dynamic distances, by net
 
-// StaticCarriers exposes the static carrier mask (Definition 4) for
-// reports and tests.
-func StaticCarriers(c *circuit.Circuit, a *delay.Analysis, sink circuit.NetID, delta waveform.Time) []bool {
-	return delay.StaticCarrierMask(c, a, sink, delta)
+	ord    []int32         // position in verts of each carrier net
+	idom   []int32         // immediate dominator by verts position; T last
+	verts  []circuit.NetID // carrier nets in level order
+	tPreds []int32         // verts positions feeding T
+
+	nets  []circuit.NetID // result: dominator nets, source first
+	dists []waveform.Time // result: their distance bounds
 }
 
 // DynamicCarriers computes the dynamic carriers of the check and their
@@ -169,19 +79,13 @@ func StaticCarriers(c *circuit.Circuit, a *delay.Analysis, sink circuit.NetID, d
 // (Definitions 7–8): a net qualifies through gate g feeding carrier y
 // at distance k when its domain still contains waveforms with a
 // transition at or after δ − (k + d_max(g)); its dynamic distance is
-// the largest such k′.
-func DynamicCarriers(sys *constraint.System, sink circuit.NetID, delta waveform.Time) (mask []bool, dist []waveform.Time) {
+// the largest such k′. The returned slices alias the workspace.
+func (w *Workspace) DynamicCarriers(sys *constraint.System, sink circuit.NetID, delta waveform.Time) (mask []bool, dist []waveform.Time) {
 	c := sys.Circuit()
-	return DynamicCarriersInto(make([]bool, c.NumNets()), make([]waveform.Time, c.NumNets()), sys, sink, delta)
-}
-
-// DynamicCarriersInto is DynamicCarriers writing into caller-provided
-// slices (len == NumNets), for allocation-free inner loops.
-func DynamicCarriersInto(mask []bool, dist []waveform.Time, sys *constraint.System, sink circuit.NetID, delta waveform.Time) ([]bool, []waveform.Time) {
-	c := sys.Circuit()
-	for i := range mask {
-		mask[i] = false
-	}
+	mask = slices.Grow(w.mask[:0], c.NumNets())[:c.NumNets()]
+	dist = slices.Grow(w.dist[:0], c.NumNets())[:c.NumNets()]
+	w.mask, w.dist = mask, dist
+	clear(mask)
 	for i := range dist {
 		dist[i] = waveform.NegInf
 	}
@@ -211,42 +115,166 @@ func DynamicCarriersInto(mask []bool, dist []waveform.Time, sys *constraint.Syst
 	return mask, dist
 }
 
-// Dynamic computes the dynamic timing dominators of the check under the
-// system's current domains, with the Theorem-3 distance bound (the
-// dynamic distance).
-func Dynamic(sys *constraint.System, sink circuit.NetID, delta waveform.Time) Dominators {
-	mask, dist := DynamicCarriers(sys, sink, delta)
-	return FromCarriers(sys.Circuit(), mask, dist, sink)
-}
-
-// FromCarriers computes the timing dominators from an already-computed
-// carrier mask and distance vector (avoids recomputing the carriers
-// when the caller has them).
-func FromCarriers(c *circuit.Circuit, mask []bool, dist []waveform.Time, sink circuit.NetID) Dominators {
-	nets := dominatorsOfT(c, mask, sink)
-	d := Dominators{Nets: nets}
-	for _, n := range nets {
-		d.Dist = append(d.Dist, dist[n])
-	}
-	return d
-}
-
-// MapNets returns the dominator set with every net id passed through
-// the translation table m (e.g. a cone slice's FromCone map);
-// distances are unchanged. Used to report dominators found on a cone
-// slice in original-circuit ids.
-func (d Dominators) MapNets(m []circuit.NetID) Dominators {
-	if len(d.Nets) == 0 {
+// FromCarriers computes the timing dominators from a carrier mask and
+// distance vector (the workspace's own DynamicCarriers result or any
+// other, e.g. the static carriers): the dominators of the terminal
+// vertex T in the carrier DAG Ψ′ (Definition 6). Vertices are the
+// carrier nets plus T, edges run from each gate output to its carrier
+// inputs, and every carrier with no carrier predecessor (primary inputs
+// of Ψ) feeds T. The result is the idom chain of T excluding T itself —
+// the nets on every path from the source (the checked output) to T —
+// ordered from the source down, each with dist as its bound. order is
+// LevelOrder(c).
+func (w *Workspace) FromCarriers(c *circuit.Circuit, order []circuit.NetID, mask []bool, dist []waveform.Time, sink circuit.NetID) Dominators {
+	if !mask[sink] {
 		return Dominators{}
 	}
-	out := Dominators{
-		Nets: make([]circuit.NetID, len(d.Nets)),
-		Dist: append([]waveform.Time(nil), d.Dist...),
+	// Filtering the level order by the mask orders Ψ′ topologically:
+	// the sink first and every edge y→x forward.
+	verts := w.verts[:0]
+	for _, n := range order {
+		if mask[n] {
+			verts = append(verts, n)
+		}
 	}
-	for i, n := range d.Nets {
-		out.Nets[i] = m[n]
+	w.verts = verts
+	if verts[0] != sink {
+		// The sink must be the unique source of Ψ′; carriers outside
+		// its fan-in cone would violate the construction.
+		return Dominators{}
 	}
-	return out
+	const unset = -1
+	ord := slices.Grow(w.ord[:0], c.NumNets())[:c.NumNets()]
+	w.ord = ord
+	for i, v := range verts {
+		ord[v] = int32(i)
+	}
+	nT := len(verts) // T's position
+	idom := slices.Grow(w.idom[:0], nT+1)[:nT+1]
+	w.idom = idom
+	for i := range idom {
+		idom[i] = unset
+	}
+	idom[0] = 0 // source's idom is itself
+
+	// Predecessors in Ψ′ of a carrier net x: the carrier outputs of the
+	// gates x feeds.
+	for i := 1; i < nT; i++ {
+		best := int32(unset)
+		for _, g := range c.Net(verts[i]).Fanout {
+			y := c.Gate(g).Output
+			if !mask[y] {
+				continue
+			}
+			p := ord[y]
+			if idom[p] == unset && p != 0 {
+				continue // unreachable from the source; skip
+			}
+			if best == unset {
+				best = p
+			} else {
+				best = intersect(idom, best, p)
+			}
+		}
+		idom[i] = best
+	}
+	// Predecessors of T: carriers with no carrier gate-input (primary
+	// inputs of Ψ and conservative dead ends).
+	tPreds := w.tPreds[:0]
+	for i, x := range verts {
+		hasCarrierInput := false
+		if d := c.Net(x).Driver; d != circuit.InvalidGate {
+			for _, in := range c.Gate(d).Inputs {
+				if mask[in] {
+					hasCarrierInput = true
+					break
+				}
+			}
+		}
+		if !hasCarrierInput && (i == 0 || idom[i] != unset) {
+			tPreds = append(tPreds, int32(i))
+		}
+	}
+	w.tPreds = tPreds
+	if len(tPreds) == 0 {
+		return Dominators{}
+	}
+	best := tPreds[0]
+	for _, p := range tPreds[1:] {
+		best = intersect(idom, best, p)
+	}
+	idom[nT] = best
+
+	// Walk T's idom chain up to the source, then reverse to source-first
+	// order.
+	nets, dists := w.nets[:0], w.dists[:0]
+	for v := idom[nT]; ; v = idom[v] {
+		nets = append(nets, verts[v])
+		if v == 0 {
+			break
+		}
+	}
+	slices.Reverse(nets)
+	for _, n := range nets {
+		dists = append(dists, dist[n])
+	}
+	w.nets, w.dists = nets, dists
+	return Dominators{Nets: nets, Dist: dists}
+}
+
+// intersect is the Cooper–Harvey–Kennedy two-finger walk: the nearest
+// common dominator of verts positions a and b, positions being a
+// topological order so idom always points backwards.
+func intersect(idom []int32, a, b int32) int32 {
+	for a != b {
+		for a > b {
+			a = idom[a]
+		}
+		for b > a {
+			b = idom[b]
+		}
+	}
+	return a
+}
+
+// Static computes the static timing dominators of the check
+// (c, sink, δ) with the Lemma-3 distance bound top_{d→s}.
+func Static(c *circuit.Circuit, a *delay.Analysis, sink circuit.NetID, delta waveform.Time) Dominators {
+	return new(Workspace).Static(c, LevelOrder(c), a, sink, delta)
+}
+
+// Static is the package-level Static on the workspace. order is
+// LevelOrder(c).
+func (w *Workspace) Static(c *circuit.Circuit, order []circuit.NetID, a *delay.Analysis, sink circuit.NetID, delta waveform.Time) Dominators {
+	return w.FromCarriers(c, order, delay.StaticCarrierMask(c, a, sink, delta), delay.ToNet(c, sink), sink)
+}
+
+// StaticCarriers exposes the static carrier mask (Definition 4) for
+// reports and tests.
+func StaticCarriers(c *circuit.Circuit, a *delay.Analysis, sink circuit.NetID, delta waveform.Time) []bool {
+	return delay.StaticCarrierMask(c, a, sink, delta)
+}
+
+// DynamicCarriers is Workspace.DynamicCarriers into fresh slices the
+// caller owns.
+func DynamicCarriers(sys *constraint.System, sink circuit.NetID, delta waveform.Time) (mask []bool, dist []waveform.Time) {
+	return new(Workspace).DynamicCarriers(sys, sink, delta)
+}
+
+// Dynamic computes the dynamic timing dominators of the check under the
+// system's current domains, with the Theorem-3 distance bound (the
+// dynamic distance): DynamicCarriers then FromCarriers on a fresh
+// workspace, so the caller owns the result.
+func Dynamic(sys *constraint.System, sink circuit.NetID, delta waveform.Time) Dominators {
+	w := new(Workspace)
+	mask, dist := w.DynamicCarriers(sys, sink, delta)
+	return w.FromCarriers(sys.Circuit(), LevelOrder(sys.Circuit()), mask, dist, sink)
+}
+
+// FromCarriers is Workspace.FromCarriers on a fresh workspace: a
+// one-off call that owns its result.
+func FromCarriers(c *circuit.Circuit, mask []bool, dist []waveform.Time, sink circuit.NetID) Dominators {
+	return new(Workspace).FromCarriers(c, LevelOrder(c), mask, dist, sink)
 }
 
 // NarrowDominators applies Corollary 1: for every dominator d at

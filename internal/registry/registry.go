@@ -402,9 +402,11 @@ func estimateCircuitBytes(c *circuit.Circuit, netlistLen int) int64 {
 }
 
 // estimatePreparedBytes estimates core.Prepare's output: arrival
-// analysis, SCOAP, stems, plus headroom for the lazily built learning
-// table and per-sink cone slices that grow inside the Prepared.
+// analysis, SCOAP, stems, the dominator level order (one net id per
+// net), plus headroom for the lazily built learning table and per-sink
+// cone slices that grow inside the Prepared.
 func estimatePreparedBytes(c *circuit.Circuit) int64 {
 	st := c.Stats()
-	return int64(st.Nets)*256 + int64(st.Gates)*128 + 8192
+	const levelOrder = 4 // bytes per net: one circuit.NetID
+	return int64(st.Nets)*(256+levelOrder) + int64(st.Gates)*128 + 8192
 }
