@@ -1,0 +1,163 @@
+package constraint
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"repro/internal/circuit"
+	"repro/internal/waveform"
+)
+
+// This file pins the change-log contract the incremental stage-2–4
+// consumers rely on: off until the first Subscribe, one entry per
+// effective narrowing and per net an Undo restores, cleared with a new
+// generation by Reset and Restore, truncated once every subscriber has
+// read it — and, with the log on, still allocation-free in steady
+// state.
+
+func TestChangeLogOffUntilSubscribe(t *testing.T) {
+	c := chainCircuit(t, 8)
+	s := New(c)
+	s.Narrow(id(t, c, "n8"), waveform.CheckOutput(3))
+	s.ScheduleAll()
+	s.Fixpoint()
+	if s.logLen() != 0 {
+		t.Fatalf("log holds %d entries before any Subscribe, want 0", s.logLen())
+	}
+	sub := s.Subscribe()
+	if got := s.Changes(sub, nil); len(got) != 0 {
+		t.Fatalf("a new subscriber sees %v, want only later changes", got)
+	}
+}
+
+func TestChangeLogRecordsNarrowAndUndo(t *testing.T) {
+	c := chainCircuit(t, 8)
+	s := New(c)
+	a, b, z := id(t, c, "n2"), id(t, c, "n5"), id(t, c, "n8")
+	sub := s.Subscribe()
+	s.Narrow(b, waveform.SettledTo(1))
+	s.Narrow(a, waveform.SettledTo(0))
+	s.Narrow(a, waveform.SettledTo(0)) // no change: not logged
+	if got := s.Changes(sub, nil); !slices.Equal(got, []circuit.NetID{b, a}) {
+		t.Fatalf("changes %v, want [%d %d]", got, b, a)
+	}
+	s.Mark()
+	s.Narrow(z, waveform.CheckOutput(5))
+	s.Narrow(b, waveform.CheckOutput(2))
+	if got := s.AppendTouched(nil); !slices.Equal(got, []circuit.NetID{z, b}) {
+		t.Fatalf("trail since the mark touches %v, want [%d %d]", got, z, b)
+	}
+	s.Undo()
+	// The two narrowings, then the restorations in reverse trail order,
+	// one entry per restored net.
+	if got, want := s.Changes(sub, nil), []circuit.NetID{z, b, b, z}; !slices.Equal(got, want) {
+		t.Fatalf("changes %v, want %v", got, want)
+	}
+	if got := s.AppendTouched(nil); len(got) != 0 {
+		t.Fatalf("no mark open: AppendTouched = %v, want none", got)
+	}
+}
+
+func TestChangeLogGenerations(t *testing.T) {
+	c := chainCircuit(t, 8)
+	s := New(c)
+	snap := s.Snapshot(nil)
+	for i, reset := range []func(){s.Reset, func() { s.Restore(snap) }} {
+		s.Subscribe()
+		gen := s.Generation()
+		s.Narrow(id(t, c, "n3"), waveform.SettledTo(1))
+		reset()
+		if s.Generation() == gen {
+			t.Fatalf("reset %d kept generation %d", i, gen)
+		}
+		if s.logLen() != 0 || len(s.cursors) != 0 || s.logOn {
+			t.Fatalf("reset %d left the log on with %d entries and %d subscribers", i, s.logLen(), len(s.cursors))
+		}
+		s.Narrow(id(t, c, "n4"), waveform.SettledTo(1))
+		if s.logLen() != 0 {
+			t.Fatalf("reset %d: the log must stay off until the next Subscribe", i)
+		}
+	}
+}
+
+// TestChangeLogTruncatedWhenAllCaughtUp: with two subscribers reading
+// after every step of a long mark/narrow/fixpoint/undo search, the log
+// never holds more than one step's changes, and a subscriber that lags
+// keeps the entries it has not read.
+func TestChangeLogTruncatedWhenAllCaughtUp(t *testing.T) {
+	const n = 64
+	c := chainCircuit(t, n)
+	po := id(t, c, fmt.Sprintf("n%d", n))
+	s := New(c)
+	s.ScheduleAll()
+	s.Fixpoint()
+	a, b := s.Subscribe(), s.Subscribe()
+	var buf []circuit.NetID
+	for i := 0; i < 1000; i++ {
+		s.Mark()
+		s.Narrow(po, waveform.CheckOutput(waveform.Time(i%n)))
+		s.Fixpoint()
+		s.Undo()
+		if s.logLen() > 4*(n+1) {
+			t.Fatalf("step %d: log holds %d entries for one step's changes", i, s.logLen())
+		}
+		buf = s.Changes(a, buf[:0])
+		if s.logLen() == 0 && len(buf) > 0 {
+			t.Fatal("the log was truncated while a subscriber had not read it")
+		}
+		lagging := len(buf)
+		buf = s.Changes(b, buf[:0])
+		if len(buf) != lagging {
+			t.Fatalf("step %d: the second subscriber read %d entries, the first %d", i, len(buf), lagging)
+		}
+		if s.logLen() != 0 {
+			t.Fatalf("step %d: %d entries left after every subscriber caught up", i, s.logLen())
+		}
+	}
+}
+
+// TestChangeLogSteadyStateAllocs: a warmed mark/narrow/fixpoint/undo
+// cycle with a subscriber reading the log after each allocates nothing.
+func TestChangeLogSteadyStateAllocs(t *testing.T) {
+	const n = 512
+	c := chainCircuit(t, n)
+	po := id(t, c, fmt.Sprintf("n%d", n))
+	s := New(c)
+	sub := s.Subscribe()
+	var buf []circuit.NetID
+	cycle := func() {
+		s.Mark()
+		s.Narrow(po, waveform.CheckOutput(5))
+		s.ScheduleAll()
+		s.Fixpoint()
+		s.Undo()
+		buf = s.Changes(sub, buf[:0])
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(50, cycle); allocs > 0 {
+		t.Fatalf("cycle with the change log on allocates %.1f objects/run, want 0", allocs)
+	}
+}
+
+// TestSweepFixpointSteadyStateAllocs: the Sweep discipline keeps its
+// per-pass gate batch on the System and sorts it without reflection,
+// so a warmed Sweep-mode mark/narrow/fixpoint/undo cycle allocates
+// nothing, as the FIFO one does.
+func TestSweepFixpointSteadyStateAllocs(t *testing.T) {
+	c := randomCircuit(t, 42, 6, 200)
+	po := c.PrimaryOutputs()[0]
+	s := New(c)
+	s.SetScheduleMode(Sweep)
+	cycle := func() {
+		s.Mark()
+		s.Narrow(po, waveform.CheckOutput(5))
+		s.ScheduleAll()
+		s.Fixpoint()
+		s.Undo()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(50, cycle); allocs > 0 {
+		t.Fatalf("steady-state Sweep-mode cycle allocates %.1f objects/run, want 0", allocs)
+	}
+}

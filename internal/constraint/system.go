@@ -6,8 +6,9 @@
 package constraint
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/waveform"
@@ -42,6 +43,7 @@ type System struct {
 	inQueue []bool
 	mode    ScheduleMode
 	topoPos []int32
+	batch   []circuit.GateID // Sweep mode's per-pass gate batch
 
 	// scratch buffers reused across gate applications (the system is
 	// single-goroutine by design; every Check owns its own System).
@@ -62,6 +64,14 @@ type System struct {
 	stopped   bool
 
 	trail trail
+
+	// The change log (see Subscribe): every net whose domain changed,
+	// in order, while logOn; cursors[i] is consumer i's read position.
+	// gen identifies the run the log belongs to.
+	log     []circuit.NetID
+	logOn   bool
+	cursors []int
+	gen     uint64
 
 	inconsistent bool
 	emptyNet     circuit.NetID
@@ -252,6 +262,9 @@ func (s *System) Narrow(n circuit.NetID, sig waveform.Signal) bool {
 	s.setLane(base+2, int64(nd.W1.Lmin))
 	s.setLane(base+3, int64(nd.W1.Lmax))
 	s.Narrowings++
+	if s.logOn {
+		s.log = append(s.log, n)
+	}
 	if nd.IsEmpty() && !s.inconsistent {
 		s.inconsistent = true
 		s.emptyNet = n
@@ -325,18 +338,14 @@ func (s *System) fixpointSweep() bool {
 		}
 	}
 	forward := true
-	batch := make([]circuit.GateID, 0, s.pending())
 	for s.pending() > 0 && !s.inconsistent {
-		batch = append(batch[:0], s.queue[s.qhead:]...)
+		s.batch = append(s.batch[:0], s.queue[s.qhead:]...)
+		batch := s.batch
 		s.queue, s.qhead = s.queue[:0], 0
 		for _, g := range batch {
 			s.inQueue[g] = false
 		}
-		if forward {
-			sortGatesBy(batch, s.topoPos, false)
-		} else {
-			sortGatesBy(batch, s.topoPos, true)
-		}
+		sortGatesBy(batch, s.topoPos, !forward)
 		forward = !forward
 		for _, g := range batch {
 			if s.inconsistent {
@@ -364,12 +373,14 @@ func (s *System) finishFixpoint() bool {
 	return true
 }
 
+// sortGatesBy orders gates by topological position, descending when
+// desc. Positions are unique, so the order is total.
 func sortGatesBy(gs []circuit.GateID, pos []int32, desc bool) {
-	sort.Slice(gs, func(i, j int) bool {
+	slices.SortFunc(gs, func(a, b circuit.GateID) int {
 		if desc {
-			return pos[gs[i]] > pos[gs[j]]
+			return cmp.Compare(pos[b], pos[a])
 		}
-		return pos[gs[i]] < pos[gs[j]]
+		return cmp.Compare(pos[a], pos[b])
 	})
 }
 
@@ -382,8 +393,16 @@ func (s *System) Undo() {
 	if n := len(s.trail.marks); n > 0 {
 		base := s.trail.marks[n-1]
 		s.trail.marks = s.trail.marks[:n-1]
+		last := circuit.InvalidNet
 		for i := len(s.trail.idx) - 1; i >= base; i-- {
-			s.dom[s.trail.idx[i]] = s.trail.old[i]
+			lane := s.trail.idx[i]
+			s.dom[lane] = s.trail.old[i]
+			// A narrowing saves its lanes consecutively, so logging
+			// each run of one net once logs every restored net.
+			if net := circuit.NetID(lane / lanes); s.logOn && net != last {
+				s.log = append(s.log, net)
+				last = net
+			}
 		}
 		s.trail.idx = s.trail.idx[:base]
 		s.trail.old = s.trail.old[:base]
@@ -398,6 +417,69 @@ func (s *System) Undo() {
 
 // Levels returns the number of open decision levels.
 func (s *System) Levels() int { return len(s.trail.marks) }
+
+// AppendTouched appends to dst the nets on the trail since the
+// innermost open mark — each net whose domain changed at this decision
+// level, once per run of its entries, so possibly more than once — and
+// returns the extended slice. With no mark open it appends nothing.
+func (s *System) AppendTouched(dst []circuit.NetID) []circuit.NetID {
+	if n := len(s.trail.marks); n > 0 {
+		last := circuit.InvalidNet
+		for i := s.trail.marks[n-1]; i < len(s.trail.idx); i++ {
+			if net := circuit.NetID(s.trail.idx[i] / lanes); net != last {
+				dst = append(dst, net)
+				last = net
+			}
+		}
+	}
+	return dst
+}
+
+// The change log lets the stage-2–4 consumers of a check (carriers and
+// dominators, learning) revisit only the nets whose domains changed
+// since they last looked, instead of the whole circuit. It is off until
+// the first Subscribe of a run, so checks that never reach a consumer
+// pay nothing. While on, every effective Narrow appends its net, and
+// Undo appends each net it restores. Reset and Restore turn it off,
+// drop every subscription and start a new generation, so a consumer
+// that finds Generation changed starts over with a full computation and
+// a fresh Subscribe. Once every subscriber has read to the end, the log
+// is truncated, which keeps it bounded by the changes of one evaluate
+// round plus the restorations since.
+
+// Generation identifies the system's current run: it changes on every
+// Reset and Restore, together with the change log's subscriptions.
+func (s *System) Generation() uint64 { return s.gen }
+
+// Subscribe turns the change log on and registers a consumer whose
+// cursor starts at the end of the log, so it sees every domain change
+// from now on. The returned id is valid for Changes until the
+// generation changes.
+func (s *System) Subscribe() int {
+	s.logOn = true
+	s.cursors = append(s.cursors, len(s.log))
+	return len(s.cursors) - 1
+}
+
+// Changes appends to dst every net logged since consumer id last
+// looked, in log order and possibly repeated, advances its cursor to
+// the end of the log, and returns the extended slice.
+func (s *System) Changes(id int, dst []circuit.NetID) []circuit.NetID {
+	dst = append(dst, s.log[s.cursors[id]:]...)
+	s.cursors[id] = len(s.log)
+	for _, c := range s.cursors {
+		if c != len(s.log) {
+			return dst
+		}
+	}
+	s.log = s.log[:0]
+	clear(s.cursors)
+	return dst
+}
+
+// logLen reports the number of change-log entries (for the
+// bounded-log tests).
+func (s *System) logLen() int { return len(s.log) }
 
 // Snapshot appends a copy of every domain lane onto buf[:0] and
 // returns the filled buffer, so a caller-owned snapshot buffer is
@@ -432,9 +514,14 @@ func (s *System) Reset() {
 }
 
 // resetRunState clears everything a check accumulates: the trail and
-// its marks, the worklist, inconsistency, the stop/trace hooks, and
-// the statistics counters. Backing arrays are kept.
+// its marks, the worklist, inconsistency, the stop/trace hooks, the
+// statistics counters, and the change log with its subscriptions,
+// starting a new generation. Backing arrays are kept.
 func (s *System) resetRunState() {
+	s.log = s.log[:0]
+	s.logOn = false
+	s.cursors = s.cursors[:0]
+	s.gen++
 	s.trail.idx = s.trail.idx[:0]
 	s.trail.old = s.trail.old[:0]
 	s.trail.marks = s.trail.marks[:0]

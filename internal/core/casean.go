@@ -150,20 +150,20 @@ type objective struct {
 // pickDecision selects the next decision net and class, following the
 // paper's phase structure. It returns ok = false when all primary
 // inputs are already single-class. It runs right after evaluate
-// returned PossibleViolation, so with dominators on it reads the
-// carriers and dominators of evaluate's last round off the workspace
-// instead of recomputing them on the same domains.
+// returned PossibleViolation, so with dominators on the carriers and
+// dominators of evaluate's last round are current and come back from
+// the workspace without recomputation.
 func (v *Verifier) pickDecision(ws *workspace, sys *constraint.System, sink circuit.NetID, delta waveform.Time) (circuit.NetID, int, bool) {
-	if !v.opts.UseDominators {
-		ws.carrier, ws.dist = ws.dom.DynamicCarriers(sys, sink, delta)
-		ws.doms = dom.Dominators{}
+	carrier, dist := ws.dom.Carriers(sys, sink, delta)
+	var doms dom.Dominators
+	if v.opts.UseDominators {
+		doms = ws.dom.Dominators(v.order)
 	}
-	carrier, dist := ws.carrier, ws.dist
 
 	// Phase 1: sensitising objectives on the non-carrier inputs of
 	// gates in the dynamic-carrier circuit, dominator segment by
 	// dominator segment, longest potential path first.
-	for _, o := range v.initialObjectives(ws, sys) {
+	for _, o := range v.initialObjectives(ws, sys, carrier, dist, doms) {
 		if n, val, ok := v.backtrace(sys, o.net, o.val); ok {
 			return n, val, true
 		}
@@ -305,10 +305,9 @@ func (v *Verifier) justified(sys *constraint.System, g *circuit.Gate, val int) b
 // dynamic carriers should take the non-controlling value of the gate
 // they feed (sensitising the paths inside Ψ). Objectives are weighted
 // by the dynamic distance of the carrier output (favouring long paths)
-// and grouped by dominator segment. Carriers, distances and dominators
-// come from the workspace; the returned slice is workspace storage.
-func (v *Verifier) initialObjectives(ws *workspace, sys *constraint.System) []objective {
-	carrier, dist, doms := ws.carrier, ws.dist, ws.doms
+// and grouped by dominator segment. The returned slice is workspace
+// storage.
+func (v *Verifier) initialObjectives(ws *workspace, sys *constraint.System, carrier []bool, dist []waveform.Time, doms dom.Dominators) []objective {
 	segOf := func(n circuit.NetID) int {
 		// Segment i covers nets at levels between dominator i+1
 		// (exclusive) and dominator i (inclusive).

@@ -261,10 +261,9 @@ func (v *Verifier) VerifyOnly(sink circuit.NetID, delta waveform.Time) Result {
 // evaluate is the evaluate() loop of Figure 4 extended with learning:
 // reach the fixpoint; on consistency apply learned implications and
 // dominator narrowing; repeat until nothing changes. An interrupted
-// solve returns Cancelled or Abandoned per the run state. Each
-// dominator round leaves its carriers and dominators on the workspace;
-// after a PossibleViolation they describe the current domains, which
-// is what pickDecision relies on.
+// solve returns Cancelled or Abandoned per the run state. Learning and
+// the carrier/dominator round are incremental: each revisits only the
+// nets whose domains changed since it last ran (DESIGN.md §14).
 func (v *Verifier) evaluate(rs *runState, sys *constraint.System, sink circuit.NetID, delta waveform.Time, rep *Report) Result {
 	round := 0
 	for {
@@ -275,16 +274,15 @@ func (v *Verifier) evaluate(rs *runState, sys *constraint.System, sink circuit.N
 			return rs.stopVerdict()
 		}
 		changed := false
+		ws := rs.workspace()
 		if v.opts.UseLearning && v.table != nil {
-			if v.table.Apply(sys) {
+			if v.table.Apply(sys, &ws.learn) {
 				changed = true
 			}
 		}
 		if v.opts.UseDominators {
-			ws := rs.workspace()
-			ws.carrier, ws.dist = ws.dom.DynamicCarriers(sys, sink, delta)
-			ws.doms = ws.dom.FromCarriers(v.c, v.order, ws.carrier, ws.dist, sink)
-			doms := ws.doms
+			ws.dom.Carriers(sys, sink, delta)
+			doms := ws.dom.Dominators(v.order)
 			if rep.Dominators == 0 {
 				rep.Dominators = len(doms.Nets)
 				rep.DominatorSet = rs.keepDominators(doms)
@@ -324,7 +322,7 @@ func (v *Verifier) stemCorrelation(rs *runState, sys *constraint.System, sink ci
 		return PossibleViolation
 	}
 	ws := rs.workspace()
-	carrier, _ := ws.dom.DynamicCarriers(sys, sink, delta)
+	carrier, _ := ws.dom.Carriers(sys, sink, delta)
 	influence := ws.influenceMask(v.c, carrier)
 	// Order: carrier stems first (the paper's criterion), then
 	// side-condition stems; deepest first within each group. A budget
@@ -344,9 +342,6 @@ func (v *Verifier) stemCorrelation(rs *runState, sys *constraint.System, sink ci
 		return cmp.Compare(a, b)
 	})
 	splits := 0
-	n := v.c.NumNets()
-	ws.branch = slices.Grow(ws.branch[:0], n)[:n]
-	branch := ws.branch
 	for _, stem := range stems {
 		if !influence[stem] {
 			continue
@@ -372,9 +367,7 @@ func (v *Verifier) stemCorrelation(rs *runState, sys *constraint.System, sink ci
 			return rs.stopVerdict()
 		}
 		if ok0 {
-			for i := 0; i < n; i++ {
-				branch[i] = sys.Domain(circuit.NetID(i))
-			}
+			ws.keepBranch(sys)
 		}
 		sys.Undo()
 		// Branch 1.
@@ -392,37 +385,67 @@ func (v *Verifier) stemCorrelation(rs *runState, sys *constraint.System, sink ci
 			sys.Narrow(sink, waveform.EmptySignal)
 			return NoViolation
 		case ok0 && !ok1:
-			sys.Undo()
-			for i := 0; i < n; i++ {
-				sys.Narrow(circuit.NetID(i), branch[i])
-			}
+			// Branch 0's trail and domains, kept above.
 		case !ok0 && ok1:
-			for i := 0; i < n; i++ {
-				branch[i] = sys.Domain(circuit.NetID(i))
-			}
-			sys.Undo()
-			for i := 0; i < n; i++ {
-				sys.Narrow(circuit.NetID(i), branch[i])
-			}
+			ws.keepBranch(sys)
 		default:
-			// Union of the two branch domains.
-			for i := 0; i < n; i++ {
-				branch[i] = branch[i].Union(sys.Domain(circuit.NetID(i)))
-			}
-			sys.Undo()
-			for i := 0; i < n; i++ {
-				sys.Narrow(circuit.NetID(i), branch[i])
-			}
+			ws.unionBranch(sys)
+		}
+		// Write the surviving domains back. A branch narrows only the
+		// nets on its trail; every other net keeps its pre-split
+		// domain, which the union with the other branch contains, so
+		// only trailed nets can narrow: those of the one consistent
+		// branch, or those on both trails for the union, in increasing
+		// id order as a scan of every net would meet them.
+		sys.Undo()
+		for i, n := range ws.touched {
+			sys.Narrow(n, ws.branch[i])
 		}
 		switch res := v.evaluate(rs, sys, sink, delta, rep); res {
 		case NoViolation, Cancelled, Abandoned:
 			return res
 		}
 		// Refresh carrier information for subsequent stems.
-		carrier, _ = ws.dom.DynamicCarriers(sys, sink, delta)
+		carrier, _ = ws.dom.Carriers(sys, sink, delta)
 		influence = ws.influenceMask(v.c, carrier)
 	}
 	return PossibleViolation
+}
+
+// trailed collects the nets whose domains changed at the open decision
+// level, in increasing id order without repeats, into buf.
+func trailed(sys *constraint.System, buf []circuit.NetID) []circuit.NetID {
+	buf = sys.AppendTouched(buf[:0])
+	slices.Sort(buf)
+	return slices.Compact(buf)
+}
+
+// keepBranch records the open branch's trailed nets and their current
+// domains in touched and branch.
+func (ws *workspace) keepBranch(sys *constraint.System) {
+	ws.touched = trailed(sys, ws.touched)
+	ws.branch = ws.branch[:0]
+	for _, n := range ws.touched {
+		ws.branch = append(ws.branch, sys.Domain(n))
+	}
+}
+
+// unionBranch keeps, of the branch recorded by keepBranch, the nets the
+// open branch trailed too, each with the union of its two branch
+// domains.
+func (ws *workspace) unionBranch(sys *constraint.System) {
+	ws.touched1 = trailed(sys, ws.touched1)
+	k, j := 0, 0
+	for i, n := range ws.touched {
+		for j < len(ws.touched1) && ws.touched1[j] < n {
+			j++
+		}
+		if j < len(ws.touched1) && ws.touched1[j] == n {
+			ws.touched[k], ws.branch[k] = n, ws.branch[i].Union(sys.Domain(n))
+			k++
+		}
+	}
+	ws.touched, ws.branch = ws.touched[:k], ws.branch[:k]
 }
 
 // influenceMask marks nets whose transitive fanout (including the net

@@ -3,32 +3,29 @@ package core
 import (
 	"repro/internal/circuit"
 	"repro/internal/dom"
+	"repro/internal/learn"
 	"repro/internal/waveform"
 )
 
 // workspace is the reusable scratch storage of pipeline stages 2–4:
-// the carrier and dominator buffers, stem correlation's influence mask
-// and branch domains, and case analysis's decision stack and objective
-// lists. It lives on the run state, so one workspace serves a whole
-// check; a ReportArena keeps it across the checks of serial sweeps,
-// cone slices of different sizes included. Buffers grow to the largest
-// circuit seen and are reused in place (DESIGN.md §14).
+// the incremental carrier and dominator state, the learning cursor,
+// stem correlation's influence mask and branch domains, and case
+// analysis's decision stack and objective lists. It lives on the run
+// state, so one workspace serves a whole check; a ReportArena keeps it
+// across the checks of serial sweeps, cone slices of different sizes
+// included. Buffers grow to the largest circuit seen and are reused in
+// place (DESIGN.md §14).
 type workspace struct {
-	dom dom.Workspace
-
-	// The carrier hand-off: every dominator round of evaluate records
-	// its carriers and dominators here. evaluate returns
-	// PossibleViolation only after a round in which neither learning
-	// nor dominator narrowing changed a domain, so the next decision
-	// sees exactly the domains these were computed from. They alias
-	// dom and stay valid until its next call.
-	carrier []bool
-	dist    []waveform.Time
-	doms    dom.Dominators
+	dom   dom.Workspace
+	learn learn.Cursor
 
 	influence []bool
-	branch    []waveform.Signal
 	stemOrder []circuit.NetID
+	// A stem split's surviving domains: the trailed nets in increasing
+	// id order and their domains; touched1 is the second branch's trail.
+	touched  []circuit.NetID
+	branch   []waveform.Signal
+	touched1 []circuit.NetID
 
 	stack []decision
 	objs  []objective

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/constraint"
 	"repro/internal/gen"
 	"repro/internal/waveform"
 )
@@ -40,16 +41,24 @@ func TestCaseAnalysisAllocsIndependentOfBudget(t *testing.T) {
 // TestArenaSweepStage2SteadyStateAllocs extends the zero-allocation
 // sweep guarantee past the plain fixpoint: warm-started, arena-backed
 // serial sweeps whose checks run the dominator loop (c1908) and stem
-// correlation (c2670) allocate nothing once the arena has grown.
+// correlation (c2670, and c1355's 64 splits per check) allocate
+// nothing in stages 2–3 once the arena has grown — the change log,
+// the level-bucket carrier queue, the learning cursor and the stem
+// buffers included. c1355's sweep then reaches case analysis, whose
+// first leaf witnesses the violation: certifying that candidate (the
+// vector, its simulation, its expansion to the circuit's inputs) is
+// the one allocation left, per leaf rather than per decision.
 func TestArenaSweepStage2SteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		delta  waveform.Time
 		reach  Stage
 		stages [5]Result // before/after GITD, after stems, case analysis, final
+		leaf   float64   // allocations of the one witnessing leaf
 	}{
-		{"c1908", 401, StageGITD, [5]Result{PossibleViolation, NoViolation, StageSkipped, StageSkipped, NoViolation}},
-		{"c2670", 471, StageStem, [5]Result{PossibleViolation, PossibleViolation, NoViolation, StageSkipped, NoViolation}},
+		{"c1908", 401, StageGITD, [5]Result{PossibleViolation, NoViolation, StageSkipped, StageSkipped, NoViolation}, 0},
+		{"c2670", 471, StageStem, [5]Result{PossibleViolation, PossibleViolation, NoViolation, StageSkipped, NoViolation}, 0},
+		{"c1355", 330, StageCase, [5]Result{PossibleViolation, PossibleViolation, PossibleViolation, ViolationFound, ViolationFound}, 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			v := NewVerifier(suiteCircuit(t, tc.name), Default())
@@ -59,10 +68,13 @@ func TestArenaSweepStage2SteadyStateAllocs(t *testing.T) {
 				if got := [5]Result{cr.BeforeGITD, cr.AfterGITD, cr.AfterStem, cr.CaseAnalysis, cr.Final}; got != tc.stages {
 					t.Fatalf("stages %v, want %v", got, tc.stages)
 				}
+				if cr.Backtracks != 0 {
+					t.Fatalf("%d backtracks: the sweep must reach at most one leaf", cr.Backtracks)
+				}
 			}
 			check()
-			if avg := testing.AllocsPerRun(20, check); avg != 0 {
-				t.Fatalf("steady-state arena sweep through %s allocates %.1f times per run, want 0", tc.reach, avg)
+			if avg := testing.AllocsPerRun(20, check); avg != tc.leaf {
+				t.Fatalf("steady-state arena sweep through %s allocates %.1f times per run, want %.0f", tc.reach, avg, tc.leaf)
 			}
 		})
 	}
@@ -142,6 +154,38 @@ func BenchmarkCaseAnalysis(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if rep := v.Run(context.Background(), req); rep.Final != Abandoned {
 			b.Fatalf("got %s, want A past the 500-backtrack budget", rep.Final)
+		}
+	}
+}
+
+// BenchmarkStemCorrelation is the stems layer on its heaviest warm
+// check: c1355's z0 cone at δ = D = 330, whose stem correlation makes
+// 64 splits. Each iteration restores the system to the state stage 2
+// left and runs stem correlation alone through one reused workspace,
+// so the time and allocations are the stage's own, including the full
+// carrier sweep and learning scan it starts each check with.
+func BenchmarkStemCorrelation(b *testing.B) {
+	c := suiteCircuit(b, "c1355")
+	z0, _ := c.NetByName("z0")
+	cv := NewVerifier(c, Default()).coneFor(z0)
+	v, sink, delta := cv.sub, cv.cm.Sink, waveform.Time(330)
+	rs := new(runState)
+	v.initRunState(rs, context.Background(), &Request{})
+	sys := constraint.New(v.c)
+	sys.Narrow(sink, waveform.CheckOutput(delta))
+	sys.ScheduleAll()
+	var rep Report
+	if res := v.evaluate(rs, sys, sink, delta, &rep); res != PossibleViolation {
+		b.Fatalf("stage 2 answered %s, want P", res)
+	}
+	snap := sys.Snapshot(nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.Restore(snap)
+		rep.Stats.StemSplits = 0
+		if res := v.stemCorrelation(rs, sys, sink, delta, &rep); res != PossibleViolation || rep.Stats.StemSplits != 64 {
+			b.Fatalf("got %s after %d splits, want P after 64", res, rep.Stats.StemSplits)
 		}
 	}
 }

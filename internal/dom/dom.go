@@ -72,6 +72,33 @@ type Workspace struct {
 
 	nets  []circuit.NetID // result: dominator nets, source first
 	dists []waveform.Time // result: their distance bounds
+
+	// Incremental state of Carriers and Dominators: mask and dist hold
+	// the carriers of check (sink, delta) on sys's domains as of the
+	// last read of change-log subscription sub, while live; doms holds
+	// FromCarriers of that mask while domsLive.
+	sys      *constraint.System
+	gen      uint64
+	sub      int
+	sink     circuit.NetID
+	delta    waveform.Time
+	live     bool
+	doms     Dominators
+	domsLive bool
+
+	changes []circuit.NetID // change-log read buffer
+
+	// The level-bucket queue of Carriers, laid out for circuit qc: the
+	// nets queued at level l are slots[start[l] : start[l]+fill[l]]. A
+	// net is queued at most once per update, so each level's block has
+	// room for every net of that level and the queue never grows.
+	qc     *circuit.Circuit
+	start  []int32
+	fill   []int32
+	slots  []circuit.NetID
+	queued []uint32 // queued[n] == epoch: n was queued this update
+	epoch  uint32
+	lo, hi int // lowest and highest level queued
 }
 
 // DynamicCarriers computes the dynamic carriers of the check and their
@@ -79,12 +106,22 @@ type Workspace struct {
 // (Definitions 7–8): a net qualifies through gate g feeding carrier y
 // at distance k when its domain still contains waveforms with a
 // transition at or after δ − (k + d_max(g)); its dynamic distance is
-// the largest such k′. The returned slices alias the workspace.
+// the largest such k′. This is the full sweep over every gate; Carriers
+// is its incremental front end. The returned slices alias the
+// workspace.
 func (w *Workspace) DynamicCarriers(sys *constraint.System, sink circuit.NetID, delta waveform.Time) (mask []bool, dist []waveform.Time) {
+	w.live = false // mask and dist no longer follow Carriers' check
+	return w.sweep(sys, sink, delta)
+}
+
+// sweep is the full carrier sweep: every gate in reverse topological
+// order, so each net's fanout outputs are final when it is reached.
+func (w *Workspace) sweep(sys *constraint.System, sink circuit.NetID, delta waveform.Time) (mask []bool, dist []waveform.Time) {
 	c := sys.Circuit()
 	mask = slices.Grow(w.mask[:0], c.NumNets())[:c.NumNets()]
 	dist = slices.Grow(w.dist[:0], c.NumNets())[:c.NumNets()]
 	w.mask, w.dist = mask, dist
+	w.domsLive = false
 	clear(mask)
 	for i := range dist {
 		dist[i] = waveform.NegInf
@@ -115,6 +152,161 @@ func (w *Workspace) DynamicCarriers(sys *constraint.System, sink circuit.NetID, 
 	return mask, dist
 }
 
+// Carriers returns the dynamic carriers and distances of the check
+// (sink, δ) on sys's current domains — exactly DynamicCarriers' result
+// — paying only for the nets whose domains changed since the previous
+// call, which it learns from sys's change log (constraint.Subscribe).
+//
+// The sweep takes each net x ≠ sink to be the largest k = dist(y) +
+// d_max(g) over its fanout gates g with a carrier output y, kept when
+// x's domain has a transition at or after δ − k. That test only gets
+// easier as k grows, so the largest k decides, and x's (carrier,
+// distance) is a function of its own domain and its fanout outputs'
+// values. Carriers therefore recomputes the changed nets, then, level
+// by level downwards, the fan-in of every net whose value moved; the
+// result equals the full sweep. The full sweep still runs on the first
+// call for a system generation or check, when the sink's domain is
+// empty or was, and when more than a quarter of the circuit's nets
+// changed, where one sweep replaces re-deriving them one by one. The
+// returned slices alias the workspace.
+func (w *Workspace) Carriers(sys *constraint.System, sink circuit.NetID, delta waveform.Time) (mask []bool, dist []waveform.Time) {
+	if gen := sys.Generation(); w.sys != sys || w.gen != gen {
+		w.sys, w.gen, w.sub, w.live = sys, gen, sys.Subscribe(), false
+	}
+	w.changes = sys.Changes(w.sub, w.changes[:0])
+	if w.live && w.sink == sink && w.delta == delta && (len(w.changes) == 0 ||
+		w.mask[sink] && !sys.Domain(sink).IsEmpty() && w.update(sys)) {
+		return w.mask, w.dist
+	}
+	w.sink, w.delta, w.live = sink, delta, true
+	return w.sweep(sys, sink, delta)
+}
+
+// growQueue lays the level-bucket queue out for c.
+func (w *Workspace) growQueue(c *circuit.Circuit) {
+	if w.qc == c {
+		return
+	}
+	w.qc = c
+	levels := c.MaxLevel() + 1
+	w.start = slices.Grow(w.start[:0], levels+1)[:levels+1]
+	clear(w.start)
+	for n := 0; n < c.NumNets(); n++ {
+		w.start[c.Level(circuit.NetID(n))+1]++
+	}
+	for l := 1; l <= levels; l++ {
+		w.start[l] += w.start[l-1]
+	}
+	w.fill = slices.Grow(w.fill[:0], levels)[:levels]
+	clear(w.fill)
+	w.slots = slices.Grow(w.slots[:0], c.NumNets())[:c.NumNets()]
+	if len(w.queued) < c.NumNets() {
+		w.queued = make([]uint32, c.NumNets())
+		w.epoch = 0
+	}
+}
+
+// update brings mask and dist up to date with the changed nets in
+// w.changes, or reports false — touching nothing — when they are more
+// than a quarter of the circuit's nets.
+func (w *Workspace) update(sys *constraint.System) bool {
+	c := sys.Circuit()
+	w.growQueue(c)
+	w.epoch++
+	if w.epoch == 0 {
+		clear(w.queued)
+		w.epoch = 1
+	}
+	w.lo, w.hi = len(w.fill), -1
+	limit, n := c.NumNets()/4, 0
+	for _, x := range w.changes {
+		if w.queued[x] == w.epoch {
+			continue
+		}
+		if n++; n > limit {
+			for l := w.lo; l <= w.hi; l++ {
+				w.fill[l] = 0
+			}
+			return false
+		}
+		w.enqueue(c, x)
+	}
+	// A net's inputs sit on strictly lower levels, so draining from the
+	// top finishes every fanout output before the nets it feeds, and
+	// nothing is queued onto the level being drained.
+	for l := w.hi; l >= w.lo; l-- {
+		for _, x := range w.slots[w.start[l] : w.start[l]+w.fill[l]] {
+			if !w.refresh(c, sys, x) {
+				continue
+			}
+			if d := c.Net(x).Driver; d != circuit.InvalidGate {
+				for _, in := range c.Gate(d).Inputs {
+					if w.queued[in] != w.epoch {
+						w.enqueue(c, in)
+					}
+				}
+			}
+		}
+		w.fill[l] = 0
+	}
+	return true
+}
+
+func (w *Workspace) enqueue(c *circuit.Circuit, x circuit.NetID) {
+	w.queued[x] = w.epoch
+	l := c.Level(x)
+	w.slots[w.start[l]+w.fill[l]] = x
+	w.fill[l]++
+	w.lo, w.hi = min(w.lo, l), max(w.hi, l)
+}
+
+// refresh recomputes net x's carrier bit and distance from its domain
+// and its fanout outputs, the sweep's test, and reports whether either
+// changed.
+func (w *Workspace) refresh(c *circuit.Circuit, sys *constraint.System, x circuit.NetID) bool {
+	if x == w.sink {
+		return false // a carrier at distance 0 while its domain is non-empty
+	}
+	k := waveform.NegInf
+	for _, gid := range c.Net(x).Fanout {
+		g := c.Gate(gid)
+		if y := g.Output; w.mask[y] {
+			k = max(k, w.dist[y].Add(waveform.Time(g.Delay)))
+		}
+	}
+	carrier := k != waveform.NegInf && sys.Domain(x).HasTransitionAtOrAfter(w.delta.Sub(k))
+	if !carrier {
+		k = waveform.NegInf
+	}
+	if carrier == w.mask[x] && k == w.dist[x] {
+		return false
+	}
+	if carrier != w.mask[x] {
+		w.domsLive = false // Ψ′ changed shape
+	}
+	w.mask[x], w.dist[x] = carrier, k
+	return true
+}
+
+// Dominators returns the timing dominators of the carriers the last
+// Carriers call returned — FromCarriers on them. The dominator tree
+// depends on the carrier mask alone, so it is rebuilt only when a
+// carrier bit flipped since the last build; otherwise the same
+// dominator nets are returned with their distances re-read. order is
+// LevelOrder of the system's circuit. The result aliases the
+// workspace.
+func (w *Workspace) Dominators(order []circuit.NetID) Dominators {
+	if !w.domsLive {
+		w.doms = w.FromCarriers(w.sys.Circuit(), order, w.mask, w.dist, w.sink)
+		w.domsLive = true
+		return w.doms
+	}
+	for i, n := range w.doms.Nets {
+		w.doms.Dist[i] = w.dist[n]
+	}
+	return w.doms
+}
+
 // FromCarriers computes the timing dominators from a carrier mask and
 // distance vector (the workspace's own DynamicCarriers result or any
 // other, e.g. the static carriers): the dominators of the terminal
@@ -126,6 +318,7 @@ func (w *Workspace) DynamicCarriers(sys *constraint.System, sink circuit.NetID, 
 // ordered from the source down, each with dist as its bound. order is
 // LevelOrder(c).
 func (w *Workspace) FromCarriers(c *circuit.Circuit, order []circuit.NetID, mask []bool, dist []waveform.Time, sink circuit.NetID) Dominators {
+	w.domsLive = false // the result storage is about to be overwritten
 	if !mask[sink] {
 		return Dominators{}
 	}

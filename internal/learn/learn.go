@@ -7,6 +7,8 @@
 package learn
 
 import (
+	"math/bits"
+
 	"repro/internal/circuit"
 	"repro/internal/constraint"
 	"repro/internal/waveform"
@@ -88,48 +90,140 @@ func (t *Table) Implied(n circuit.NetID, v int) []Assignment { return t.imp[key(
 // never settle to v.
 func (t *Table) Impossible(n circuit.NetID, v int) bool { return t.impossible[key(n, v)] }
 
+// Cursor is one check's state of Apply's event-driven pass: the
+// system generation and change-log subscription it follows, the nets
+// the pass has yet to visit, and those left for the next call. Its
+// buffers are reused, so once grown it allocates nothing. The zero
+// value is ready to use; a cursor follows one system at a time and must
+// not be shared between goroutines.
+type Cursor struct {
+	sys     *constraint.System
+	gen     uint64
+	sub     int
+	pending []uint64        // nets to visit in this pass, one bit per net id
+	next    []circuit.NetID // settled during a pass at or below its position
+	changes []circuit.NetID // change-log read buffer
+}
+
 // Apply enforces the learned implications on the constraint system:
 // any net whose domain is reduced to a single class imposes its
 // implications as class restrictions on other domains, and classes
 // proved impossible are removed outright. It reports whether anything
 // changed; callers then resume the fixpoint. Apply is monotone and
 // idempotent, so it is safe to call repeatedly inside the solve loop.
-func (t *Table) Apply(sys *constraint.System) bool {
+//
+// The first call for a system generation (see constraint.Generation)
+// asserts the unconditional facts and scans every net in id order.
+// Later calls visit, again in increasing id order (a bitset over net
+// ids, scanned word by word, serves as the min-priority queue), only
+// the nets the change log reports since the previous call plus those
+// cur kept for it: a net settled during a pass is visited in the same
+// pass when its
+// id lies ahead of the pass position and in the next call otherwise —
+// exactly when the full scan would reach it. Every other net's visit
+// would be a no-op: its implications were imposed and, domains only
+// narrowing, still hold. Undo can widen domains again, so the argument
+// needs one invariant from the caller: a level is only ever opened
+// (Mark) at a closed state, one where Apply has just returned false
+// and nothing changed since. An Undo then returns every domain to such
+// a state, and the restored nets it logs are revisited as no-ops. The
+// engine opens levels only after evaluate returned PossibleViolation,
+// which is such a state. Under that invariant Apply issues exactly the
+// narrowings, in exactly the order, of scanning every net each call.
+func (t *Table) Apply(sys *constraint.System, cur *Cursor) bool {
 	changed := false
-	for _, f := range t.forced {
-		if sys.Domain(f.Net).Wave(1 - f.Val).IsEmpty() {
-			continue
+	if gen := sys.Generation(); cur.sys != sys || cur.gen != gen {
+		cur.sys, cur.gen, cur.sub = sys, gen, sys.Subscribe()
+		cur.next = cur.next[:0]
+		if words := (t.c.NumNets() + 63) / 64; len(cur.pending) < words {
+			cur.pending = make([]uint64, words)
 		}
-		if sys.Narrow(f.Net, waveform.SettledTo(f.Val)) {
-			changed = true
-		}
-	}
-	for n := 0; n < t.c.NumNets(); n++ {
-		nid := circuit.NetID(n)
-		d := sys.Domain(nid)
-		for v := 0; v <= 1; v++ {
-			if t.impossible[key(nid, v)] && !d.Wave(v).IsEmpty() {
-				if sys.Narrow(nid, waveform.SettledTo(1-v)) {
-					changed = true
-					d = sys.Domain(nid)
-				}
-			}
-		}
-		v, known := d.KnownValue()
-		if !known {
-			continue
-		}
-		for _, a := range t.imp[key(nid, v)] {
-			if sys.Domain(a.Net).Wave(1 - a.Val).IsEmpty() {
+		for _, f := range t.forced {
+			if sys.Domain(f.Net).Wave(1 - f.Val).IsEmpty() {
 				continue
 			}
-			if sys.Narrow(a.Net, waveform.SettledTo(a.Val)) {
+			if sys.Narrow(f.Net, waveform.SettledTo(f.Val)) {
 				changed = true
+			}
+		}
+		cur.changes = sys.Changes(cur.sub, cur.changes[:0]) // the scan reaches them
+		for n := 0; n < t.c.NumNets(); n++ {
+			if t.visit(sys, circuit.NetID(n)) {
+				changed = true
+				cur.absorb(circuit.NetID(n), false)
+			}
+		}
+		return changed
+	}
+	for _, n := range cur.next {
+		cur.mark(n)
+	}
+	cur.next = cur.next[:0]
+	cur.changes = sys.Changes(cur.sub, cur.changes[:0])
+	for _, n := range cur.changes {
+		cur.mark(n)
+	}
+	// Nets marked during the pass lie ahead of it: later in the word
+	// being drained, which is re-read, or in a later word.
+	for w := range cur.pending {
+		for cur.pending[w] != 0 {
+			b := bits.TrailingZeros64(cur.pending[w])
+			cur.pending[w] &^= 1 << b
+			if n := circuit.NetID(64*w + b); t.visit(sys, n) {
+				changed = true
+				cur.absorb(n, true)
 			}
 		}
 	}
 	return changed
 }
+
+// visit imposes the learned facts of one net: it removes the net's
+// impossible classes, then, if the net's value is known, narrows every
+// implied assignment. It reports whether any domain changed.
+func (t *Table) visit(sys *constraint.System, nid circuit.NetID) bool {
+	changed := false
+	d := sys.Domain(nid)
+	for v := 0; v <= 1; v++ {
+		if t.impossible[key(nid, v)] && !d.Wave(v).IsEmpty() {
+			if sys.Narrow(nid, waveform.SettledTo(1-v)) {
+				changed = true
+				d = sys.Domain(nid)
+			}
+		}
+	}
+	v, known := d.KnownValue()
+	if !known {
+		return changed
+	}
+	for _, a := range t.imp[key(nid, v)] {
+		if sys.Domain(a.Net).Wave(1 - a.Val).IsEmpty() {
+			continue
+		}
+		if sys.Narrow(a.Net, waveform.SettledTo(a.Val)) {
+			changed = true
+		}
+	}
+	return changed
+}
+
+// absorb reads the nets narrowed while visiting pos: those at or below
+// it wait for the next call, those above it are marked for this pass
+// when mark is set (the full scan reaches them by itself).
+func (cur *Cursor) absorb(pos circuit.NetID, mark bool) {
+	cur.changes = cur.sys.Changes(cur.sub, cur.changes[:0])
+	for _, n := range cur.changes {
+		switch {
+		case n <= pos:
+			cur.next = append(cur.next, n)
+		case mark:
+			cur.mark(n)
+		}
+	}
+}
+
+// mark adds net n to the nets the pass has yet to visit.
+func (cur *Cursor) mark(n circuit.NetID) { cur.pending[n/64] |= 1 << (n % 64) }
 
 // Project slices the table onto a fan-in cone sub-circuit: toSub maps
 // original net ids to cone ids (circuit.InvalidNet outside the cone),

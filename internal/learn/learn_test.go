@@ -115,7 +115,8 @@ z = OR(p, q)
 	// Force z to settle 1; learning must then force a to settle 1.
 	sys.Narrow(id(t, c, "z"), waveform.SettledTo(1))
 	sys.Fixpoint()
-	changed := tab.Apply(sys)
+	var cur Cursor
+	changed := tab.Apply(sys, &cur)
 	if !changed {
 		t.Fatal("learning must narrow something")
 	}
@@ -127,7 +128,7 @@ z = OR(p, q)
 		t.Fatal("system must stay consistent")
 	}
 	// Idempotence.
-	if tab.Apply(sys) {
+	if tab.Apply(sys, &cur) {
 		t.Fatal("second Apply must be a no-op")
 	}
 }
@@ -143,7 +144,7 @@ z = AND(a, na)
 	sys := constraint.New(c)
 	sys.ScheduleAll()
 	sys.Fixpoint()
-	tab.Apply(sys)
+	tab.Apply(sys, new(Cursor))
 	sys.Fixpoint()
 	dz := sys.Domain(id(t, c, "z"))
 	if !dz.W1.IsEmpty() {
