@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -36,18 +37,22 @@ func ReadBench(r io.Reader, opt BenchOptions) (*Circuit, error) {
 	if opt.Name == "" {
 		opt.Name = "bench"
 	}
+	// The parser works on the scanner's line buffer in place: a gate
+	// line copies out only the names of nets seen for the first time,
+	// and one input-id buffer serves every gate line.
 	b := NewBuilder(opt.Name)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
+	var ins []NetID
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := sc.Text()
+		line := sc.Bytes()
 		delay := opt.DefaultDelay
-		if i := strings.Index(line, "#"); i >= 0 {
-			comment := strings.TrimSpace(line[i+1:])
-			if strings.HasPrefix(comment, "!delay=") {
-				d, err := strconv.ParseInt(strings.TrimSpace(comment[len("!delay="):]), 10, 64)
+		if i := bytes.IndexByte(line, '#'); i >= 0 {
+			comment := bytes.TrimSpace(line[i+1:])
+			if bytes.HasPrefix(comment, []byte("!delay=")) {
+				d, err := strconv.ParseInt(string(bytes.TrimSpace(comment[len("!delay="):])), 10, 64)
 				if err != nil {
 					return nil, fmt.Errorf("bench line %d: bad !delay directive: %v", lineNo, err)
 				}
@@ -55,46 +60,71 @@ func ReadBench(r io.Reader, opt BenchOptions) (*Circuit, error) {
 			}
 			line = line[:i]
 		}
-		line = strings.TrimSpace(line)
-		if line == "" {
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 {
 			continue
 		}
-		switch {
-		case strings.HasPrefix(upper(line), "INPUT(") && strings.HasSuffix(line, ")"):
-			b.Input(strings.TrimSpace(line[len("INPUT(") : len(line)-1]))
-		case strings.HasPrefix(upper(line), "OUTPUT(") && strings.HasSuffix(line, ")"):
-			b.Output(strings.TrimSpace(line[len("OUTPUT(") : len(line)-1]))
+		switch last := line[len(line)-1]; {
+		case hasPrefixFold(line, "INPUT(") && last == ')':
+			b.Input(string(bytes.TrimSpace(line[len("INPUT(") : len(line)-1])))
+		case hasPrefixFold(line, "OUTPUT(") && last == ')':
+			b.Output(string(bytes.TrimSpace(line[len("OUTPUT(") : len(line)-1])))
 		default:
-			eq := strings.Index(line, "=")
+			eq := bytes.IndexByte(line, '=')
 			if eq < 0 {
 				return nil, fmt.Errorf("bench line %d: expected assignment, got %q", lineNo, line)
 			}
-			out := strings.TrimSpace(line[:eq])
-			rhs := strings.TrimSpace(line[eq+1:])
-			open := strings.Index(rhs, "(")
-			if open < 0 || !strings.HasSuffix(rhs, ")") {
+			out := bytes.TrimSpace(line[:eq])
+			rhs := bytes.TrimSpace(line[eq+1:])
+			open := bytes.IndexByte(rhs, '(')
+			if open < 0 || rhs[len(rhs)-1] != ')' {
 				return nil, fmt.Errorf("bench line %d: malformed gate expression %q", lineNo, rhs)
 			}
-			tname := strings.TrimSpace(rhs[:open])
-			gt, ok := ParseGateType(tname)
+			tname := bytes.TrimSpace(rhs[:open])
+			gt, ok := ParseGateType(string(tname))
 			if !ok {
 				return nil, fmt.Errorf("bench line %d: unknown gate type %q", lineNo, tname)
 			}
-			var ins []string
-			for _, f := range strings.Split(rhs[open+1:len(rhs)-1], ",") {
-				f = strings.TrimSpace(f)
-				if f == "" {
+			// Inputs resolve before the output, in order, as Builder.Gate
+			// does, so net ids come out the same.
+			ins = ins[:0]
+			for args := rhs[open+1 : len(rhs)-1]; ; {
+				f, rest, more := bytes.Cut(args, []byte{','})
+				if f = bytes.TrimSpace(f); len(f) == 0 {
 					return nil, fmt.Errorf("bench line %d: empty input name", lineNo)
 				}
-				ins = append(ins, f)
+				ins = append(ins, b.netBytes(f))
+				if !more {
+					break
+				}
+				args = rest
 			}
-			b.Gate(gt, delay, out, ins...)
+			b.GateIDs(gt, delay, b.netBytes(out), ins...)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("bench: read: %v", err)
 	}
 	return b.Build()
+}
+
+// hasPrefixFold reports whether s begins with the upper-case prefix,
+// folding ASCII lower-case letters of s to upper case; other bytes
+// compare as they are.
+func hasPrefixFold(s []byte, prefix string) bool {
+	if len(s) < len(prefix) {
+		return false
+	}
+	for i := 0; i < len(prefix); i++ {
+		c := s[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		if c != prefix[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // WriteBench renders the circuit in .bench syntax, emitting a

@@ -132,6 +132,15 @@ func (b *Builder) Net(name string) NetID {
 	return id
 }
 
+// netBytes is Net for a name held in a reused buffer: the name is
+// copied only when the net is new.
+func (b *Builder) netBytes(name []byte) NetID {
+	if id, ok := b.c.byNam[string(name)]; ok {
+		return id
+	}
+	return b.Net(string(name))
+}
+
 // Input declares the named net as a primary input and returns its id.
 func (b *Builder) Input(name string) NetID {
 	id := b.Net(name)

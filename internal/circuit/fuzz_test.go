@@ -2,8 +2,10 @@ package circuit
 
 import "testing"
 
-// FuzzReadBench asserts the .bench parser never panics and that
-// whatever parses also re-parses after a write round trip.
+// FuzzReadBench asserts the .bench parser never panics, agrees with
+// the reference parser on every input (accept/reject, error text, nets,
+// ids, gates, delays, PI/PO order), and that whatever parses also
+// re-parses after a write round trip.
 func FuzzReadBench(f *testing.F) {
 	f.Add("INPUT(a)\nOUTPUT(z)\nz = NOT(a)\n")
 	f.Add(c17Bench)
@@ -15,7 +17,12 @@ func FuzzReadBench(f *testing.F) {
 	f.Add("# comment only\n\n  \nINPUT( spaced )\nOUTPUT( spaced )\n")
 	f.Add("INPUT(a)\nOUTPUT(z)\nz = BUFF(a) # !delay=9223372036854775807\n")
 	f.Add("INPUT(a)\nOUTPUT(z)\nz = AND(a, a) # !delay=-3\n")
+	f.Add("input(a)\nOutput(z)\nz = nand(a, a) #  !delay= 7 \n")
+	f.Add("INPUT(a)\nOUTPUT(z)\nz = AND(a,,a) # !delay=x\n")
 	f.Fuzz(func(t *testing.T, src string) {
+		if d := DiffParses(src, BenchOptions{DefaultDelay: 2}); d != "" {
+			t.Fatalf("parser disagrees with the reference: %s\ninput: %q", d, src)
+		}
 		c, err := ParseBenchString(src, BenchOptions{DefaultDelay: 2})
 		if err != nil {
 			return

@@ -48,9 +48,22 @@ func (t GateType) String() string {
 }
 
 // ParseGateType recognises the .bench mnemonics (case-insensitive;
-// BUF and BUFF both accepted).
+// BUF and BUFF both accepted). It folds s to upper case, ASCII letters
+// only, in a stack buffer — no mnemonic is longer than six bytes — so
+// it allocates nothing and does not retain s.
 func ParseGateType(s string) (GateType, bool) {
-	switch upper(s) {
+	var buf [6]byte
+	if len(s) > len(buf) {
+		return 0, false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	switch string(buf[:len(s)]) {
 	case "AND":
 		return AND, true
 	case "NAND":
@@ -71,16 +84,6 @@ func ParseGateType(s string) (GateType, bool) {
 		return XNOR, true
 	}
 	return 0, false
-}
-
-func upper(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		if 'a' <= c && c <= 'z' {
-			b[i] = c - 'a' + 'A'
-		}
-	}
-	return string(b)
 }
 
 // Inverting reports whether the gate complements its underlying

@@ -40,6 +40,10 @@ func (v *Verifier) caseAnalysis(rs *runState, sys *constraint.System, sink circu
 	ws := rs.workspace()
 	ws.stack = ws.stack[:0]
 	rep.Backtracks = 0
+	stems := v.stems() // built here on first use, then the deadline is polled
+	if rs.stoppedNow() {
+		return rs.stopVerdict()
+	}
 
 	// unwind closes every decision level still open. Exhausted searches
 	// unwind through backtrack() naturally, but witness/abandon/cancel
@@ -97,7 +101,7 @@ func (v *Verifier) caseAnalysis(rs *runState, sys *constraint.System, sink circu
 			continue
 		}
 		// Consistent at fixpoint: decide the next net.
-		net, val, ok := v.pickDecision(ws, sys, sink, delta)
+		net, val, ok := v.pickDecision(ws, sys, sink, delta, stems)
 		if !ok {
 			// Every primary input is classed: candidate vector.
 			vec := v.extractVector(sys)
@@ -152,8 +156,9 @@ type objective struct {
 // inputs are already single-class. It runs right after evaluate
 // returned PossibleViolation, so with dominators on the carriers and
 // dominators of evaluate's last round are current and come back from
-// the workspace without recomputation.
-func (v *Verifier) pickDecision(ws *workspace, sys *constraint.System, sink circuit.NetID, delta waveform.Time) (circuit.NetID, int, bool) {
+// the workspace without recomputation. stems is the verifier's
+// reconvergent-stem list, read once per case analysis.
+func (v *Verifier) pickDecision(ws *workspace, sys *constraint.System, sink circuit.NetID, delta waveform.Time, stems []circuit.NetID) (circuit.NetID, int, bool) {
 	carrier, dist := ws.dom.Carriers(sys, sink, delta)
 	var doms dom.Dominators
 	if v.opts.UseDominators {
@@ -174,7 +179,7 @@ func (v *Verifier) pickDecision(ws *workspace, sys *constraint.System, sink circ
 	// longest dynamic distance, smallest id on ties (the profound-effect
 	// nets the paper's modified FAN splits on).
 	best := circuit.InvalidNet
-	for _, stem := range v.stems {
+	for _, stem := range stems {
 		if !carrier[stem] {
 			continue
 		}

@@ -161,9 +161,12 @@ type Verifier struct {
 	prep     *Prepared // shared precompute; nil on cone sub-verifiers
 	analysis *delay.Analysis
 	cc       *scoap.Controllability
-	table    *learn.Table    // nil unless UseLearning
-	stems    []circuit.NetID // cached reconvergent fanout stems
 	order    []circuit.NetID // dom.LevelOrder of c, shared via Prepared
+
+	// The on-demand analyses of the shared precompute, each built by
+	// the first check on the circuit (or cone) that reads it.
+	learnTable func() *learn.Table    // read by evaluate when UseLearning
+	stems      func() []circuit.NetID // reconvergent fanout stems
 
 	coneMu sync.Mutex
 	cones  map[circuit.NetID]*coneVerifier // guarded by coneMu
@@ -173,9 +176,10 @@ type Verifier struct {
 }
 
 // NewVerifier prepares a verifier for the circuit (computing arrival
-// times, SCOAP controllabilities, and — if enabled — the static
-// learning table). It is Prepare(c).NewVerifier(opts); call Prepare
-// directly to share the precompute across several option sets.
+// times and SCOAP controllabilities; the static learning table and the
+// reconvergent stems are built by the first check that reads them). It
+// is Prepare(c).NewVerifier(opts); call Prepare directly to share the
+// precompute across several option sets.
 func NewVerifier(c *circuit.Circuit, opts Options) *Verifier {
 	return Prepare(c).NewVerifier(opts)
 }
@@ -275,8 +279,8 @@ func (v *Verifier) evaluate(rs *runState, sys *constraint.System, sink circuit.N
 		}
 		changed := false
 		ws := rs.workspace()
-		if v.opts.UseLearning && v.table != nil {
-			if v.table.Apply(sys, &ws.learn) {
+		if v.opts.UseLearning {
+			if v.learnTable().Apply(sys, &ws.learn) {
 				changed = true
 			}
 		}
@@ -317,7 +321,13 @@ func (v *Verifier) evaluate(rs *runState, sys *constraint.System, sink circuit.N
 // reconvergent branches, are only refutable this way). The widening is
 // sound (each branch evaluation is) and only costs extra splits.
 func (v *Verifier) stemCorrelation(rs *runState, sys *constraint.System, sink circuit.NetID, delta waveform.Time, rep *Report) Result {
-	allStems := v.stems
+	// The first stage on the circuit (or cone) that reads the stems
+	// builds them; the build cannot be interrupted, so the deadline is
+	// polled after it.
+	allStems := v.stems()
+	if rs.stoppedNow() {
+		return rs.stopVerdict()
+	}
 	if len(allStems) == 0 {
 		return PossibleViolation
 	}

@@ -16,36 +16,53 @@ import (
 
 // Prepared is the immutable per-circuit precompute shared by every
 // verifier on a circuit: arrival-time analysis, SCOAP
-// controllabilities, reconvergent stems, the level order of the
-// dominator computation, the lazily-built static learning table, and
-// the per-sink fan-in cone slices used by cone-sliced solving. A sweep
-// over many δ values or option sets pays for each analysis once —
-// NewVerifier derives verifiers that all point at the same Prepared.
-// All methods are safe for concurrent use: the cone cache grows under
-// a mutex with per-sink once initialisation, so parallel RunAll
+// controllabilities and the level order of the dominator computation,
+// built by Prepare; the static learning table and the reconvergent
+// stems, built on first use; and the per-sink fan-in cone slices used
+// by cone-sliced solving. A sweep over many δ values or option sets
+// pays for each analysis once — NewVerifier derives verifiers that all
+// point at the same Prepared. All methods are safe for concurrent use:
+// the on-demand analyses build once under sync.OnceValue (a build that
+// panics panics again on every later use), and the cone cache grows
+// under a mutex with per-sink once initialisation, so parallel RunAll
 // workers build distinct cones concurrently but never duplicate one.
 type Prepared struct {
 	c        *circuit.Circuit
 	analysis *delay.Analysis
 	cc       *scoap.Controllability
-	stems    []circuit.NetID
 	order    []circuit.NetID // dom.LevelOrder of c
 
-	learnOnce sync.Once
-	learn     *learn.Table
+	learn func() *learn.Table    // built by the first stage-2 check with learning
+	stems func() []circuit.NetID // built by the first stem-correlation or case-analysis stage
 
 	coneMu sync.Mutex
 	cones  map[circuit.NetID]*conePrep // guarded by coneMu
 }
 
-// Prepare computes the shareable static analyses of a circuit.
+// The on-demand builds, replaced by tests that count them.
+var (
+	precomputeLearning = learn.Precompute
+	projectLearning    = (*learn.Table).Project
+	reconvergentStems  = (*circuit.Circuit).ReconvergentStems
+)
+
+// Prepare computes the shareable static analyses a check's first stage
+// reads — arrival times, SCOAP controllabilities, the dominator level
+// order — and arms the on-demand builds of the rest: the learning
+// table (read from stage 2 on) and the reconvergent stems (read by
+// stem correlation and case analysis). A check that ends in stage 1
+// never pays for either. The first check that needs one builds it
+// inside that stage, so the one-time cost shows in its stage time and
+// elapsed time; the build cannot be interrupted, and the check's
+// deadline is polled after it.
 func Prepare(c *circuit.Circuit) *Prepared {
 	return &Prepared{
 		c:        c,
 		analysis: delay.New(c),
 		cc:       scoap.Compute(c),
-		stems:    c.ReconvergentStems(),
 		order:    dom.LevelOrder(c),
+		learn:    sync.OnceValue(func() *learn.Table { return precomputeLearning(c) }),
+		stems:    sync.OnceValue(func() []circuit.NetID { return reconvergentStems(c) }),
 		cones:    make(map[circuit.NetID]*conePrep),
 	}
 }
@@ -57,22 +74,17 @@ func (p *Prepared) Circuit() *circuit.Circuit { return p.c }
 func (p *Prepared) Analysis() *delay.Analysis { return p.analysis }
 
 // LearnTable returns the static learning table, computing it on first
-// use (it is the most expensive precompute and not every option set
-// needs it).
-func (p *Prepared) LearnTable() *learn.Table {
-	p.learnOnce.Do(func() { p.learn = learn.Precompute(p.c) })
-	return p.learn
-}
+// use (it is the most expensive precompute and only checks that reach
+// stage 2 with learning enabled read it).
+func (p *Prepared) LearnTable() *learn.Table { return p.learn() }
 
 // NewVerifier derives a verifier with the given options from the
-// shared precompute.
+// shared precompute. It builds nothing: the learning table and the
+// stems are built by the first check that reads them.
 func (p *Prepared) NewVerifier(opts Options) *Verifier {
-	v := &Verifier{c: p.c, opts: opts, prep: p,
-		analysis: p.analysis, cc: p.cc, stems: p.stems, order: p.order}
-	if opts.UseLearning {
-		v.table = p.LearnTable()
-	}
-	return v
+	return &Verifier{c: p.c, opts: opts, prep: p,
+		analysis: p.analysis, cc: p.cc, order: p.order,
+		learnTable: p.learn, stems: p.stems}
 }
 
 // conePrep is the option-independent slice of one sink's fan-in cone:
@@ -90,11 +102,10 @@ type conePrep struct {
 
 	analysis *delay.Analysis
 	cc       *scoap.Controllability
-	stems    []circuit.NetID
 	order    []circuit.NetID // dom.LevelOrder of cone
 
-	learnOnce sync.Once
-	learn     *learn.Table
+	learnTable func() *learn.Table    // the parent's table projected on first use
+	stems      func() []circuit.NetID // the parent's stems restricted on first use
 }
 
 // coneFor returns the cone precompute for sink, building it on first
@@ -144,19 +155,18 @@ func (cp *conePrep) build(p *Prepared, sink circuit.NetID) {
 	// using the same candidate set (in the same id order) keeps stem
 	// selection, split budgets, and split order aligned with
 	// whole-circuit solving.
-	for _, s := range p.stems {
-		if id := cm.ToCone[s]; id != circuit.InvalidNet {
-			cp.stems = append(cp.stems, id)
+	cp.stems = sync.OnceValue(func() []circuit.NetID {
+		var stems []circuit.NetID
+		for _, s := range p.stems() {
+			if id := cm.ToCone[s]; id != circuit.InvalidNet {
+				stems = append(stems, id)
+			}
 		}
-	}
-}
-
-// learnTable lazily projects the parent's learning table onto the cone.
-func (cp *conePrep) learnTable(p *Prepared) *learn.Table {
-	cp.learnOnce.Do(func() {
-		cp.learn = p.LearnTable().Project(cp.cone, cp.cm.ToCone, cp.cm.FromCone)
+		return stems
 	})
-	return cp.learn
+	cp.learnTable = sync.OnceValue(func() *learn.Table {
+		return projectLearning(p.LearnTable(), cone, cm.ToCone, cm.FromCone)
+	})
 }
 
 // coneVerifier pairs the sub-verifier solving on one sink's cone slice
@@ -199,10 +209,8 @@ func (cv *coneVerifier) init(v *Verifier, sink circuit.NetID) {
 	subOpts := v.opts
 	subOpts.UseConeSlicing = false
 	sub := &Verifier{c: cp.cone, opts: subOpts,
-		analysis: cp.analysis, cc: cp.cc, stems: cp.stems, order: cp.order}
-	if v.opts.UseLearning {
-		sub.table = cp.learnTable(v.prep)
-	}
+		analysis: cp.analysis, cc: cp.cc, order: cp.order,
+		learnTable: cp.learnTable, stems: cp.stems}
 	cv.sub, cv.cm = sub, cp.cm
 	cv.nPIs = len(v.c.PrimaryInputs())
 }

@@ -362,18 +362,29 @@ func (v *Verifier) run(ctx context.Context, req Request) *Report {
 		return finish(sys, res)
 	}
 
+	// Stage 2: global implications (dominators + learning). The first
+	// check that reads the learning table builds it here, inside the
+	// stage; the build cannot be interrupted, so the deadline is polled
+	// after it.
+	gitd := func() Result {
+		if v.opts.UseLearning {
+			v.learnTable()
+			if rs.stoppedNow() {
+				return rs.stopVerdict()
+			}
+		}
+		return v.evaluate(rs, sys, req.Sink, req.Delta, rep)
+	}
 	if req.VerifyOnly {
 		if !v.opts.UseDominators && !v.opts.UseLearning {
 			return finish(sys, PossibleViolation)
 		}
-		res = stage(StageGITD, func() Result { return v.evaluate(rs, sys, req.Sink, req.Delta, rep) })
+		res = stage(StageGITD, gitd)
 		rep.AfterGITD = res
 		return finish(sys, res)
 	}
-
-	// Stage 2: global implications (dominators + learning).
 	if v.opts.UseDominators || v.opts.UseLearning {
-		res = stage(StageGITD, func() Result { return v.evaluate(rs, sys, req.Sink, req.Delta, rep) })
+		res = stage(StageGITD, gitd)
 		rep.AfterGITD = res
 		if res != PossibleViolation {
 			return finish(sys, res)

@@ -41,45 +41,78 @@ func key(n circuit.NetID, v int) int { return 2*int(n) + v }
 
 // Precompute runs the learning pass: one three-valued propagation per
 // (net, value) assumption. Implications are stored in both directions
-// (direct and contrapositive), deduplicated.
+// (direct and contrapositive), deduplicated, and each assumption's list
+// keeps the order in which its implications were first found — Apply
+// narrows in that order.
+//
+// The pass needs no map to deduplicate. Run r = (n, v) deriving a
+// stores r ⇒ a and its contrapositive ¬a ⇒ ¬r; the only other run that
+// stores either is r' = ¬a deriving ¬r, which stores the same two. So
+// when r runs, both of its entries for a exist already exactly when an
+// earlier r' derived ¬r — and r' then put a on r's list. Marking r's
+// list before the run therefore dedupes both entries with one array
+// look-up. Lists are linked through one flat entry array in insertion
+// order and laid out contiguously at the end.
 func Precompute(c *circuit.Circuit) *Table {
+	nk := 2 * c.NumNets()
 	t := &Table{
 		c:          c,
-		imp:        make([][]Assignment, 2*c.NumNets()),
-		impossible: make([]bool, 2*c.NumNets()),
+		imp:        make([][]Assignment, nk),
+		impossible: make([]bool, nk),
 	}
 	p := newProp(c)
-	seen := make(map[[2]int]bool)
-	add := func(from Assignment, to Assignment) {
-		if from.Net == to.Net {
-			return
+	// Entry i implies key to[i]; next[i] is the following entry of the
+	// same list, -1 at its end. head and tail hold each key's first and
+	// last entry (-1 for an empty list); mark[k] == r+1 when run r found
+	// key k on its own list.
+	var to, next []int32
+	head, tail, mark := make([]int32, nk), make([]int32, nk), make([]int32, nk)
+	for k := range head {
+		head[k], tail[k] = -1, -1
+	}
+	add := func(from, k int) {
+		i := int32(len(to))
+		to, next = append(to, int32(k)), append(next, -1)
+		if tail[from] < 0 {
+			head[from] = i
+		} else {
+			next[tail[from]] = i
 		}
-		k := [2]int{key(from.Net, from.Val), key(to.Net, to.Val)}
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		t.imp[key(from.Net, from.Val)] = append(t.imp[key(from.Net, from.Val)], to)
-		t.Implications++
+		tail[from] = i
 	}
 	for n := 0; n < c.NumNets(); n++ {
 		for v := 0; v <= 1; v++ {
 			nid := circuit.NetID(n)
+			r := key(nid, v)
 			ok, assigned := p.run(nid, v)
 			if !ok {
-				t.impossible[key(nid, v)] = true
+				t.impossible[r] = true
 				continue
 			}
+			for i := head[r]; i >= 0; i = next[i] {
+				mark[to[i]] = int32(r + 1)
+			}
 			for _, a := range assigned {
-				if a.Net == nid {
+				if a.Net == nid || mark[key(a.Net, a.Val)] == int32(r+1) {
 					continue
 				}
-				add(Assignment{nid, v}, a)
+				add(r, key(a.Net, a.Val))
 				// Contrapositive: ¬a ⇒ ¬(n=v).
-				add(Assignment{a.Net, 1 - a.Val}, Assignment{nid, 1 - v})
+				add(key(a.Net, 1-a.Val), key(nid, 1-v))
 			}
 		}
 	}
+	flat := make([]Assignment, 0, len(to))
+	for k := range t.imp {
+		lo := len(flat)
+		for i := head[k]; i >= 0; i = next[i] {
+			flat = append(flat, Assignment{circuit.NetID(to[i] / 2), int(to[i] % 2)})
+		}
+		if len(flat) > lo {
+			t.imp[k] = flat[lo:len(flat):len(flat)]
+		}
+	}
+	t.Implications = len(flat)
 	return t
 }
 
@@ -288,13 +321,15 @@ func (t *Table) Project(sub *circuit.Circuit, toSub, fromSub []circuit.NetID) *T
 }
 
 // prop is the three-valued direct-implication engine used by the
-// learning pass (forward and backward gate rules, no case splits).
+// learning pass (forward and backward gate rules, no case splits). Its
+// buffers are reused from run to run.
 type prop struct {
 	c     *circuit.Circuit
-	val   []int8 // -1 unknown
-	dirty []circuit.GateID
+	val   []int8           // -1 unknown
+	dirty []circuit.GateID // FIFO of scheduled gates, drained by index
 	inQ   []bool
 	trail []circuit.NetID
+	out   []Assignment
 }
 
 func newProp(c *circuit.Circuit) *prop {
@@ -306,10 +341,10 @@ func newProp(c *circuit.Circuit) *prop {
 }
 
 // run assumes net n settles to v, propagates, and returns whether the
-// assumption is consistent plus every determined assignment. State is
-// rolled back before returning.
+// assumption is consistent plus every determined assignment, in the
+// order they were determined. The assignments are valid until the next
+// run. State is rolled back before returning.
 func (p *prop) run(n circuit.NetID, v int) (ok bool, out []Assignment) {
-	ok = true
 	defer func() {
 		for _, m := range p.trail {
 			p.val[m] = -1
@@ -323,18 +358,18 @@ func (p *prop) run(n circuit.NetID, v int) (ok bool, out []Assignment) {
 	if !p.assign(n, int8(v)) {
 		return false, nil
 	}
-	for len(p.dirty) > 0 {
-		g := p.dirty[0]
-		p.dirty = p.dirty[1:]
+	for head := 0; head < len(p.dirty); head++ {
+		g := p.dirty[head]
 		p.inQ[g] = false
 		if !p.applyGate(g) {
 			return false, nil
 		}
 	}
+	p.out = p.out[:0]
 	for _, m := range p.trail {
-		out = append(out, Assignment{m, int(p.val[m])})
+		p.out = append(p.out, Assignment{m, int(p.val[m])})
 	}
-	return true, out
+	return true, p.out
 }
 
 func (p *prop) assign(n circuit.NetID, v int8) bool {

@@ -7,9 +7,10 @@
 // upload (netlist bytes, format, name, default delay, SDF text, and
 // the sorted delay-annotation list — see Canonicalize) and thereafter
 // referenced by that hash alone. The expensive structural precompute
-// — core.Prepare's topo order, delay annotation, SCOAP, stems,
-// dominators, learned implications, and the per-sink cone slices that
-// grow inside it — is built once per circuit and shared immutably
+// — core.Prepare's delay annotation, SCOAP and dominator level order,
+// plus what grows inside the Prepared on first use: learned
+// implications, reconvergent stems and the per-sink cone slices — is
+// built once per circuit and shared immutably
 // across batches and tenants, exactly the sharing PR 2 proved safe
 // for parallel RunAll workers.
 //
@@ -402,9 +403,9 @@ func estimateCircuitBytes(c *circuit.Circuit, netlistLen int) int64 {
 }
 
 // estimatePreparedBytes estimates core.Prepare's output: arrival
-// analysis, SCOAP, stems, the dominator level order (one net id per
-// net), plus headroom for the lazily built learning table and per-sink
-// cone slices that grow inside the Prepared.
+// analysis, SCOAP, the dominator level order (one net id per net), plus
+// headroom for the stems, learning table and per-sink cone slices that
+// are built on first use inside the Prepared.
 func estimatePreparedBytes(c *circuit.Circuit) int64 {
 	st := c.Stats()
 	const levelOrder = 4 // bytes per net: one circuit.NetID
