@@ -21,7 +21,9 @@ const InvalidGate GateID = -1
 // Gate is one vertex of the combinational circuit: a Boolean function
 // of its input nets driving a single output net after Delay time units
 // (the d_max bound; DMin is kept for completeness but the floating-mode
-// maximum-delay calculation uses only Delay, as in the paper).
+// maximum-delay calculation uses only Delay, as in the paper). Inputs
+// is a sub-slice of the circuit's Layout; change the delays of a built
+// circuit with Circuit.SetDelay.
 type Gate struct {
 	ID     GateID
 	Type   GateType
@@ -33,7 +35,7 @@ type Gate struct {
 
 // Net is one edge of the circuit graph. A net is driven by at most one
 // gate (Driver == InvalidGate for primary inputs) and fans out to any
-// number of gate inputs.
+// number of gate inputs. Fanout is a sub-slice of the circuit's Layout.
 type Net struct {
 	ID     NetID
 	Name   string
@@ -56,6 +58,10 @@ type Circuit struct {
 
 	topoGates []GateID // gates in topological (fanin-first) order
 	netLevel  []int32  // levelisation: PI nets at 0, net level = 1+max(input levels) of driver
+
+	// layout is the flat gate layout. While building, its Pins and
+	// PinStart collect the gates' inputs; Build fills the rest.
+	layout Layout
 }
 
 // NumNets returns the number of nets.
@@ -164,24 +170,31 @@ func (b *Builder) Output(name string) NetID {
 // Gate adds a gate of the given type with delay d driving net out from
 // the given inputs, and returns the output net id.
 func (b *Builder) Gate(t GateType, d int64, out string, in ...string) NetID {
-	ins := make([]NetID, len(in))
-	for i, n := range in {
-		ins[i] = b.Net(n)
+	l := &b.c.layout
+	start := len(l.Pins)
+	for _, n := range in {
+		l.Pins = append(l.Pins, b.Net(n))
 	}
 	o := b.Net(out)
-	b.addGate(t, d, o, ins)
+	b.addGate(t, d, o, start)
 	return o
 }
 
 // GateIDs is Gate with pre-resolved net ids.
 func (b *Builder) GateIDs(t GateType, d int64, out NetID, in ...NetID) {
-	b.addGate(t, d, out, append([]NetID(nil), in...))
+	l := &b.c.layout
+	start := len(l.Pins)
+	l.Pins = append(l.Pins, in...)
+	b.addGate(t, d, out, start)
 }
 
-func (b *Builder) addGate(t GateType, d int64, out NetID, ins []NetID) {
-	if len(ins) < t.MinInputs() || len(ins) > t.MaxInputs() {
+// addGate adds the gate whose inputs are the layout's pins from start
+// on; Build points its Inputs and the nets' Fanout into the layout.
+func (b *Builder) addGate(t GateType, d int64, out NetID, start int) {
+	l := &b.c.layout
+	if k := len(l.Pins) - start; k < t.MinInputs() || k > t.MaxInputs() {
 		b.errs = append(b.errs, fmt.Errorf("circuit %q: gate %s driving %q has %d inputs",
-			b.c.Name, t, b.c.nets[out].Name, len(ins)))
+			b.c.Name, t, b.c.nets[out].Name, k))
 	}
 	if d < 0 {
 		b.errs = append(b.errs, fmt.Errorf("circuit %q: gate driving %q has negative delay %d",
@@ -190,14 +203,13 @@ func (b *Builder) addGate(t GateType, d int64, out NetID, ins []NetID) {
 	if b.c.nets[out].Driver != InvalidGate {
 		b.errs = append(b.errs, fmt.Errorf("circuit %q: net %q driven twice",
 			b.c.Name, b.c.nets[out].Name))
+		l.Pins = l.Pins[:start]
 		return
 	}
-	g := Gate{ID: GateID(len(b.c.gates)), Type: t, Inputs: ins, Output: out, Delay: d, DMin: d}
+	g := Gate{ID: GateID(len(b.c.gates)), Type: t, Output: out, Delay: d, DMin: d}
 	b.c.gates = append(b.c.gates, g)
+	l.PinStart = append(l.PinStart, int32(start))
 	b.c.nets[out].Driver = g.ID
-	for _, in := range ins {
-		b.c.nets[in].Fanout = append(b.c.nets[in].Fanout, g.ID)
-	}
 }
 
 // MUX adds a 2:1 multiplexer out = sel ? a1 : a0, lowered into the base
@@ -218,6 +230,7 @@ func (b *Builder) MUX(d int64, out, sel, a0, a1 string) NetID {
 // found.
 func (b *Builder) Build() (*Circuit, error) {
 	c := b.c
+	c.lay()
 	errs := b.errs
 	for i := range c.nets {
 		n := &c.nets[i]

@@ -1,0 +1,164 @@
+package circuit
+
+// Layout is the flat gate layout Build fills once per circuit: every
+// gate input in one CSR array, each net's driver followed by its fanout
+// in another, and one array per gate attribute an evaluation kernel
+// reads on every gate application. Gate.Inputs and Net.Fanout are
+// sub-slices of Pins and NetGates, so nothing is stored twice. The
+// layout lives and dies with its circuit. It is read-only: change a
+// gate's delay with Circuit.SetDelay, which keeps Delay in step.
+type Layout struct {
+	// Pins holds every gate's input nets, gate by gate: gate g's are
+	// Pins[PinStart[g]:PinStart[g+1]].
+	Pins     []NetID
+	PinStart []int32
+
+	// NetGates holds, net by net, the net's driver (when it has one)
+	// and then its fanout gates in Net.Fanout order: net n's gates are
+	// NetGates[NetStart[n]:NetStart[n+1]]. The driver is the one gate
+	// there whose output is n, since no gate feeds its own output.
+	NetGates []GateID
+	NetStart []int32
+
+	// Out, Delay and Op hold each gate's output net, d_max and opcode.
+	Out   []NetID
+	Delay []int64
+	Op    []Op
+}
+
+// Op is a gate's opcode in the flat layout: its type refined by its
+// fan-in, so a kernel dispatches on one dense switch per gate.
+type Op uint8
+
+const (
+	OpBuffer   Op = iota // BUFFER or DELAY
+	OpNot                // NOT
+	OpAndOr1             // 1-input AND or OR: a buffer
+	OpNandNor1           // 1-input NAND or NOR: an inverter
+	OpAnd2               // 2-input AND
+	OpNand2              // 2-input NAND
+	OpOr2                // 2-input OR
+	OpNor2               // 2-input NOR
+	OpAnd                // AND with 3 or more inputs
+	OpNand               // NAND with 3 or more inputs
+	OpOr                 // OR with 3 or more inputs
+	OpNor                // NOR with 3 or more inputs
+	OpXor                // XOR, any fan-in
+	OpXnor               // XNOR, any fan-in
+)
+
+// opOf returns the opcode of a gate of type t with k inputs.
+func opOf(t GateType, k int) Op {
+	switch t {
+	case BUFFER, DELAY:
+		return OpBuffer
+	case NOT:
+		return OpNot
+	case XOR:
+		return OpXor
+	case XNOR:
+		return OpXnor
+	}
+	// AND, NAND, OR, NOR are consecutive in both enumerations.
+	sym := Op(t - AND)
+	switch {
+	case k == 1 && t.Inverting():
+		return OpNandNor1
+	case k == 1:
+		return OpAndOr1
+	case k == 2:
+		return OpAnd2 + sym
+	default:
+		return OpAnd + sym
+	}
+}
+
+// Inputs returns gate g's input nets.
+func (l *Layout) Inputs(g GateID) []NetID { return l.Pins[l.PinStart[g]:l.PinStart[g+1]] }
+
+// Gates returns the gates on net n: its driver first, when it has one,
+// then its fanout gates.
+func (l *Layout) Gates(n NetID) []GateID { return l.NetGates[l.NetStart[n]:l.NetStart[n+1]] }
+
+// Fanout returns the gates net n feeds.
+func (l *Layout) Fanout(n NetID) []GateID {
+	gs := l.Gates(n)
+	if len(gs) > 0 && l.Out[gs[0]] == n {
+		return gs[1:]
+	}
+	return gs
+}
+
+// Driver returns the gate driving net n, or InvalidGate for a primary
+// input.
+func (l *Layout) Driver(n NetID) GateID {
+	if gs := l.Gates(n); len(gs) > 0 && l.Out[gs[0]] == n {
+		return gs[0]
+	}
+	return InvalidGate
+}
+
+// Layout returns the circuit's flat gate layout.
+func (c *Circuit) Layout() *Layout { return &c.layout }
+
+// NumPins returns the number of gate inputs in the circuit.
+func (c *Circuit) NumPins() int { return len(c.layout.Pins) }
+
+// SetDelay sets gate g's delay bounds (d_max, d_min), keeping the
+// layout's delay array in step with Gate.Delay. Back-annotation after
+// Build must go through it.
+func (c *Circuit) SetDelay(g GateID, dmax, dmin int64) {
+	c.gates[g].Delay = dmax
+	c.gates[g].DMin = dmin
+	c.layout.Delay[g] = dmax
+}
+
+// lay fills the flat layout from the gates the builder added, whose
+// inputs are already in Pins, and points Gate.Inputs and Net.Fanout
+// into it. The fanout of a net lists its gates in increasing id order,
+// a gate once per input pin it has on the net.
+func (c *Circuit) lay() {
+	l := &c.layout
+	ng, nn := len(c.gates), len(c.nets)
+	l.PinStart = append(l.PinStart[:ng], int32(len(l.Pins)))
+	l.Out = make([]NetID, ng)
+	l.Delay = make([]int64, ng)
+	l.Op = make([]Op, ng)
+	l.NetStart = make([]int32, nn+1)
+	for i := range c.gates {
+		g := &c.gates[i]
+		lo, hi := l.PinStart[i], l.PinStart[i+1]
+		g.Inputs = l.Pins[lo:hi:hi]
+		l.Out[i], l.Delay[i], l.Op[i] = g.Output, g.Delay, opOf(g.Type, len(g.Inputs))
+		l.NetStart[g.Output+1]++
+		for _, in := range g.Inputs {
+			l.NetStart[in+1]++
+		}
+	}
+	for n := 0; n < nn; n++ {
+		l.NetStart[n+1] += l.NetStart[n]
+	}
+	// Fill each net's block with NetStart[n] as its write cursor,
+	// drivers first, which leaves NetStart[n] at the next net's start;
+	// then shift the offsets back.
+	l.NetGates = make([]GateID, l.NetStart[nn])
+	for i := range c.gates {
+		out := c.gates[i].Output
+		l.NetGates[l.NetStart[out]] = GateID(i)
+		l.NetStart[out]++
+	}
+	for i := range c.gates {
+		for _, in := range c.gates[i].Inputs {
+			l.NetGates[l.NetStart[in]] = GateID(i)
+			l.NetStart[in]++
+		}
+	}
+	copy(l.NetStart[1:], l.NetStart[:nn])
+	l.NetStart[0] = 0
+	for n := range c.nets {
+		c.nets[n].Fanout = nil
+		if fo := l.Fanout(NetID(n)); len(fo) > 0 {
+			c.nets[n].Fanout = fo[:len(fo):len(fo)]
+		}
+	}
+}

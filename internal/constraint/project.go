@@ -34,43 +34,260 @@ import (
 // dominated by the max over all inputs) and are validated against the
 // unrolled three-valued simulator in internal/sim. Parity gates use the
 // pure max relation for every class combination.
+//
+// The kernel reads the circuit's flat layout (circuit.Layout) and
+// dispatches on the gate's opcode. 1-input AND/NAND/OR/NOR gates take
+// the exact reduction of the symmetric projection to an (inverting)
+// buffer, and 2-input ones the symmetric projection on locals; both
+// issue the same Narrow calls, in the same order and with the same
+// values, as the generic projectSymmetric (DESIGN.md §17).
 
 // applyGate re-evaluates the constraint of gate g, narrowing the
 // domains of its output and input nets.
-func (s *System) applyGate(gid circuit.GateID) {
-	g := s.c.Gate(gid)
-	switch g.Type {
-	case circuit.AND, circuit.NAND:
-		s.projectSymmetric(g, 0)
-	case circuit.OR, circuit.NOR:
-		s.projectSymmetric(g, 1)
-	case circuit.NOT, circuit.BUFFER, circuit.DELAY:
-		s.projectUnate(g)
-	case circuit.XOR, circuit.XNOR:
-		s.projectParity(g)
+func (s *System) applyGate(g circuit.GateID) {
+	switch op := s.l.Op[g]; op {
+	case circuit.OpBuffer, circuit.OpNot:
+		s.projectUnate(g, op == circuit.OpNot)
+	case circuit.OpAndOr1, circuit.OpNandNor1:
+		s.projectBuffer(g, op == circuit.OpNandNor1)
+	case circuit.OpAnd2, circuit.OpNand2:
+		s.projectSymmetric2(g, 0, op == circuit.OpNand2)
+	case circuit.OpOr2, circuit.OpNor2:
+		s.projectSymmetric2(g, 1, op == circuit.OpNor2)
+	case circuit.OpAnd, circuit.OpNand:
+		s.projectSymmetric(g, 0, op == circuit.OpNand)
+	case circuit.OpOr, circuit.OpNor:
+		s.projectSymmetric(g, 1, op == circuit.OpNor)
+	case circuit.OpXor, circuit.OpXnor:
+		if len(s.l.Inputs(g)) == 2 {
+			s.projectParity2(g, op == circuit.OpXnor)
+			return
+		}
+		s.projectParity(g, op == circuit.OpXnor)
 	default:
-		panic(fmt.Sprintf("constraint: unknown gate type %s", g.Type))
+		panic(fmt.Sprintf("constraint: unknown gate opcode %d", op))
 	}
 }
 
 // projectUnate handles NOT/BUFFER/DELAY: the output is the (possibly
-// inverted) input shifted by d, in both directions, exactly.
-func (s *System) projectUnate(g *circuit.Gate) {
-	d := waveform.Time(g.Delay)
-	in := s.sig(g.Inputs[0])
-	out := s.sig(g.Output)
-	outIn := out.Shift(-d) // output domain seen from the input frame
-	if g.Type == circuit.NOT {
-		outIn = outIn.Invert()
+// inverted) input shifted by d, in both directions, exactly. The input
+// is narrowed first, then the output.
+func (s *System) projectUnate(g circuit.GateID, invert bool) {
+	d := waveform.Time(s.l.Delay[g])
+	in, out := s.l.Pins[s.l.PinStart[g]], s.l.Out[g]
+	// The output domain seen from the input frame, classes matched to
+	// the input's.
+	o0, o1 := s.wave(out, 0).Shift(-d), s.wave(out, 1).Shift(-d)
+	if invert {
+		o0, o1 = o1, o0
 	}
-	newIn := in.Intersect(outIn)
-	newOut := newIn
-	if g.Type == circuit.NOT {
-		newOut = newOut.Invert()
+	n0, n1 := s.wave(in, 0).Intersect(o0), s.wave(in, 1).Intersect(o1)
+	m0, m1 := n0, n1
+	if invert {
+		m0, m1 = m1, m0
 	}
-	newOut = newOut.Shift(d)
-	s.Narrow(g.Inputs[0], newIn)
-	s.Narrow(g.Output, newOut)
+	s.narrow(in, n0, n1)
+	s.narrow(out, m0.Shift(d), m1.Shift(d))
+}
+
+// projectBuffer handles a 1-input AND/OR (invert false) or NAND/NOR
+// (invert true): projectSymmetric with k = 1 reduces exactly to an
+// (inverting) buffer. Each output class, seen from the input frame,
+// meets the input class it follows, and both nets take the meet — the
+// output first, then the input, as the generic code narrows them.
+func (s *System) projectBuffer(g circuit.GateID, invert bool) {
+	d := waveform.Time(s.l.Delay[g])
+	in, out := s.l.Pins[s.l.PinStart[g]], s.l.Out[g]
+	i0, i1 := s.wave(in, 0), s.wave(in, 1)
+	if invert {
+		i0, i1 = i1, i0
+	}
+	// mv is output class v's meet with the input class it follows.
+	m0 := s.wave(out, 0).Shift(-d).Intersect(i0)
+	m1 := s.wave(out, 1).Shift(-d).Intersect(i1)
+	s.narrow(out, m0.Shift(d), m1.Shift(d))
+	if invert {
+		m0, m1 = m1, m0
+	}
+	s.narrow(in, m0, m1)
+}
+
+// symAgg aggregates the input class waves of an AND/NAND/OR/NOR gate
+// for projectSymmetric: F = inputs that can only settle controlling, A
+// = inputs that can settle controlling at all.
+type symAgg struct {
+	allNonOK   bool          // every input can settle non-controlling
+	famCOK     bool          // the controlled family has at least one valid shape
+	nonLminMax waveform.Time // max_i nonW[i].Lmin
+	nonLmaxMax waveform.Time // max_i nonW[i].Lmax
+	nonLmax2   waveform.Time // second-largest nonW Lmax
+	minFCtrl   waveform.Time // min over F of ctrlW Lmax
+	minFLmin   waveform.Time // min over F of ctrlW Lmin
+	maxACtrl   waveform.Time // max over A of ctrlW Lmax
+	minALmin   waveform.Time // min over A of ctrlW Lmin
+	numA       int           // |A|
+	numF       int           // |F|
+
+	// Set by forward: the narrowed output classes in the input frame,
+	// their bounds, and whether each family stays feasible.
+	newOutN, newOutC   waveform.Wave
+	loN, hiN, loC, hiC waveform.Time
+	famNFeasible       bool
+	famCLive           bool
+}
+
+func newSymAgg() symAgg {
+	return symAgg{
+		allNonOK:   true,
+		famCOK:     true,
+		nonLminMax: waveform.NegInf,
+		nonLmaxMax: waveform.NegInf,
+		nonLmax2:   waveform.NegInf,
+		minFCtrl:   waveform.PosInf,
+		minFLmin:   waveform.PosInf,
+		maxACtrl:   waveform.NegInf,
+		minALmin:   waveform.PosInf,
+	}
+}
+
+// add folds one input's controlling (cw) and non-controlling (nw)
+// class waves into the aggregates.
+func (a *symAgg) add(cw, nw waveform.Wave) {
+	if nw.IsEmpty() && cw.IsEmpty() {
+		// Empty domain: the system is already inconsistent.
+		a.allNonOK, a.famCOK = false, false
+		return
+	}
+	if nw.IsEmpty() {
+		a.allNonOK = false
+		a.numF++
+		if cw.Lmax < a.minFCtrl {
+			a.minFCtrl = cw.Lmax
+		}
+		if cw.Lmin < a.minFLmin {
+			a.minFLmin = cw.Lmin
+		}
+	} else {
+		if nw.Lmin > a.nonLminMax {
+			a.nonLminMax = nw.Lmin
+		}
+		if nw.Lmax >= a.nonLmaxMax {
+			a.nonLmax2 = a.nonLmaxMax
+			a.nonLmaxMax = nw.Lmax
+		} else if nw.Lmax > a.nonLmax2 {
+			a.nonLmax2 = nw.Lmax
+		}
+	}
+	if !cw.IsEmpty() {
+		a.numA++
+		if cw.Lmax > a.maxACtrl {
+			a.maxACtrl = cw.Lmax
+		}
+		if cw.Lmin < a.minALmin {
+			a.minALmin = cw.Lmin
+		}
+	}
+}
+
+// forward narrows the output classes outC (controlled) and outN
+// (non-controlled), both in the input frame, after every input has
+// been added.
+func (a *symAgg) forward(outC, outN waveform.Wave) {
+	a.famCOK = a.famCOK && a.numA > 0
+
+	// Non-controlled output class (C = ∅, exact max).
+	fwdN := waveform.Empty
+	if a.allNonOK {
+		fwdN = waveform.Wave{Lmin: a.nonLminMax, Lmax: a.nonLmaxMax}
+	}
+	a.newOutN = outN.Intersect(fwdN)
+
+	// Controlled output class (family hull, exact). Upper: smallest
+	// valid C wins → C = F when F ≠ ∅, else the best singleton. Lower:
+	// a minimum-Lmin member can always be added.
+	fwdC := waveform.Empty
+	if a.famCOK {
+		hi := a.maxACtrl
+		if a.numF > 0 {
+			hi = a.minFCtrl
+		}
+		fwdC = waveform.Wave{Lmin: a.minALmin, Lmax: hi}.Canon()
+	}
+	a.newOutC = outC.Intersect(fwdC)
+
+	a.loN, a.hiN = outNBounds(a.newOutN)
+	a.loC, a.hiC = outNBounds(a.newOutC)
+	a.famNFeasible = a.allNonOK && !a.newOutN.IsEmpty()
+	a.famCLive = a.famCOK && !a.newOutC.IsEmpty()
+}
+
+// qual reports whether an input with controlling wave cw can be a
+// member of a valid requirement-compatible combination (all members
+// need Lmax ≥ loC; some member needs Lmin ≤ hiC — qualifying members
+// provide both).
+func (a *symAgg) qual(cw waveform.Wave) bool {
+	return a.famCLive && !cw.IsEmpty() && cw.Lmax >= a.loC && cw.Lmin <= a.hiC
+}
+
+// back projects onto one input with class waves cw and nw, where
+// qualOther reports whether some other input qualifies, and returns its
+// narrowed controlling and non-controlling waves.
+func (a *symAgg) back(cw, nw waveform.Wave, qualOther bool) (projC, projN waveform.Wave) {
+	// Non-controlling class.
+	projN = waveform.Empty
+	if !nw.IsEmpty() {
+		// (a) via the all-non-controlling combination (max rule).
+		if a.famNFeasible {
+			othersMax := a.nonLmaxMax
+			if nw.Lmax == a.nonLmaxMax {
+				othersMax = a.nonLmax2
+			}
+			l := nw.Lmin
+			if othersMax < a.loN {
+				l = waveform.MaxTime(l, a.loN)
+			}
+			h := waveform.MinTime(nw.Lmax, a.hiN)
+			projN = projN.Union(waveform.Wave{Lmin: l, Lmax: h}.Canon())
+		}
+		// (b) via controlled combinations with this input
+		// non-controlling (it is never in F here): the combination must
+		// exist without it — F plus, when F cannot reach the interval on
+		// its own, one qualifying other input.
+		if a.famCLive {
+			feasible := qualOther
+			if a.numF > 0 {
+				feasible = a.minFCtrl >= a.loC && (a.minFLmin <= a.hiC || qualOther)
+			}
+			if feasible {
+				projN = projN.Union(nw)
+			}
+		}
+	}
+	// Controlling class (min rule over C).
+	projC = waveform.Empty
+	if !cw.IsEmpty() && a.famCLive {
+		// F ∪ {i} must be a valid shape: all F members reach loC.
+		if a.numF == 0 || a.minFCtrl >= a.loC {
+			l := waveform.MaxTime(cw.Lmin, a.loC)
+			h := cw.Lmax
+			if !qualOther {
+				// This input alone must realise min_C L ≤ hiC.
+				h = waveform.MinTime(h, a.hiC)
+			}
+			projC = waveform.Wave{Lmin: l, Lmax: h}.Canon()
+		}
+	}
+	return projC, projN
+}
+
+// narrowSym narrows net n to the class waves projC (controlling class
+// ctrl) and projN.
+func (s *System) narrowSym(n circuit.NetID, ctrl int, projC, projN waveform.Wave) {
+	if ctrl == 0 {
+		s.narrow(n, projC, projN)
+	} else {
+		s.narrow(n, projN, projC)
+	}
 }
 
 // projectSymmetric handles AND/NAND/OR/NOR with controlling value c,
@@ -84,205 +301,85 @@ func (s *System) projectUnate(g *circuit.Gate) {
 // are monotone in every L_i, so the per-combination projection is exact
 // on interval boxes; the union over the combination family F ⊆ C ⊆ A
 // (F = inputs that can only settle controlling, A = inputs that can
-// settle controlling at all) collapses to O(k) aggregates.
-func (s *System) projectSymmetric(g *circuit.Gate, ctrl int) {
-	d := waveform.Time(g.Delay)
-	k := len(g.Inputs)
+// settle controlling at all) collapses to O(k) aggregates. Each input's
+// projection depends only on the waves loaded before any narrowing and
+// on the aggregates, so the inputs are projected and narrowed in one
+// pass after the output.
+func (s *System) projectSymmetric(g circuit.GateID, ctrl int, inverting bool) {
+	d := waveform.Time(s.l.Delay[g])
+	ins := s.l.Inputs(g)
+	k := len(ins)
 	non := 1 - ctrl
 
 	// Output classes: with no inversion the controlled output class is
 	// the controlling value itself; inversion flips it.
 	ctrlOutClass := ctrl
-	if g.Type.Inverting() {
+	if inverting {
 		ctrlOutClass = non
 	}
-	out := s.sig(g.Output)
-	outC := out.Wave(ctrlOutClass).Shift(-d) // required interval, controlled class
-	outN := out.Wave(1 - ctrlOutClass).Shift(-d)
+	out := s.l.Out[g]
 
-	// Gather per-input class waves and aggregate bounds (scratch
-	// buffers are reused across applications).
+	// Gather per-input class waves (scratch buffers are reused across
+	// applications) and their aggregates.
 	if cap(s.scrCtrl) < k {
 		s.scrCtrl = make([]waveform.Wave, k)
 		s.scrNon = make([]waveform.Wave, k)
-		s.scrIn = make([]waveform.Signal, k)
 	}
 	ctrlW := s.scrCtrl[:k]
 	nonW := s.scrNon[:k]
-	allNonOK := true // every input can settle non-controlling
-	famCOK := true   // the controlled family has at least one valid shape
-	var (
-		nonLminMax = waveform.NegInf // max_i nonW[i].Lmin
-		nonLmaxMax = waveform.NegInf // max_i nonW[i].Lmax
-		nonLmax2   = waveform.NegInf // second-largest nonW Lmax
-		minFCtrl   = waveform.PosInf // min over F of ctrlW Lmax
-		minFLmin   = waveform.PosInf // min over F of ctrlW Lmin
-		maxACtrl   = waveform.NegInf // max over A of ctrlW Lmax
-		minALmin   = waveform.PosInf // min over A of ctrlW Lmin
-		numA       int               // |A|: inputs that can settle controlling
-		numF       int               // |F|: inputs that must settle controlling
-	)
-	for i, n := range g.Inputs {
-		cw := s.wave(n, ctrl)
-		nw := s.wave(n, non)
-		ctrlW[i], nonW[i] = cw, nw
-		if nw.IsEmpty() && cw.IsEmpty() {
-			// Empty domain: the system is already inconsistent.
-			allNonOK, famCOK = false, false
-			continue
-		}
-		if nw.IsEmpty() {
-			allNonOK = false
-			numF++
-			if cw.Lmax < minFCtrl {
-				minFCtrl = cw.Lmax
-			}
-			if cw.Lmin < minFLmin {
-				minFLmin = cw.Lmin
-			}
-		} else {
-			if nw.Lmin > nonLminMax {
-				nonLminMax = nw.Lmin
-			}
-			if nw.Lmax >= nonLmaxMax {
-				nonLmax2 = nonLmaxMax
-				nonLmaxMax = nw.Lmax
-			} else if nw.Lmax > nonLmax2 {
-				nonLmax2 = nw.Lmax
-			}
-		}
-		if !cw.IsEmpty() {
-			numA++
-			if cw.Lmax > maxACtrl {
-				maxACtrl = cw.Lmax
-			}
-			if cw.Lmin < minALmin {
-				minALmin = cw.Lmin
-			}
-		}
+	a := newSymAgg()
+	for i, n := range ins {
+		ctrlW[i], nonW[i] = s.wave(n, ctrl), s.wave(n, non)
+		a.add(ctrlW[i], nonW[i])
 	}
-	famCOK = famCOK && numA > 0
-
-	// ---- forward: non-controlled output class (C = ∅, exact max) ----
-	var fwdN waveform.Wave
-	if allNonOK && k > 0 {
-		fwdN = waveform.Wave{Lmin: nonLminMax, Lmax: nonLmaxMax}
-	} else {
-		fwdN = waveform.Empty
-	}
-	newOutN := outN.Intersect(fwdN)
-
-	// ---- forward: controlled output class (family hull, exact) ----
-	// Upper: smallest valid C wins → C = F when F ≠ ∅, else the best
-	// singleton. Lower: a minimum-Lmin member can always be added.
-	var fwdC waveform.Wave
-	if famCOK {
-		hi := maxACtrl
-		if numF > 0 {
-			hi = minFCtrl
-		}
-		fwdC = waveform.Wave{Lmin: minALmin, Lmax: hi}.Canon()
-	} else {
-		fwdC = waveform.Empty
-	}
-	newOutC := outC.Intersect(fwdC)
-
-	// ---- backward projections per input ----
-	loN, hiN := outNBounds(newOutN)
-	loC, hiC := outNBounds(newOutC)
-	famNFeasible := allNonOK && !newOutN.IsEmpty()
-	famCLive := famCOK && !newOutC.IsEmpty()
-
-	// qual(j): input j's controlling class can be a member of a valid
-	// requirement-compatible combination (all members need Lmax ≥ loC;
-	// some member needs Lmin ≤ hiC — qualifying members provide both).
+	a.forward(s.wave(out, ctrlOutClass).Shift(-d), s.wave(out, 1-ctrlOutClass).Shift(-d))
 	cntQ := 0
-	if cap(s.scrQual) < k {
-		s.scrQual = make([]bool, k)
-	}
-	qual := s.scrQual[:k]
-	for i := range qual {
-		qual[i] = false
-	}
-	if famCLive {
-		for i := range g.Inputs {
-			if !ctrlW[i].IsEmpty() && ctrlW[i].Lmax >= loC && ctrlW[i].Lmin <= hiC {
-				qual[i] = true
-				cntQ++
-			}
+	for _, cw := range ctrlW {
+		if a.qual(cw) {
+			cntQ++
 		}
-	}
-	existsQualOther := func(i int) bool {
-		if qual[i] {
-			return cntQ >= 2
-		}
-		return cntQ >= 1
-	}
-
-	newIn := s.scrIn[:k]
-	for i := range g.Inputs {
-		// Non-controlling class of input i.
-		var projN waveform.Wave = waveform.Empty
-		if !nonW[i].IsEmpty() {
-			// (a) via the all-non-controlling combination (max rule).
-			if famNFeasible {
-				othersMax := nonLmaxMax
-				if nonW[i].Lmax == nonLmaxMax {
-					othersMax = nonLmax2
-				}
-				l := nonW[i].Lmin
-				if othersMax < loN {
-					l = waveform.MaxTime(l, loN)
-				}
-				h := waveform.MinTime(nonW[i].Lmax, hiN)
-				projN = projN.Union(waveform.Wave{Lmin: l, Lmax: h}.Canon())
-			}
-			// (b) via controlled combinations with i non-controlling
-			// (i is never in F here): the combination must exist
-			// without i — F plus, when F cannot reach the interval on
-			// its own, one qualifying other input.
-			if famCLive {
-				feasible := false
-				if numF > 0 {
-					feasible = minFCtrl >= loC && (minFLmin <= hiC || existsQualOther(i))
-				} else {
-					feasible = existsQualOther(i)
-				}
-				if feasible {
-					projN = projN.Union(nonW[i])
-				}
-			}
-		}
-		// Controlling class of input i (min rule over C).
-		var projC waveform.Wave = waveform.Empty
-		if !ctrlW[i].IsEmpty() && famCLive {
-			// F ∪ {i} must be a valid shape: all F members reach loC.
-			if numF == 0 || minFCtrl >= loC {
-				l := waveform.MaxTime(ctrlW[i].Lmin, loC)
-				h := ctrlW[i].Lmax
-				if !existsQualOther(i) {
-					// i alone must realise min_C L ≤ hiC.
-					h = waveform.MinTime(h, hiC)
-				}
-				projC = waveform.Wave{Lmin: l, Lmax: h}.Canon()
-			}
-		}
-		ctrlClass := ctrl
-		sig := waveform.Signal{}
-		sig = sig.WithWave(ctrlClass, projC)
-		sig = sig.WithWave(1-ctrlClass, projN)
-		newIn[i] = sig
 	}
 
 	// Apply all narrowings (output classes mapped back to circuit
 	// classes and time frame).
-	no := waveform.Signal{}
-	no = no.WithWave(ctrlOutClass, newOutC.Shift(d))
-	no = no.WithWave(1-ctrlOutClass, newOutN.Shift(d))
-	s.Narrow(g.Output, no)
-	for i, n := range g.Inputs {
-		s.Narrow(n, newIn[i])
+	s.narrowSym(out, ctrlOutClass, a.newOutC.Shift(d), a.newOutN.Shift(d))
+	for i, n := range ins {
+		others := cntQ
+		if a.qual(ctrlW[i]) {
+			others--
+		}
+		projC, projN := a.back(ctrlW[i], nonW[i], others >= 1)
+		s.narrowSym(n, ctrl, projC, projN)
 	}
+}
+
+// projectSymmetric2 is projectSymmetric for a 2-input gate, with every
+// value in locals: for input x the "other qualifying input" is y
+// exactly when y qualifies.
+func (s *System) projectSymmetric2(g circuit.GateID, ctrl int, inverting bool) {
+	d := waveform.Time(s.l.Delay[g])
+	p := s.l.PinStart[g]
+	x, y := s.l.Pins[p], s.l.Pins[p+1]
+	non := 1 - ctrl
+	ctrlOutClass := ctrl
+	if inverting {
+		ctrlOutClass = non
+	}
+	out := s.l.Out[g]
+
+	cx, nx := s.wave(x, ctrl), s.wave(x, non)
+	cy, ny := s.wave(y, ctrl), s.wave(y, non)
+	a := newSymAgg()
+	a.add(cx, nx)
+	a.add(cy, ny)
+	a.forward(s.wave(out, ctrlOutClass).Shift(-d), s.wave(out, 1-ctrlOutClass).Shift(-d))
+	qx, qy := a.qual(cx), a.qual(cy)
+
+	s.narrowSym(out, ctrlOutClass, a.newOutC.Shift(d), a.newOutN.Shift(d))
+	projC, projN := a.back(cx, nx, qy)
+	s.narrowSym(x, ctrl, projC, projN)
+	projC, projN = a.back(cy, ny, qx)
+	s.narrowSym(y, ctrl, projC, projN)
 }
 
 // outNBounds extracts the (lo, hi) interval of a wave, with the empty
@@ -296,9 +393,10 @@ func outNBounds(w waveform.Wave) (lo, hi waveform.Time) {
 
 // projectParity handles XOR/XNOR by enumerating input-class
 // combinations (parity gates in practice have small fan-in).
-func (s *System) projectParity(g *circuit.Gate) {
-	d := waveform.Time(g.Delay)
-	k := len(g.Inputs)
+func (s *System) projectParity(g circuit.GateID, xnor bool) {
+	d := waveform.Time(s.l.Delay[g])
+	ins := s.l.Inputs(g)
+	k := len(ins)
 	if k > 16 {
 		panic(fmt.Sprintf("constraint: parity gate with fan-in %d unsupported", k))
 	}
@@ -306,13 +404,14 @@ func (s *System) projectParity(g *circuit.Gate) {
 		s.scrPar = make([][2]waveform.Wave, 3*k)
 	}
 	inW := s.scrPar[:k]
-	for i, n := range g.Inputs {
+	for i, n := range ins {
 		inW[i][0] = s.wave(n, 0)
 		inW[i][1] = s.wave(n, 1)
 	}
+	out := s.l.Out[g]
 	outReq := [2]waveform.Wave{
-		s.wave(g.Output, 0).Shift(-d),
-		s.wave(g.Output, 1).Shift(-d),
+		s.wave(out, 0).Shift(-d),
+		s.wave(out, 1).Shift(-d),
 	}
 
 	fwd := [2]waveform.Wave{waveform.Empty, waveform.Empty}
@@ -325,7 +424,6 @@ func (s *System) projectParity(g *circuit.Gate) {
 	if cap(s.scrCtrl) < k {
 		s.scrCtrl = make([]waveform.Wave, k)
 		s.scrNon = make([]waveform.Wave, k)
-		s.scrIn = make([]waveform.Signal, k)
 	}
 	chosen := s.scrCtrl[:k]
 	for bits := 0; bits < 1<<k; bits++ {
@@ -345,7 +443,7 @@ func (s *System) projectParity(g *circuit.Gate) {
 			continue
 		}
 		outClass := parity
-		if g.Type == circuit.XNOR {
+		if xnor {
 			outClass ^= 1
 		}
 		req := outReq[outClass]
@@ -378,29 +476,73 @@ func (s *System) projectParity(g *circuit.Gate) {
 		// Forward contribution (intersected per combination, which is
 		// tighter than hull-then-intersect and still sound).
 		fwd[outClass] = fwd[outClass].Union(waveform.Wave{Lmin: maxLmin, Lmax: maxLmax}.Intersect(req))
-		// Backward contributions: L_i ≤ hi always; L_i ≥ lo when no
-		// other input can realise the max.
+		// Backward contributions.
 		for i, w := range chosen {
 			othersMax := maxLmax2
 			if !(w.Lmax == maxLmax && i == argMax) {
 				othersMax = maxLmax
 			}
-			l := w.Lmin
-			if othersMax < lo {
-				l = waveform.MaxTime(l, lo)
-			}
-			h := waveform.MinTime(w.Lmax, hi)
 			v := (bits >> i) & 1
-			back[i][v] = back[i][v].Union(waveform.Wave{Lmin: l, Lmax: h}.Canon())
+			back[i][v] = back[i][v].Union(parityBack(w, othersMax, lo, hi))
 		}
 	}
 
-	no := waveform.Signal{
-		W0: outReq[0].Intersect(fwd[0]).Shift(d),
-		W1: outReq[1].Intersect(fwd[1]).Shift(d),
+	s.narrow(out, outReq[0].Intersect(fwd[0]).Shift(d), outReq[1].Intersect(fwd[1]).Shift(d))
+	for i, n := range ins {
+		s.narrow(n, back[i][0], back[i][1])
 	}
-	s.Narrow(g.Output, no)
-	for i, n := range g.Inputs {
-		s.Narrow(n, waveform.Signal{W0: back[i][0], W1: back[i][1]})
+}
+
+// projectParity2 is projectParity for a 2-input gate, with every value
+// in locals: in each combination the other input alone realises the
+// max the backward rule compares against.
+func (s *System) projectParity2(g circuit.GateID, xnor bool) {
+	d := waveform.Time(s.l.Delay[g])
+	p := s.l.PinStart[g]
+	x, y := s.l.Pins[p], s.l.Pins[p+1]
+	out := s.l.Out[g]
+	xw := [2]waveform.Wave{s.wave(x, 0), s.wave(x, 1)}
+	yw := [2]waveform.Wave{s.wave(y, 0), s.wave(y, 1)}
+	outReq := [2]waveform.Wave{s.wave(out, 0).Shift(-d), s.wave(out, 1).Shift(-d)}
+	fwd := [2]waveform.Wave{waveform.Empty, waveform.Empty}
+	bx := [2]waveform.Wave{waveform.Empty, waveform.Empty}
+	by := [2]waveform.Wave{waveform.Empty, waveform.Empty}
+	for bits := 0; bits < 4; bits++ {
+		vx, vy := bits&1, bits>>1
+		wx, wy := xw[vx], yw[vy]
+		if wx.IsEmpty() || wy.IsEmpty() {
+			continue
+		}
+		outClass := vx ^ vy
+		if xnor {
+			outClass ^= 1
+		}
+		req := outReq[outClass]
+		if req.IsEmpty() {
+			continue
+		}
+		lo, hi := req.Lmin, req.Lmax
+		maxLmin := waveform.MaxTime(wx.Lmin, wy.Lmin)
+		maxLmax := waveform.MaxTime(wx.Lmax, wy.Lmax)
+		if maxLmax < lo || maxLmin > hi {
+			continue
+		}
+		fwd[outClass] = fwd[outClass].Union(waveform.Wave{Lmin: maxLmin, Lmax: maxLmax}.Intersect(req))
+		bx[vx] = bx[vx].Union(parityBack(wx, wy.Lmax, lo, hi))
+		by[vy] = by[vy].Union(parityBack(wy, wx.Lmax, lo, hi))
 	}
+	s.narrow(out, outReq[0].Intersect(fwd[0]).Shift(d), outReq[1].Intersect(fwd[1]).Shift(d))
+	s.narrow(x, bx[0], bx[1])
+	s.narrow(y, by[0], by[1])
+}
+
+// parityBack is one input's backward contribution from a parity
+// combination with required interval [lo, hi]: L ≤ hi always, L ≥ lo
+// when the other inputs' max cannot realise the output alone.
+func parityBack(w waveform.Wave, othersMax, lo, hi waveform.Time) waveform.Wave {
+	l := w.Lmin
+	if othersMax < lo {
+		l = waveform.MaxTime(l, lo)
+	}
+	return waveform.Wave{Lmin: l, Lmax: waveform.MinTime(w.Lmax, hi)}.Canon()
 }

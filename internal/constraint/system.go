@@ -24,6 +24,9 @@ const lanes = 4
 // event-driven until the greatest fixpoint is reached.
 type System struct {
 	c *circuit.Circuit
+	// l is the circuit's flat layout (a copy of its slice headers),
+	// which the gate kernel and ScheduleNet index directly.
+	l circuit.Layout
 
 	// dom is the flat structure-of-arrays domain store (lanes int64
 	// values per net; see the lanes constant for the layout). The
@@ -45,13 +48,12 @@ type System struct {
 	topoPos []int32
 	batch   []circuit.GateID // Sweep mode's per-pass gate batch
 
-	// scratch buffers reused across gate applications (the system is
+	// scratch buffers reused across applications of the generic
+	// projectSymmetric and projectParity (the system is
 	// single-goroutine by design; every Check owns its own System).
 	scrCtrl []waveform.Wave
 	scrNon  []waveform.Wave
-	scrIn   []waveform.Signal
 	scrPar  [][2]waveform.Wave
-	scrQual []bool
 
 	trace func(n circuit.NetID, old, new waveform.Signal)
 
@@ -96,6 +98,7 @@ const stopPollInterval = 256
 func New(c *circuit.Circuit) *System {
 	s := &System{
 		c:        c,
+		l:        *c.Layout(),
 		dom:      make([]int64, lanes*c.NumNets()),
 		inQueue:  make([]bool, c.NumGates()),
 		emptyNet: circuit.InvalidNet,
@@ -188,7 +191,7 @@ const queueCompactMin = 64
 
 // schedule enqueues gate g unless it is already pending.
 func (s *System) schedule(g circuit.GateID) {
-	if g == circuit.InvalidGate || s.inQueue[g] {
+	if s.inQueue[g] {
 		return
 	}
 	s.inQueue[g] = true
@@ -227,10 +230,9 @@ func (s *System) ScheduleAll() {
 }
 
 // ScheduleNet enqueues every constraint operating on net n (its driver
-// and its fanout gates).
+// and its fanout gates, in that order).
 func (s *System) ScheduleNet(n circuit.NetID) {
-	s.schedule(s.c.Net(n).Driver)
-	for _, g := range s.c.Net(n).Fanout {
+	for _, g := range s.l.Gates(n) {
 		s.schedule(g)
 	}
 }
@@ -248,29 +250,60 @@ func (s *System) SetTraceFunc(f func(n circuit.NetID, old, new waveform.Signal))
 // whether the domain changed. Narrowing to (φ, φ) marks the system
 // inconsistent.
 func (s *System) Narrow(n circuit.NetID, sig waveform.Signal) bool {
-	cur := s.sig(n)
-	nd := cur.Intersect(sig).Canon()
-	if nd.Equal(cur) {
+	return s.narrow(n, sig.W0, sig.W1)
+}
+
+// narrow is Narrow on the two class waves. It meets net n's four lanes
+// with the waves' bounds and returns at once when nothing changes; a
+// Signal is built only for the trace hook.
+func (s *System) narrow(n circuit.NetID, w0, w1 waveform.Wave) bool {
+	base := lanes * int(n)
+	l0, h0, ch0 := meet(s.dom[base], s.dom[base+1], w0)
+	l1, h1, ch1 := meet(s.dom[base+2], s.dom[base+3], w1)
+	if !ch0 && !ch1 {
 		return false
 	}
 	if s.trace != nil {
-		s.trace(n, cur, nd)
+		s.trace(n, s.sig(n), waveform.Signal{
+			W0: waveform.Wave{Lmin: waveform.Time(l0), Lmax: waveform.Time(h0)},
+			W1: waveform.Wave{Lmin: waveform.Time(l1), Lmax: waveform.Time(h1)},
+		})
 	}
-	base := lanes * int(n)
-	s.setLane(base, int64(nd.W0.Lmin))
-	s.setLane(base+1, int64(nd.W0.Lmax))
-	s.setLane(base+2, int64(nd.W1.Lmin))
-	s.setLane(base+3, int64(nd.W1.Lmax))
+	s.setLane(base, l0)
+	s.setLane(base+1, h0)
+	s.setLane(base+2, l1)
+	s.setLane(base+3, h1)
 	s.Narrowings++
 	if s.logOn {
 		s.log = append(s.log, n)
 	}
-	if nd.IsEmpty() && !s.inconsistent {
+	if l0 > h0 && l1 > h1 && !s.inconsistent {
 		s.inconsistent = true
 		s.emptyNet = n
 	}
 	s.ScheduleNet(n)
 	return true
+}
+
+// meet intersects the wave with lanes [lo, hi] and w, returning the
+// canonical result (Empty when either is empty or they are disjoint)
+// and whether it differs from the lanes as a wave: an empty wave equals
+// every other empty wave, as in waveform.Wave.Equal.
+func meet(lo, hi int64, w waveform.Wave) (nlo, nhi int64, changed bool) {
+	if lo > hi {
+		return int64(waveform.PosInf), int64(waveform.NegInf), false
+	}
+	nlo, nhi = lo, hi
+	if l := int64(w.Lmin); l > nlo {
+		nlo = l
+	}
+	if h := int64(w.Lmax); h < nhi {
+		nhi = h
+	}
+	if w.IsEmpty() || nlo > nhi {
+		return int64(waveform.PosInf), int64(waveform.NegInf), true
+	}
+	return nlo, nhi, nlo != lo || nhi != hi
 }
 
 // ScheduleMode selects the worklist discipline of the fixpoint solver.

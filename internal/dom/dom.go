@@ -131,15 +131,16 @@ func (w *Workspace) sweep(sys *constraint.System, sink circuit.NetID, delta wave
 	}
 	mask[sink] = true
 	dist[sink] = 0
+	l := c.Layout()
 	topo := c.TopoGates()
 	for i := len(topo) - 1; i >= 0; i-- {
-		g := c.Gate(topo[i])
-		y := g.Output
+		g := topo[i]
+		y := l.Out[g]
 		if !mask[y] {
 			continue
 		}
-		kp := dist[y].Add(waveform.Time(g.Delay))
-		for _, x := range g.Inputs {
+		kp := dist[y].Add(waveform.Time(l.Delay[g]))
+		for _, x := range l.Inputs(g) {
 			if dist[x] >= kp {
 				continue
 			}
@@ -234,13 +235,14 @@ func (w *Workspace) update(sys *constraint.System) bool {
 	// A net's inputs sit on strictly lower levels, so draining from the
 	// top finishes every fanout output before the nets it feeds, and
 	// nothing is queued onto the level being drained.
+	lay := c.Layout()
 	for l := w.hi; l >= w.lo; l-- {
 		for _, x := range w.slots[w.start[l] : w.start[l]+w.fill[l]] {
-			if !w.refresh(c, sys, x) {
+			if !w.refresh(lay, sys, x) {
 				continue
 			}
-			if d := c.Net(x).Driver; d != circuit.InvalidGate {
-				for _, in := range c.Gate(d).Inputs {
+			if d := lay.Driver(x); d != circuit.InvalidGate {
+				for _, in := range lay.Inputs(d) {
 					if w.queued[in] != w.epoch {
 						w.enqueue(c, in)
 					}
@@ -263,15 +265,14 @@ func (w *Workspace) enqueue(c *circuit.Circuit, x circuit.NetID) {
 // refresh recomputes net x's carrier bit and distance from its domain
 // and its fanout outputs, the sweep's test, and reports whether either
 // changed.
-func (w *Workspace) refresh(c *circuit.Circuit, sys *constraint.System, x circuit.NetID) bool {
+func (w *Workspace) refresh(l *circuit.Layout, sys *constraint.System, x circuit.NetID) bool {
 	if x == w.sink {
 		return false // a carrier at distance 0 while its domain is non-empty
 	}
 	k := waveform.NegInf
-	for _, gid := range c.Net(x).Fanout {
-		g := c.Gate(gid)
-		if y := g.Output; w.mask[y] {
-			k = max(k, w.dist[y].Add(waveform.Time(g.Delay)))
+	for _, g := range l.Fanout(x) {
+		if y := l.Out[g]; w.mask[y] {
+			k = max(k, w.dist[y].Add(waveform.Time(l.Delay[g])))
 		}
 	}
 	carrier := k != waveform.NegInf && sys.Domain(x).HasTransitionAtOrAfter(w.delta.Sub(k))
@@ -352,10 +353,11 @@ func (w *Workspace) FromCarriers(c *circuit.Circuit, order []circuit.NetID, mask
 
 	// Predecessors in Ψ′ of a carrier net x: the carrier outputs of the
 	// gates x feeds.
+	l := c.Layout()
 	for i := 1; i < nT; i++ {
 		best := int32(unset)
-		for _, g := range c.Net(verts[i]).Fanout {
-			y := c.Gate(g).Output
+		for _, g := range l.Fanout(verts[i]) {
+			y := l.Out[g]
 			if !mask[y] {
 				continue
 			}
@@ -376,8 +378,8 @@ func (w *Workspace) FromCarriers(c *circuit.Circuit, order []circuit.NetID, mask
 	tPreds := w.tPreds[:0]
 	for i, x := range verts {
 		hasCarrierInput := false
-		if d := c.Net(x).Driver; d != circuit.InvalidGate {
-			for _, in := range c.Gate(d).Inputs {
+		if d := l.Driver(x); d != circuit.InvalidGate {
+			for _, in := range l.Inputs(d) {
 				if mask[in] {
 					hasCarrierInput = true
 					break

@@ -396,10 +396,22 @@ func (r *Registry) accountPrepared(e *entry) {
 // estimateCircuitBytes is the structural size estimate of a parsed
 // circuit plus its source text. Estimates, not measurements: they
 // exist to make the byte cap and the resident gauge proportional to
-// load, not to account the heap exactly.
+// load, not to account the heap exactly. The constants add up what
+// the circuit keeps per element on a 64-bit build (name bytes ride
+// with the source text):
+//
+//   - per net, 100: its Net struct (64), its name-map entry (~28 with
+//     the map's load factor), its level (4), and its layout NetStart
+//     offset (4);
+//   - per gate, 81: its Gate struct (56), its topological-order slot
+//     (4), its layout PinStart (4), Out (4), Delay (8) and Op (1)
+//     entries, and its output net's driver slot in NetGates (4);
+//   - per pin, 8: its input net in the layout's Pins (4) and its
+//     fanout entry in NetGates (4).
 func estimateCircuitBytes(c *circuit.Circuit, netlistLen int) int64 {
-	st := c.Stats()
-	return int64(netlistLen) + int64(st.Nets)*96 + int64(st.Gates)*72 + 4096
+	const perNet, perGate, perPin = 100, 81, 8
+	return int64(netlistLen) + int64(c.NumNets())*perNet + int64(c.NumGates())*perGate +
+		int64(c.NumPins())*perPin + 4096
 }
 
 // estimatePreparedBytes estimates core.Prepare's output: arrival

@@ -119,9 +119,7 @@ func applyCell(c *circuit.Circuit, cell *node, an *Annotation) error {
 		an.Missing = append(an.Missing, instance)
 		return nil
 	}
-	g := c.Gate(c.Net(id).Driver)
-	g.Delay = int64(math.Round(dmax * an.TimescalePS))
-	g.DMin = int64(math.Round(dmin * an.TimescalePS))
+	c.SetDelay(c.Net(id).Driver, int64(math.Round(dmax*an.TimescalePS)), int64(math.Round(dmin*an.TimescalePS)))
 	an.Applied++
 	return nil
 }

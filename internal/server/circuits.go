@@ -106,9 +106,7 @@ func buildUploadCircuit(canon *api.UploadRequest) (*circuit.Circuit, error) {
 			return nil, badRequest("bad_annotation",
 				"net %q is a primary input; only gate outputs carry delays", d.Net)
 		}
-		g := c.Gate(drv)
-		g.Delay = d.Delay
-		g.DMin = d.DMin
+		c.SetDelay(drv, d.Delay, d.DMin)
 	}
 	return c, nil
 }

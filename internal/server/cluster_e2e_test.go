@@ -43,7 +43,11 @@ func startClusterWorker(t *testing.T, cfg server.Config) *clusterWorker {
 	s := server.New(cfg)
 	hs := &http.Server{Handler: s}
 	go func() { _ = hs.Serve(lis) }()
-	return &clusterWorker{addr: "http://" + lis.Addr().String(), s: s, hs: hs}
+	w := &clusterWorker{addr: "http://" + lis.Addr().String(), s: s, hs: hs}
+	// A coordinator started next must find the worker ready: its
+	// start-up probe round is the only one when probing is off.
+	waitReady(t, client.New(w.addr))
+	return w
 }
 
 // kill cuts the worker off the network mid-flight: the listener and

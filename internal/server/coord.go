@@ -324,8 +324,12 @@ func (co *Coordinator) aliveWorkers(ctx context.Context) []string {
 		}
 		return out
 	}
-	if ws := collect(); len(ws) > 0 {
-		return ws
+	// Until a probe round has completed, the live set may be a partial
+	// one from the start-up round still in flight.
+	if co.ready.Load() {
+		if ws := collect(); len(ws) > 0 {
+			return ws
+		}
 	}
 	co.probeAll(ctx)
 	return collect()
