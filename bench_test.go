@@ -29,7 +29,7 @@ func BenchmarkFig1Example2Refute(b *testing.B) {
 	v := core.NewVerifier(c, core.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if v.Check(s, 61).Final != core.NoViolation {
+		if v.Run(context.Background(), core.Request{Sink: s, Delta: 61}).Final != core.NoViolation {
 			b.Fatal("δ=61 must be refuted")
 		}
 	}
@@ -41,7 +41,7 @@ func BenchmarkFig1Example2Witness(b *testing.B) {
 	v := core.NewVerifier(c, core.Default())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if v.Check(s, 60).Final != core.ViolationFound {
+		if v.Run(context.Background(), core.Request{Sink: s, Delta: 60}).Final != core.ViolationFound {
 			b.Fatal("δ=60 must be witnessed")
 		}
 	}
@@ -53,13 +53,13 @@ func BenchmarkFig23CarrySkipDominators(b *testing.B) {
 	c := gen.CarrySkipAdder(8, 4, 10)
 	cout, _ := c.NetByName("cout")
 	v := core.NewVerifier(c, core.Default())
-	res, err := v.ExactFloatingDelay(cout)
+	res, err := v.ExactFloatingDelayCtx(context.Background(), cout, core.Request{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if v.Check(cout, res.Delay.Add(1)).Final != core.NoViolation {
+		if v.Run(context.Background(), core.Request{Sink: cout, Delta: res.Delay.Add(1)}).Final != core.NoViolation {
 			b.Fatal("δ+1 must be refuted")
 		}
 	}
@@ -73,7 +73,7 @@ func BenchmarkCarrySkip16Exact(b *testing.B) {
 	v := core.NewVerifier(c, core.Default())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := v.ExactFloatingDelay(cout)
+		res, err := v.ExactFloatingDelayCtx(context.Background(), cout, core.Request{})
 		if err != nil || !res.Exact {
 			b.Fatalf("exact delay failed: %v %+v", err, res)
 		}
@@ -149,7 +149,7 @@ func ablationDelta(b *testing.B, c *circuit.Circuit, sinkName string) (circuit.N
 		b.Fatalf("no net %s", sinkName)
 	}
 	v := core.NewVerifier(c, core.Default())
-	res, err := v.ExactFloatingDelay(sink)
+	res, err := v.ExactFloatingDelayCtx(context.Background(), sink, core.Request{})
 	if err != nil || !res.Exact {
 		b.Fatalf("reference delay failed: %v %+v", err, res)
 	}
@@ -163,7 +163,7 @@ func benchAblation(b *testing.B, opts core.Options) {
 	v := core.NewVerifier(c, opts)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := v.Check(sink, delta)
+		rep := v.Run(context.Background(), core.Request{Sink: sink, Delta: delta})
 		if rep.Final != core.NoViolation {
 			b.Fatalf("ablated config must still refute exactly, got %s", rep.Final)
 		}

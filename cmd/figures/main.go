@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -63,7 +64,7 @@ func renderFig23() {
 	c := gen.CarrySkipAdder(8, 4, 10)
 	cout, _ := c.NetByName("cout")
 	full := core.NewVerifier(c, core.Default())
-	res, err := full.ExactFloatingDelay(cout)
+	res, err := full.ExactFloatingDelayCtx(context.Background(), cout, core.Request{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		return
@@ -87,10 +88,10 @@ func renderFig23() {
 	still := sys.Fixpoint()
 	fmt.Printf("  Corollary-1 narrowing changed domains: %v; system consistent afterwards: %v\n", changed, still)
 
-	repHigh := full.Check(cout, delta.Add(1))
+	repHigh := full.Run(context.Background(), core.Request{Sink: cout, Delta: delta.Add(1)})
 	fmt.Printf("  δ=%s: plain %s, after dominators %s, after stems %s, case analysis %s (%d backtracks)\n",
 		delta.Add(1), repHigh.BeforeGITD, repHigh.AfterGITD, repHigh.AfterStem, repHigh.CaseAnalysis, maxI(repHigh.Backtracks, 0))
-	rep := full.Check(cout, delta)
+	rep := full.Run(context.Background(), core.Request{Sink: cout, Delta: delta})
 	fmt.Printf("  δ=%s: verdict %s", delta, rep.Final)
 	if rep.Final == core.ViolationFound {
 		fmt.Printf(" (witness %s, settle %s)", rep.Witness, rep.WitnessSettle)

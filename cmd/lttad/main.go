@@ -32,6 +32,12 @@
 //	lttad -coordinator host1:8090,host2:8090,host3:8090
 //	      [-hedge-after D] [-max-attempts N] [-probe-interval D] ...
 //
+// -workers, -check-timeout, -batch-timeout and -registry-bytes belong
+// to a worker; -hedge-after, -max-attempts and -probe-interval to a
+// coordinator; every other flag applies to both. Setting a flag
+// explicitly for the role that ignores it exits 2 with a message
+// naming the flag.
+//
 // Overload and lifecycle semantics (see DESIGN.md §10):
 //
 //   - admission is bounded: at most -queue batches are in flight or
@@ -40,8 +46,9 @@
 //     in-flight batches finish, and past -drain-timeout the remaining
 //     checks are cancelled (each still answers, with verdict C)
 //   - /healthz is pure liveness (always 200 while serving); /readyz is
-//     readiness (503 while starting or draining) — point load
-//     balancers at /readyz and restart-deciders at /healthz
+//     readiness (503 while starting or draining, and on a coordinator
+//     whenever no worker is alive) — point load balancers at /readyz
+//     and restart-deciders at /healthz
 //   - /metrics is the Prometheus text exposition (server counters,
 //     per-stage latency histograms, runtime samples); /metrics.json
 //     keeps the structured counter document
@@ -63,13 +70,16 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	_ "net/http/pprof" // register /debug/pprof on the default mux
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -78,36 +88,94 @@ import (
 	"repro/internal/server"
 )
 
-func main() {
-	addr := flag.String("addr", ":8090", "listen address")
-	workers := flag.Int("workers", 0, "check-execution pool size (0 = all CPUs)")
-	queue := flag.Int("queue", 64, "admission queue depth (concurrent batches before 429)")
-	checkTimeout := flag.Duration("check-timeout", 0, "server-side wall-clock cap per check (0 = none)")
-	batchTimeout := flag.Duration("batch-timeout", 0, "server-side wall-clock cap per batch (0 = none)")
-	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful-drain bound on SIGTERM/SIGINT")
-	maxBody := flag.Int64("max-body", 32<<20, "request body byte cap")
-	maxChecks := flag.Int("max-checks", 100000, "per-batch check-count cap")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address")
-	logFormat := flag.String("log-format", "text", "log output format: text or json")
-	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, or error")
-	traceDir := flag.String("trace-dir", "", "write a trace_event timeline per batch to this directory")
-	flightLast := flag.Int("flight-last", 0, "flight recorder: recent checks kept for /debug/checks (0 = default 256)")
-	flightSlowest := flag.Int("flight-slowest", 0, "flight recorder: slowest checks kept for /debug/checks (0 = default 32)")
-	registrySize := flag.Int("registry-size", 0, "circuit-registry capacity in circuits (0 = default 128)")
-	registryBytes := flag.Int64("registry-bytes", 0, "circuit-registry resident-byte cap (0 = default 1 GiB, negative = unlimited)")
-	coordinator := flag.String("coordinator", "", "run as a cluster coordinator over this comma-separated worker list (addr[,addr...]) instead of executing checks")
-	hedgeAfter := flag.Duration("hedge-after", 2*time.Second, "coordinator: hedge straggling checks onto a second worker after this long (negative = never)")
-	maxAttempts := flag.Int("max-attempts", 3, "coordinator: dispatch attempts per check across requeues and hedges")
-	probeInterval := flag.Duration("probe-interval", 2*time.Second, "coordinator: worker /readyz probe period (negative = on-demand only)")
-	flag.Parse()
+// options are lttad's parsed flags.
+type options struct {
+	addr, debugAddr, logFormat, logLevel, traceDir, coordinator string
 
-	logger, err := obs.NewLogger(os.Stderr, *logFormat, *logLevel)
+	queue, maxChecks, flightLast, flightSlowest, registrySize int
+	maxBody                                                   int64
+	drainTimeout                                              time.Duration
+
+	// worker only
+	workers                    int
+	checkTimeout, batchTimeout time.Duration
+	registryBytes              int64
+
+	// coordinator only
+	maxAttempts               int
+	hedgeAfter, probeInterval time.Duration
+}
+
+// Flags that only one role reads: setting one for the other role is
+// an error, not a silent no-op.
+var (
+	workerOnlyFlags = []string{"workers", "check-timeout", "batch-timeout", "registry-bytes"}
+	coordOnlyFlags  = []string{"hedge-after", "max-attempts", "probe-interval"}
+)
+
+// parseFlags parses the command line into options. Usage and errors go
+// to errOut; a flag explicitly set for the role that ignores it is an
+// error naming the flag.
+func parseFlags(args []string, errOut io.Writer) (*options, error) {
+	fs := flag.NewFlagSet("lttad", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	o := &options{}
+	fs.StringVar(&o.addr, "addr", ":8090", "listen address")
+	fs.IntVar(&o.workers, "workers", 0, "worker: check-execution pool size (0 = all CPUs)")
+	fs.IntVar(&o.queue, "queue", 64, "admission queue depth (concurrent batches before 429)")
+	fs.DurationVar(&o.checkTimeout, "check-timeout", 0, "worker: server-side wall-clock cap per check (0 = none)")
+	fs.DurationVar(&o.batchTimeout, "batch-timeout", 0, "worker: server-side wall-clock cap per batch (0 = none)")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 15*time.Second, "graceful-drain bound on SIGTERM/SIGINT")
+	fs.Int64Var(&o.maxBody, "max-body", 32<<20, "request body byte cap")
+	fs.IntVar(&o.maxChecks, "max-checks", 100000, "per-batch check-count cap")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve /debug/vars and /debug/pprof on this address")
+	fs.StringVar(&o.logFormat, "log-format", "text", "log output format: text or json")
+	fs.StringVar(&o.logLevel, "log-level", "info", "log level: debug, info, warn, or error")
+	fs.StringVar(&o.traceDir, "trace-dir", "", "write a trace_event timeline per batch to this directory")
+	fs.IntVar(&o.flightLast, "flight-last", 0, "flight recorder: recent checks kept for /debug/checks (0 = default 256)")
+	fs.IntVar(&o.flightSlowest, "flight-slowest", 0, "flight recorder: slowest checks kept for /debug/checks (0 = default 32)")
+	fs.IntVar(&o.registrySize, "registry-size", 0, "circuit-registry (or coordinator circuit-table) capacity in circuits (0 = default 128)")
+	fs.Int64Var(&o.registryBytes, "registry-bytes", 0, "worker: circuit-registry resident-byte cap (0 = default 1 GiB, negative = unlimited)")
+	fs.StringVar(&o.coordinator, "coordinator", "", "run as a cluster coordinator over this comma-separated worker list (addr[,addr...]) instead of executing checks")
+	fs.DurationVar(&o.hedgeAfter, "hedge-after", 2*time.Second, "coordinator: hedge straggling checks onto a second worker after this long (negative = never)")
+	fs.IntVar(&o.maxAttempts, "max-attempts", 3, "coordinator: dispatch attempts per check across requeues and hedges")
+	fs.DurationVar(&o.probeInterval, "probe-interval", 2*time.Second, "coordinator: worker /readyz probe period (negative = on-demand only)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	role, ignored := "worker", coordOnlyFlags
+	if o.coordinator != "" {
+		role, ignored = "coordinator", workerOnlyFlags
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && slices.Contains(ignored, f.Name) {
+			err = fmt.Errorf("-%s does not apply to a %s", f.Name, role)
+		}
+	})
+	if err != nil {
+		fmt.Fprintln(errOut, "lttad:", err)
+		return nil, err
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2)
+	}
+
+	logger, err := obs.NewLogger(os.Stderr, o.logFormat, o.logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lttad:", err)
 		os.Exit(2)
 	}
-	if *traceDir != "" {
-		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
+	if o.traceDir != "" {
+		if err := os.MkdirAll(o.traceDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, "lttad:", err)
 			os.Exit(1)
 		}
@@ -121,49 +189,49 @@ func main() {
 		BeginDrain()
 		Shutdown(context.Context) error
 	}
-	if *coordinator != "" {
+	if o.coordinator != "" {
 		s = server.NewCoordinator(server.CoordConfig{
-			Workers:             strings.Split(*coordinator, ","),
-			QueueDepth:          *queue,
-			MaxBodyBytes:        *maxBody,
-			MaxChecks:           *maxChecks,
-			HedgeAfter:          *hedgeAfter,
-			MaxAttempts:         *maxAttempts,
-			ProbeInterval:       *probeInterval,
-			RegistryMaxCircuits: *registrySize,
+			Workers:             strings.Split(o.coordinator, ","),
+			QueueDepth:          o.queue,
+			MaxBodyBytes:        o.maxBody,
+			MaxChecks:           o.maxChecks,
+			HedgeAfter:          o.hedgeAfter,
+			MaxAttempts:         o.maxAttempts,
+			ProbeInterval:       o.probeInterval,
+			RegistryMaxCircuits: o.registrySize,
 			Logger:              logger,
-			TraceDir:            *traceDir,
-			FlightLast:          *flightLast,
-			FlightSlowest:       *flightSlowest,
+			TraceDir:            o.traceDir,
+			FlightLast:          o.flightLast,
+			FlightSlowest:       o.flightSlowest,
 		})
 	} else {
 		s = server.New(server.Config{
-			Workers:      *workers,
-			QueueDepth:   *queue,
-			MaxBodyBytes: *maxBody,
-			MaxChecks:    *maxChecks,
-			CheckTimeout: *checkTimeout,
-			BatchTimeout: *batchTimeout,
+			Workers:      o.workers,
+			QueueDepth:   o.queue,
+			MaxBodyBytes: o.maxBody,
+			MaxChecks:    o.maxChecks,
+			CheckTimeout: o.checkTimeout,
+			BatchTimeout: o.batchTimeout,
 			Logger:       logger,
-			TraceDir:     *traceDir,
+			TraceDir:     o.traceDir,
 
-			FlightLast:    *flightLast,
-			FlightSlowest: *flightSlowest,
+			FlightLast:    o.flightLast,
+			FlightSlowest: o.flightSlowest,
 
-			RegistryMaxCircuits: *registrySize,
-			RegistryMaxBytes:    *registryBytes,
+			RegistryMaxCircuits: o.registrySize,
+			RegistryMaxBytes:    o.registryBytes,
 		})
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: s}
+	httpSrv := &http.Server{Addr: o.addr, Handler: s}
 
-	if *debugAddr != "" {
+	if o.debugAddr != "" {
 		go func() {
-			if err := http.ListenAndServe(*debugAddr, nil); err != nil {
+			if err := http.ListenAndServe(o.debugAddr, nil); err != nil {
 				logger.LogAttrs(ctx, slog.LevelError, "debug server failed",
 					slog.String("error", err.Error()))
 			}
 		}()
-		logger.LogAttrs(ctx, slog.LevelInfo, "debug server up", slog.String("addr", *debugAddr))
+		logger.LogAttrs(ctx, slog.LevelInfo, "debug server up", slog.String("addr", o.debugAddr))
 	}
 
 	sigCtx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
@@ -172,7 +240,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	logger.LogAttrs(ctx, slog.LevelInfo, "serving",
-		slog.String("addr", *addr), slog.Int("workers", *workers), slog.Int("queue", *queue))
+		slog.String("addr", o.addr), slog.Int("workers", o.workers), slog.Int("queue", o.queue))
 
 	select {
 	case err := <-errc:
@@ -181,8 +249,8 @@ func main() {
 	case <-sigCtx.Done():
 	}
 
-	logger.LogAttrs(ctx, slog.LevelInfo, "draining", slog.Duration("deadline", *drainTimeout))
-	dctx, cancel := context.WithTimeout(ctx, *drainTimeout)
+	logger.LogAttrs(ctx, slog.LevelInfo, "draining", slog.Duration("deadline", o.drainTimeout))
+	dctx, cancel := context.WithTimeout(ctx, o.drainTimeout)
 	defer cancel()
 	// Reject new submissions at once, then drain the pool (cancelling
 	// leftover checks at the deadline) while the HTTP server closes the

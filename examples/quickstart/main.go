@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -35,11 +36,11 @@ func main() {
 		c.Name, c.NumGates(), v.Topological())
 
 	// Timing check: can z still change at or after t = 40?
-	rep := v.Check(z, 40)
+	rep := v.Run(context.Background(), core.Request{Sink: z, Delta: 40})
 	fmt.Printf("check (z, 40): %s\n", rep.Final)
 
 	// Exact floating-mode delay with a witnessing input vector.
-	res, err := v.ExactFloatingDelay(z)
+	res, err := v.ExactFloatingDelayCtx(context.Background(), z, core.Request{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@ package repro_test
 // hold exactly).
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -74,7 +75,7 @@ func TestBenchSDFRoundTripFlow(t *testing.T) {
 	}
 	v := core.NewVerifier(c, core.Default())
 	g22, _ := c.NetByName("G22")
-	res, err := v.ExactFloatingDelay(g22)
+	res, err := v.ExactFloatingDelayCtx(context.Background(), g22, core.Request{})
 	if err != nil || !res.Exact {
 		t.Fatalf("exact delay failed: %v %+v", err, res)
 	}
@@ -138,7 +139,7 @@ func TestLongestPathsAgainstVerifier(t *testing.T) {
 		t.Fatalf("path does not end at s: %s", names)
 	}
 	v := core.NewVerifier(c, core.Default())
-	res, err := v.ExactFloatingDelay(s)
+	res, err := v.ExactFloatingDelayCtx(context.Background(), s, core.Request{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 func TestArenaSweepMatchesFresh(t *testing.T) {
 	prep := Prepare(gen.Industrial(5, 32, 10))
 	ref := prep.NewVerifier(Default())
-	res, err := ref.CircuitFloatingDelay()
+	res, err := ref.CircuitFloatingDelayCtx(context.Background(), Request{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ package core
 
 import (
 	"cmp"
-	"context"
 	"slices"
 	"sync"
 	"time"
@@ -239,27 +238,6 @@ type Report struct {
 	// Stats carries the engine-level telemetry of the check (always
 	// filled; see Stats).
 	Stats Stats
-}
-
-// Check runs the full pipeline of the paper on the timing check
-// (sink, δ): plain fixpoint, dominator implications, stem correlation,
-// then case analysis, stopping as soon as a stage proves NoViolation.
-//
-// Deprecated: Check is a compatibility wrapper over [Verifier.Run],
-// which additionally supports cancellation, deadlines, budgets, and
-// tracing. New code should call Run.
-func (v *Verifier) Check(sink circuit.NetID, delta waveform.Time) *Report {
-	return v.Run(context.Background(), Request{Sink: sink, Delta: delta})
-}
-
-// VerifyOnly runs the verify() procedure of Figure 4 — fixpoint plus
-// dominator implications, no case analysis — and returns NoViolation or
-// PossibleViolation.
-//
-// Deprecated: VerifyOnly is a compatibility wrapper over
-// [Verifier.Run] with Request.VerifyOnly set. New code should call Run.
-func (v *Verifier) VerifyOnly(sink circuit.NetID, delta waveform.Time) Result {
-	return v.Run(context.Background(), Request{Sink: sink, Delta: delta, VerifyOnly: true}).Final
 }
 
 // evaluate is the evaluate() loop of Figure 4 extended with learning:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/circuit"
@@ -24,7 +25,7 @@ func sink(t testing.TB, c *circuit.Circuit, name string) circuit.NetID {
 func TestExample2NoViolationAt61(t *testing.T) {
 	c := gen.Hrapcenko(10)
 	v := NewVerifier(c, Options{}) // everything off: plain narrowing
-	rep := v.Check(sink(t, c, "s"), 61)
+	rep := v.Run(context.Background(), Request{Sink: sink(t, c, "s"), Delta: 61})
 	if rep.BeforeGITD != NoViolation {
 		t.Fatalf("δ=61 must be refuted by the plain fixpoint, got %s", rep.BeforeGITD)
 	}
@@ -38,7 +39,7 @@ func TestExample2NoViolationAt61(t *testing.T) {
 func TestExample2ViolationAt60(t *testing.T) {
 	c := gen.Hrapcenko(10)
 	v := NewVerifier(c, Default())
-	rep := v.Check(sink(t, c, "s"), 60)
+	rep := v.Run(context.Background(), Request{Sink: sink(t, c, "s"), Delta: 60})
 	if rep.Final != ViolationFound {
 		t.Fatalf("δ=60 must be violable, got %s (backtracks %d)", rep.Final, rep.Backtracks)
 	}
@@ -58,7 +59,7 @@ func TestExample2ViolationAt60(t *testing.T) {
 func TestExactFloatingDelayHrapcenko(t *testing.T) {
 	c := gen.Hrapcenko(10)
 	v := NewVerifier(c, Default())
-	res, err := v.ExactFloatingDelay(sink(t, c, "s"))
+	res, err := v.ExactFloatingDelayCtx(context.Background(), sink(t, c, "s"), Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestExactnessOnRandomCircuits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := v.ExactFloatingDelay(po)
+			got, err := v.ExactFloatingDelayCtx(context.Background(), po, Request{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +111,7 @@ func TestExactnessWithAllStagesOff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := v.ExactFloatingDelay(po)
+		got, err := v.ExactFloatingDelayCtx(context.Background(), po, Request{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,11 +126,11 @@ func TestCheckAllAggregation(t *testing.T) {
 	v := NewVerifier(c, Default())
 	// Topological delay 30: δ=31 must be N, δ=30 must be V (c17's
 	// longest paths are true paths).
-	cr := v.CheckAll(31)
+	cr := v.RunAll(context.Background(), Request{Delta: 31, Workers: 1})
 	if cr.Final != NoViolation {
 		t.Fatalf("δ=31: %s", cr.Final)
 	}
-	cr = v.CheckAll(30)
+	cr = v.RunAll(context.Background(), Request{Delta: 30, Workers: 1})
 	if cr.Final != ViolationFound {
 		t.Fatalf("δ=30: %s", cr.Final)
 	}
@@ -141,7 +142,7 @@ func TestCheckAllAggregation(t *testing.T) {
 func TestCircuitFloatingDelayC17(t *testing.T) {
 	c := gen.C17(10)
 	v := NewVerifier(c, Default())
-	res, err := v.CircuitFloatingDelay()
+	res, err := v.CircuitFloatingDelayCtx(context.Background(), Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestCarrySkipExactDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := v.ExactFloatingDelay(cout)
+	got, err := v.ExactFloatingDelayCtx(context.Background(), cout, Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +193,11 @@ func TestDominatorsEnableRefutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := NewVerifier(c, Default())
-	rep := v.Check(cout, exact.Add(1))
+	rep := v.Run(context.Background(), Request{Sink: cout, Delta: exact.Add(1)})
 	if rep.Final != NoViolation {
 		t.Fatalf("δ=exact+1 must be refuted, got %s", rep.Final)
 	}
-	rep = v.Check(cout, exact)
+	rep = v.Run(context.Background(), Request{Sink: cout, Delta: exact})
 	if rep.Final != ViolationFound {
 		t.Fatalf("δ=exact must be witnessed, got %s", rep.Final)
 	}
@@ -212,7 +213,7 @@ func TestAbandonedOnTinyBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := v.Check(cout, exact.Add(1))
+	rep := v.Run(context.Background(), Request{Sink: cout, Delta: exact.Add(1)})
 	if rep.Final == ViolationFound {
 		t.Fatal("δ=exact+1 can never be a violation")
 	}
@@ -226,10 +227,10 @@ func TestAbandonedOnTinyBudget(t *testing.T) {
 func TestVerifyOnly(t *testing.T) {
 	c := gen.Hrapcenko(10)
 	v := NewVerifier(c, Default())
-	if got := v.VerifyOnly(sink(t, c, "s"), 61); got != NoViolation {
+	if got := v.Run(context.Background(), Request{Sink: sink(t, c, "s"), Delta: 61, VerifyOnly: true}).Final; got != NoViolation {
 		t.Fatalf("VerifyOnly(61) = %s", got)
 	}
-	if got := v.VerifyOnly(sink(t, c, "s"), 60); got != PossibleViolation {
+	if got := v.Run(context.Background(), Request{Sink: sink(t, c, "s"), Delta: 60, VerifyOnly: true}).Final; got != PossibleViolation {
 		t.Fatalf("VerifyOnly(60) = %s", got)
 	}
 }
@@ -249,7 +250,7 @@ func TestResultString(t *testing.T) {
 func TestStagesRecordedInReport(t *testing.T) {
 	c := gen.Hrapcenko(10)
 	v := NewVerifier(c, Default())
-	rep := v.Check(sink(t, c, "s"), 60)
+	rep := v.Run(context.Background(), Request{Sink: sink(t, c, "s"), Delta: 60})
 	if rep.BeforeGITD != PossibleViolation {
 		t.Fatalf("BeforeGITD = %s", rep.BeforeGITD)
 	}
@@ -264,8 +265,8 @@ func TestWaveformDomainIntactAfterCheck(t *testing.T) {
 	c := gen.Hrapcenko(10)
 	v := NewVerifier(c, Default())
 	s := sink(t, c, "s")
-	r1 := v.Check(s, 60)
-	r2 := v.Check(s, 60)
+	r1 := v.Run(context.Background(), Request{Sink: s, Delta: 60})
+	r2 := v.Run(context.Background(), Request{Sink: s, Delta: 60})
 	if r1.Final != r2.Final || r1.Backtracks != r2.Backtracks || r1.Witness.String() != r2.Witness.String() {
 		t.Fatal("checks must be deterministic and stateless")
 	}

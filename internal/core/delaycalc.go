@@ -30,15 +30,6 @@ type DelayResult struct {
 	Backtracks int
 }
 
-// ExactFloatingDelay computes the exact floating-mode delay of one
-// output.
-//
-// Deprecated: compatibility wrapper over
-// [Verifier.ExactFloatingDelayCtx] with a background context.
-func (v *Verifier) ExactFloatingDelay(sink circuit.NetID) (*DelayResult, error) {
-	return v.ExactFloatingDelayCtx(context.Background(), sink, Request{})
-}
-
 // ExactFloatingDelayCtx computes the exact floating-mode delay of one
 // output by binary search on δ: the check (sink, δ) is monotone in δ
 // and each decided check is exact, so the largest violable δ is the
@@ -128,15 +119,6 @@ type CircuitReport struct {
 	DominatorRounds int
 }
 
-// CheckAll runs the timing check (o, δ) for every primary output o and
-// aggregates the verdicts as in Table 1.
-//
-// Deprecated: compatibility wrapper over [Verifier.RunAll] with
-// Workers == 1. New code should call RunAll.
-func (v *Verifier) CheckAll(delta waveform.Time) *CircuitReport {
-	return v.RunAll(context.Background(), Request{Delta: delta, Workers: 1})
-}
-
 func sortNetsByArrivalDesc(nets []circuit.NetID, a *delay.Analysis) {
 	sort.Slice(nets, func(i, j int) bool {
 		ai, aj := a.Arrival(nets[i]), a.Arrival(nets[j])
@@ -163,19 +145,11 @@ func mergeStage(acc, r Result) Result {
 	}
 }
 
-// CircuitFloatingDelay computes the exact floating-mode delay over all
-// outputs (max of the per-output delays), with the same exactness
-// caveat as ExactFloatingDelay.
-//
-// Deprecated: compatibility wrapper over
-// [Verifier.CircuitFloatingDelayCtx] with a background context.
-func (v *Verifier) CircuitFloatingDelay() (*DelayResult, error) {
-	return v.CircuitFloatingDelayCtx(context.Background(), Request{})
-}
-
-// CircuitFloatingDelayCtx is CircuitFloatingDelay under a context: the
-// request's Deadline, Budgets, and Tracer apply to every check, and a
-// cancellation aborts the sweep with the partial result and an error.
+// CircuitFloatingDelayCtx computes the exact floating-mode delay over
+// all outputs (max of the per-output delays), with the same exactness
+// caveat as ExactFloatingDelayCtx. The request's Deadline, Budgets, and
+// Tracer apply to every check, and a cancellation aborts the sweep
+// with the partial result and an error.
 func (v *Verifier) CircuitFloatingDelayCtx(ctx context.Context, req Request) (*DelayResult, error) {
 	best := &DelayResult{Delay: -1, Lower: -1}
 	// Search outputs in decreasing topological-arrival order and skip

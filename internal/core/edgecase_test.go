@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/circuit"
@@ -19,7 +20,7 @@ func exactMatchesOracle(t *testing.T, c *circuit.Circuit) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := v.ExactFloatingDelay(po)
+		got, err := v.ExactFloatingDelayCtx(context.Background(), po, Request{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,11 +104,11 @@ func TestInputIsOutput(t *testing.T) {
 	a, _ := c.NetByName("a")
 	// a's floating delay is 0: it can differ from its final value at
 	// t = 0 exactly, never later.
-	res, err := v.ExactFloatingDelay(a)
+	res, err := v.ExactFloatingDelayCtx(context.Background(), a, Request{})
 	if err != nil || !res.Exact || res.Delay != 0 {
 		t.Fatalf("PI-as-PO delay: %+v (%v)", res, err)
 	}
-	rep := v.Check(a, 1)
+	rep := v.Run(context.Background(), Request{Sink: a, Delta: 1})
 	if rep.Final != NoViolation {
 		t.Fatalf("check (a, 1) = %s, want N", rep.Final)
 	}
@@ -142,15 +143,15 @@ func TestHugeDeltaAndNegativeDelta(t *testing.T) {
 	}
 	v := NewVerifier(c, Default())
 	z, _ := c.NetByName("z")
-	if rep := v.Check(z, waveform.Time(1<<40)); rep.Final != NoViolation {
+	if rep := v.Run(context.Background(), Request{Sink: z, Delta: waveform.Time(1 << 40)}); rep.Final != NoViolation {
 		t.Fatalf("astronomical δ must be refuted, got %s", rep.Final)
 	}
 	// δ ≤ 0 is always violable: the output can differ from its final
 	// value at t = 0 (unknown initial state).
-	if rep := v.Check(z, 0); rep.Final != ViolationFound {
+	if rep := v.Run(context.Background(), Request{Sink: z, Delta: 0}); rep.Final != ViolationFound {
 		t.Fatalf("δ=0 must be witnessed, got %s", rep.Final)
 	}
-	if rep := v.Check(z, -5); rep.Final != ViolationFound {
+	if rep := v.Run(context.Background(), Request{Sink: z, Delta: -5}); rep.Final != ViolationFound {
 		t.Fatalf("negative δ must be witnessed, got %s", rep.Final)
 	}
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/circuit"
@@ -8,24 +9,24 @@ import (
 	"repro/internal/gen"
 )
 
-// ExampleVerifier_Check runs the paper's Example 2: on the Figure-1
+// ExampleVerifier_Run runs the paper's Example 2: on the Figure-1
 // circuit the timing check at δ=61 is refuted while δ=60 is witnessed.
-func ExampleVerifier_Check() {
+func ExampleVerifier_Run() {
 	c := gen.Hrapcenko(10)
 	s, _ := c.NetByName("s")
 	v := core.NewVerifier(c, core.Default())
 
-	fmt.Println("check (s, 61):", v.Check(s, 61).Final)
-	rep := v.Check(s, 60)
+	fmt.Println("check (s, 61):", v.Run(context.Background(), core.Request{Sink: s, Delta: 61}).Final)
+	rep := v.Run(context.Background(), core.Request{Sink: s, Delta: 60})
 	fmt.Println("check (s, 60):", rep.Final, "settle", rep.WitnessSettle)
 	// Output:
 	// check (s, 61): N
 	// check (s, 60): V settle 60
 }
 
-// ExampleVerifier_ExactFloatingDelay computes the exact floating-mode
+// ExampleVerifier_ExactFloatingDelayCtx computes the exact floating-mode
 // delay of a freshly built netlist.
-func ExampleVerifier_ExactFloatingDelay() {
+func ExampleVerifier_ExactFloatingDelayCtx() {
 	b := circuit.NewBuilder("demo")
 	b.Input("a")
 	b.Input("en")
@@ -39,7 +40,7 @@ func ExampleVerifier_ExactFloatingDelay() {
 	}
 	v := core.NewVerifier(c, core.Default())
 	z, _ := c.NetByName("z")
-	res, _ := v.ExactFloatingDelay(z)
+	res, _ := v.ExactFloatingDelayCtx(context.Background(), z, core.Request{})
 	fmt.Println("top:", v.Topological(), "floating:", res.Delay, "exact:", res.Exact)
 	// Output:
 	// top: 30 floating: 30 exact: true
@@ -51,7 +52,7 @@ func ExampleVerifier_WitnessPath() {
 	c := gen.C17(10)
 	g22, _ := c.NetByName("G22")
 	v := core.NewVerifier(c, core.Default())
-	rep := v.Check(g22, 30)
+	rep := v.Run(context.Background(), core.Request{Sink: g22, Delta: 30})
 	path, _ := v.WitnessPath(g22, rep.Witness)
 	for i, n := range path {
 		if i > 0 {

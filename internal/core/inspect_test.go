@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/circuit"
@@ -64,13 +65,13 @@ func TestBacktraceThroughParity(t *testing.T) {
 	}
 	v := NewVerifier(ckt, Default())
 	z, _ := ckt.NetByName("z")
-	res, err := v.ExactFloatingDelay(z)
+	res, err := v.ExactFloatingDelayCtx(context.Background(), z, Request{})
 	if err != nil || !res.Exact {
 		t.Fatalf("exact failed: %v %+v", err, res)
 	}
 	// δ = 40 needs the n2 chain AND x = 1, reachable only by an XOR
 	// side objective; the engine must find a witness.
-	rep := v.Check(z, res.Delay)
+	rep := v.Run(context.Background(), Request{Sink: z, Delta: res.Delay})
 	if rep.Final != ViolationFound {
 		t.Fatalf("δ=%s must be witnessed, got %s", res.Delay, rep.Final)
 	}
@@ -93,13 +94,13 @@ func TestBacktraceDeadEnds(t *testing.T) {
 	}
 	v := NewVerifier(ckt, Default())
 	z, _ := ckt.NetByName("z")
-	res, err := v.ExactFloatingDelay(z)
+	res, err := v.ExactFloatingDelayCtx(context.Background(), z, Request{})
 	if err != nil || !res.Exact {
 		t.Fatalf("exact failed: %v %+v", err, res)
 	}
 	// Sanity: the engine terminates and certifies on this reconvergent
 	// structure at and above the exact delay.
-	if rep := v.Check(z, res.Delay.Add(1)); rep.Final != NoViolation {
+	if rep := v.Run(context.Background(), Request{Sink: z, Delta: res.Delay.Add(1)}); rep.Final != NoViolation {
 		t.Fatalf("δ+1 must be refuted, got %s", rep.Final)
 	}
 }

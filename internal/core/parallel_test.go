@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gen"
@@ -11,8 +12,8 @@ func TestCheckAllParallelMatchesSerialOnRefutation(t *testing.T) {
 	c := gen.C17(10)
 	v := NewVerifier(c, Default())
 	for _, delta := range []waveform.Time{31, 40} {
-		serial := v.CheckAll(delta)
-		par := v.CheckAllParallel(delta, 4)
+		serial := v.RunAll(context.Background(), Request{Delta: delta, Workers: 1})
+		par := v.RunAll(context.Background(), Request{Delta: delta, Workers: 4})
 		if serial.Final != par.Final || serial.BeforeGITD != par.BeforeGITD {
 			t.Fatalf("δ=%s: serial %s/%s vs parallel %s/%s",
 				delta, serial.Final, serial.BeforeGITD, par.Final, par.BeforeGITD)
@@ -25,7 +26,7 @@ func TestCheckAllParallelWitnessDeterministic(t *testing.T) {
 	v := NewVerifier(c, Default())
 	var first *CircuitReport
 	for i := 0; i < 5; i++ {
-		cr := v.CheckAllParallel(30, 3)
+		cr := v.RunAll(context.Background(), Request{Delta: 30, Workers: 3})
 		if cr.Final != ViolationFound {
 			t.Fatalf("δ=30 must be witnessed, got %s", cr.Final)
 		}
@@ -38,7 +39,7 @@ func TestCheckAllParallelWitnessDeterministic(t *testing.T) {
 		}
 	}
 	// The witness is the first violating PO index, matching serial.
-	serial := v.CheckAll(30)
+	serial := v.RunAll(context.Background(), Request{Delta: 30, Workers: 1})
 	if serial.WitnessOutput != first.WitnessOutput {
 		t.Fatalf("parallel witness %d differs from serial %d", first.WitnessOutput, serial.WitnessOutput)
 	}
@@ -47,7 +48,7 @@ func TestCheckAllParallelWitnessDeterministic(t *testing.T) {
 func TestCheckAllParallelSingleWorkerFallsBack(t *testing.T) {
 	c := gen.Hrapcenko(10)
 	v := NewVerifier(c, Default())
-	cr := v.CheckAllParallel(61, 1)
+	cr := v.RunAll(context.Background(), Request{Delta: 61, Workers: 1})
 	if cr.Final != NoViolation {
 		t.Fatalf("got %s", cr.Final)
 	}
@@ -63,8 +64,8 @@ func TestCheckAllParallelOnSuiteCircuit(t *testing.T) {
 		}
 		v := NewVerifier(e.Circuit, Default())
 		top := v.Topological()
-		serial := v.CheckAll(top.Add(1))
-		par := v.CheckAllParallel(top.Add(1), 0)
+		serial := v.RunAll(context.Background(), Request{Delta: top.Add(1), Workers: 1})
+		par := v.RunAll(context.Background(), Request{Delta: top.Add(1), Workers: 0})
 		if serial.Final != par.Final || serial.Final != NoViolation {
 			t.Fatalf("beyond-top check differs: %s vs %s", serial.Final, par.Final)
 		}

@@ -189,8 +189,7 @@ func (rs *runState) stoppedNow() bool {
 // stem correlation, then case analysis, stopping at the first stage
 // that proves NoViolation. Cancellation (ctx or req.Deadline) returns
 // a report with Final == Cancelled within a poll interval; budget
-// exhaustion returns Abandoned. Check, VerifyOnly, CheckAll, and
-// CheckAllParallel are thin wrappers over Run/RunAll.
+// exhaustion returns Abandoned.
 //
 // With Options.UseConeSlicing the check is solved on the sink's
 // fan-in cone slice (cached per sink on the shared Prepared) and the

@@ -121,27 +121,29 @@ func TestRunBacktrackBudgetViaRequest(t *testing.T) {
 	}
 }
 
-// TestRunMatchesCheck pins the compatibility wrappers to the Run path:
-// identical verdicts, counters, and witnesses on the Figure-1 circuit.
-// Each arm gets a fresh verifier off the shared Prepared because the
-// comparison includes work counters, which warm-start memos (scoped per
-// verifier) legitimately reduce on repeat checks of the same sink.
+// TestRunMatchesCheck pins that a check's answer depends only on the
+// question: two fresh verifiers off one shared Prepared give identical
+// verdicts, counters, and witnesses on the Figure-1 circuit, and the
+// VerifyOnly request stops after the verify() stage. Each arm gets its
+// own verifier because the comparison includes work counters, which
+// warm-start memos (scoped per verifier) legitimately reduce on repeat
+// checks of the same sink.
 func TestRunMatchesCheck(t *testing.T) {
 	c := gen.Hrapcenko(10)
 	s, _ := c.NetByName("s")
 	prep := Prepare(c)
 	for _, delta := range []waveform.Time{61, 60} {
-		direct := prep.NewVerifier(Default()).Run(context.Background(), Request{Sink: s, Delta: delta})
-		wrapped := prep.NewVerifier(Default()).Check(s, delta)
-		if canonicalReport(direct) != canonicalReport(wrapped) {
-			t.Fatalf("δ=%s:\n run:   %s\n check: %s", delta, canonicalReport(direct), canonicalReport(wrapped))
+		first := prep.NewVerifier(Default()).Run(context.Background(), Request{Sink: s, Delta: delta})
+		second := prep.NewVerifier(Default()).Run(context.Background(), Request{Sink: s, Delta: delta})
+		if canonicalReport(first) != canonicalReport(second) {
+			t.Fatalf("δ=%s:\n first:  %s\n second: %s", delta, canonicalReport(first), canonicalReport(second))
 		}
 	}
 	v := prep.NewVerifier(Default())
 	if got := v.Run(context.Background(), Request{Sink: s, Delta: 61, VerifyOnly: true}).Final; got != NoViolation {
 		t.Fatalf("VerifyOnly Run(61) = %s", got)
 	}
-	if got := v.VerifyOnly(s, 60); got != PossibleViolation {
+	if got := v.Run(context.Background(), Request{Sink: s, Delta: 60, VerifyOnly: true}).Final; got != PossibleViolation {
 		t.Fatalf("VerifyOnly(60) = %s", got)
 	}
 }
@@ -172,7 +174,7 @@ func canonicalCircuit(cr *CircuitReport) string {
 
 // TestRunAllParallelIdenticalToSerial asserts the headline determinism
 // property: Run-based parallel sweeps produce aggregates identical to
-// the serial CheckAll, on both refutation sweeps and witness sweeps
+// the serial sweep (Workers: 1), on both refutation sweeps and witness sweeps
 // (where sibling cancellation must discard exactly the checks the
 // serial sweep never starts). Run with -race in CI.
 func TestRunAllParallelIdenticalToSerial(t *testing.T) {
@@ -225,7 +227,7 @@ func TestNilTracerVsStatsTracerEquivalence(t *testing.T) {
 	for _, name := range []string{"c17", "c432", "c880"} {
 		c := suiteCircuit(t, name)
 		prep := Prepare(c)
-		res, err := prep.NewVerifier(Default()).CircuitFloatingDelay()
+		res, err := prep.NewVerifier(Default()).CircuitFloatingDelayCtx(context.Background(), Request{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gen"
@@ -20,7 +21,7 @@ func TestStaticDominatorOption(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := NewVerifier(c, opts)
-		got, err := v.ExactFloatingDelay(po)
+		got, err := v.ExactFloatingDelayCtx(context.Background(), po, Request{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,16 +39,16 @@ func TestStaticDominatorsAloneRefuteChain(t *testing.T) {
 	c := gen.CarrySkipAdder(8, 4, 10)
 	cout, _ := c.NetByName("cout")
 	ref := NewVerifier(c, Default())
-	res, err := ref.ExactFloatingDelay(cout)
+	res, err := ref.ExactFloatingDelayCtx(context.Background(), cout, Request{})
 	if err != nil || !res.Exact {
 		t.Fatalf("reference: %v %+v", err, res)
 	}
 	withStatic := NewVerifier(c, Options{UseStaticDominators: true, MaxBacktracks: 1 << 20})
-	rep := withStatic.Check(cout, res.Delay.Add(1))
+	rep := withStatic.Run(context.Background(), Request{Sink: cout, Delta: res.Delay.Add(1)})
 	if rep.Final != NoViolation {
 		t.Fatalf("static-dominator config must still refute exactly, got %s", rep.Final)
 	}
-	rep = withStatic.Check(cout, res.Delay)
+	rep = withStatic.Run(context.Background(), Request{Sink: cout, Delta: res.Delay})
 	if rep.Final != ViolationFound {
 		t.Fatalf("δ=exact must still be witnessed, got %s", rep.Final)
 	}

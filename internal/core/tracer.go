@@ -48,7 +48,7 @@ func (s Stage) String() string {
 
 // Tracer observes the check pipeline. Every callback fires on the
 // goroutine running the check; a tracer shared across parallel checks
-// (CheckAllParallel, Run with Workers > 1) must be safe for concurrent
+// (RunAll with Workers > 1) must be safe for concurrent
 // use. A nil Tracer in a Request is the fast path: the engine performs
 // no tracer work at all beyond one nil check per event site, so tracing
 // costs nothing when disabled.

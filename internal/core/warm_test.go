@@ -70,7 +70,7 @@ func TestWarmVsColdDifferentialSweep(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			prep := build()
 			ref := prep.NewVerifier(Default())
-			res, err := ref.CircuitFloatingDelay()
+			res, err := ref.CircuitFloatingDelayCtx(context.Background(), Request{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +102,7 @@ func TestWarmVsColdDifferentialSweep(t *testing.T) {
 func TestWarmVsColdSingleSinkSchedules(t *testing.T) {
 	prep := Prepare(suiteCircuit(t, "c432"))
 	ref := prep.NewVerifier(Default())
-	res, err := ref.CircuitFloatingDelay()
+	res, err := ref.CircuitFloatingDelayCtx(context.Background(), Request{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ func TestWitnessPathHrapcenko(t *testing.T) {
 	c := gen.Hrapcenko(10)
 	s, _ := c.NetByName("s")
 	v := NewVerifier(c, Default())
-	rep := v.Check(s, 60)
+	rep := v.Run(context.Background(), Request{Sink: s, Delta: 60})
 	if rep.Final != ViolationFound {
 		t.Fatal("need a witness")
 	}
@@ -94,7 +94,7 @@ func TestWitnessPathStructure(t *testing.T) {
 	for _, c := range []*circuit.Circuit{gen.C17(10), gen.CarrySkipAdder(6, 3, 10)} {
 		v := NewVerifier(c, Default())
 		for _, po := range c.PrimaryOutputs() {
-			res, err := v.ExactFloatingDelay(po)
+			res, err := v.ExactFloatingDelayCtx(context.Background(), po, Request{})
 			if err != nil || !res.Exact {
 				t.Fatalf("exact delay: %v %+v", err, res)
 			}

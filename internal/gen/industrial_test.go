@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/circuit"
@@ -51,7 +52,7 @@ func TestIndustrialSoak(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := v.ExactFloatingDelay(po)
+			got, err := v.ExactFloatingDelayCtx(context.Background(), po, core.Request{})
 			if err != nil {
 				t.Fatal(err)
 			}

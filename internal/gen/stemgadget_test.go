@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -25,7 +26,7 @@ func TestStemGadgetStages(t *testing.T) {
 	if exact >= 100 {
 		t.Fatalf("the full-length path must be false, exact = %s", exact)
 	}
-	rep := v.Check(z, exact.Add(1))
+	rep := v.Run(context.Background(), core.Request{Sink: z, Delta: exact.Add(1)})
 	if rep.BeforeGITD != core.PossibleViolation {
 		t.Fatalf("plain narrowing must NOT refute (the branch disjunction hides the conflict), got %s", rep.BeforeGITD)
 	}
@@ -35,7 +36,7 @@ func TestStemGadgetStages(t *testing.T) {
 	if rep.AfterStem != core.NoViolation {
 		t.Fatalf("stem correlation must refute, got %s (CA=%s)", rep.AfterStem, rep.CaseAnalysis)
 	}
-	rep2 := v.Check(z, exact)
+	rep2 := v.Run(context.Background(), core.Request{Sink: z, Delta: exact})
 	if rep2.Final != core.ViolationFound {
 		t.Fatalf("δ=exact must be witnessed, got %s", rep2.Final)
 	}
@@ -52,7 +53,7 @@ func TestStemGadgetExactness(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := core.NewVerifier(c, core.Default())
-		got, err := v.ExactFloatingDelay(z)
+		got, err := v.ExactFloatingDelayCtx(context.Background(), z, core.Request{})
 		if err != nil {
 			t.Fatal(err)
 		}

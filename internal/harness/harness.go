@@ -14,6 +14,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/circuit"
 	"repro/internal/constraint"
 	"repro/internal/core"
@@ -110,76 +111,61 @@ func CircuitRowsParallel(name string, c *circuit.Circuit, budget, workers int, e
 		o(&cfg)
 	}
 	v := core.NewVerifier(c, cfg.Opts)
-	top := v.Topological()
 	req := cfg.Req
-
 	res, err := v.CircuitFloatingDelayCtx(context.Background(), req)
 	if err != nil {
 		panic("harness: " + err.Error())
 	}
-	delta := res.Delay
-	exact := res.Exact
-
-	mk := func(d waveform.Time, cr *core.CircuitReport) Table1Row {
-		row := Table1Row{
-			Circuit: name, Gates: c.NumGates(), Top: top, Delta: d,
-			BeforeGITD: cr.BeforeGITD, AfterGITD: cr.AfterGITD, AfterStem: cr.AfterStem,
-			Backtracks: cr.Backtracks, CAResult: cr.CaseAnalysis,
-		}
-		for _, pr := range cr.PerOutput {
-			row.CPU += pr.Elapsed
-		}
-		return row
-	}
-
-	checkAll := func(d waveform.Time) *core.CircuitReport {
+	return RowPair(name, v, res, func(d waveform.Time) *core.CircuitReport {
 		r := req
 		r.Delta = d
 		return v.RunAll(context.Background(), r)
+	})
+}
+
+// RowPair is the paper's Table-1 row protocol at the circuit floating
+// delay D the search found: the whole-circuit check at δ = D+1 (which
+// stage refutes) and then at δ = D (case analysis finds a test
+// vector), each row timed by the wall clock of its sweep. The δ = D
+// row is exact (E) only when the search certified D and the two sweeps
+// agree — a violation at D, none at D+1 — and an upper bound (U)
+// otherwise. sweep runs one whole-circuit check; the in-process
+// harness passes core.RunAll, lttad its pool's first-witness sweep.
+func RowPair(name string, v *core.Verifier, d *core.DelayResult, sweep func(waveform.Time) *core.CircuitReport) []Table1Row {
+	row := func(delta waveform.Time) (Table1Row, *core.CircuitReport) {
+		start := time.Now()
+		cr := sweep(delta)
+		return Table1Row{
+			Circuit: name, Gates: v.Circuit().NumGates(), Top: v.Topological(), Delta: delta,
+			BeforeGITD: cr.BeforeGITD, AfterGITD: cr.AfterGITD, AfterStem: cr.AfterStem,
+			Backtracks: cr.Backtracks, CAResult: cr.CaseAnalysis, CPU: time.Since(start),
+		}, cr
 	}
-	start := time.Now()
-	crHigh := checkAll(delta.Add(1))
-	rowHigh := mk(delta.Add(1), crHigh)
-	rowHigh.CPU = time.Since(start)
+	high, crHigh := row(d.Delay.Add(1))
+	low, crLow := row(d.Delay)
+	low.Exact = d.Exact && crLow.Final == core.ViolationFound && crHigh.Final == core.NoViolation
+	low.Upper = !low.Exact
+	return []Table1Row{high, low}
+}
 
-	start = time.Now()
-	crLow := checkAll(delta)
-	rowLow := mk(delta, crLow)
-	rowLow.CPU = time.Since(start)
-	rowLow.Exact = exact && crLow.Final == core.ViolationFound && crHigh.Final == core.NoViolation
-	rowLow.Upper = !rowLow.Exact
-
-	return []Table1Row{rowHigh, rowLow}
+// Wire is the row as lttad serves it and WriteJSON writes it.
+func (r Table1Row) Wire() api.Row {
+	return api.Row{
+		Circuit: r.Circuit, Gates: r.Gates, Top: int64(r.Top), Delta: int64(r.Delta),
+		Exact: r.Exact, Upper: r.Upper,
+		BeforeGITD: r.BeforeGITD.String(), AfterGITD: r.AfterGITD.String(),
+		AfterStem: r.AfterStem.String(), Backtracks: r.Backtracks,
+		CAResult: r.CAResult.String(), CPUSeconds: r.CPU.Seconds(),
+	}
 }
 
 // WriteJSON emits the rows as a JSON array for downstream tooling.
 func WriteJSON(w io.Writer, rows []Table1Row) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	type jsonRow struct {
-		Circuit    string  `json:"circuit"`
-		Gates      int     `json:"gates"`
-		Top        int64   `json:"top"`
-		Delta      int64   `json:"delta"`
-		Exact      bool    `json:"exact"`
-		Upper      bool    `json:"upperBound"`
-		BeforeGITD string  `json:"beforeGITD"`
-		AfterGITD  string  `json:"afterGITD"`
-		AfterStem  string  `json:"afterStemCorrelation"`
-		Backtracks int     `json:"backtracks"`
-		CAResult   string  `json:"caseAnalysis"`
-		CPUSeconds float64 `json:"cpuSeconds"`
-	}
-	out := make([]jsonRow, len(rows))
+	out := make([]api.Row, len(rows))
 	for i, r := range rows {
-		out[i] = jsonRow{
-			Circuit: r.Circuit, Gates: r.Gates,
-			Top: int64(r.Top), Delta: int64(r.Delta),
-			Exact: r.Exact, Upper: r.Upper,
-			BeforeGITD: r.BeforeGITD.String(), AfterGITD: stage(r.AfterGITD),
-			AfterStem: stage(r.AfterStem), Backtracks: r.Backtracks,
-			CAResult: stage(r.CAResult), CPUSeconds: r.CPU.Seconds(),
-		}
+		out[i] = r.Wire()
 	}
 	return enc.Encode(out)
 }
@@ -201,13 +187,11 @@ func RenderTable1(w io.Writer, rows []Table1Row) {
 		}
 		fmt.Fprintf(tw, "%s\t%d\t%s\t%s%s\t%s\t%s\t%s\t%s\t%s\t%.3f\n",
 			r.Circuit, r.Gates, r.Top, r.Delta, mark,
-			r.BeforeGITD, stage(r.AfterGITD), stage(r.AfterStem), bt, stage(r.CAResult),
+			r.BeforeGITD, r.AfterGITD, r.AfterStem, bt, r.CAResult,
 			r.CPU.Seconds())
 	}
 	tw.Flush()
 }
-
-func stage(r core.Result) string { return r.String() }
 
 // Example2Trace reproduces the Figure-1/Example-2 narrative: the
 // verdict at δ=61 (refuted by plain narrowing), the surviving domains
@@ -228,16 +212,16 @@ func Example2() *Example2Trace {
 	tr := &Example2Trace{DomainsAt60: map[string]string{}}
 
 	plain := core.NewVerifier(c, core.Options{})
-	tr.RefutedAt61 = plain.Check(s, 61).Final == core.NoViolation
+	tr.RefutedAt61 = plain.Run(context.Background(), core.Request{Sink: s, Delta: 61}).Final == core.NoViolation
 
 	v := core.NewVerifier(c, core.Default())
 	tr.Top = v.Topological()
-	res, err := v.ExactFloatingDelay(s)
+	res, err := v.ExactFloatingDelayCtx(context.Background(), s, core.Request{})
 	if err != nil {
 		panic("harness: " + err.Error())
 	}
 	tr.Floating = res.Delay
-	rep := v.Check(s, 60)
+	rep := v.Run(context.Background(), core.Request{Sink: s, Delta: 60})
 	tr.Witness = rep.Witness
 	tr.WitnessSettle = rep.WitnessSettle
 	tr.BacktracksAt60 = rep.Backtracks
@@ -304,7 +288,7 @@ func CarrySkip(bits, block int, budget int) *CarrySkipExperiment {
 	v := core.NewVerifier(c, opts)
 	ex := &CarrySkipExperiment{Bits: bits, Block: block, Gates: c.NumGates(), Top: v.Topological()}
 
-	res, err := v.ExactFloatingDelay(cout)
+	res, err := v.ExactFloatingDelayCtx(context.Background(), cout, core.Request{})
 	if err != nil {
 		panic("harness: " + err.Error())
 	}
@@ -312,7 +296,7 @@ func CarrySkip(bits, block int, budget int) *CarrySkipExperiment {
 	ex.Exact = res.Exact
 	ex.Witness = res.Witness
 
-	repHigh := v.Check(cout, res.Delay.Add(1))
+	repHigh := v.Run(context.Background(), core.Request{Sink: cout, Delta: res.Delay.Add(1)})
 	ex.RefuteBacktracks = repHigh.Backtracks
 	switch {
 	case repHigh.BeforeGITD == core.NoViolation:
@@ -326,7 +310,7 @@ func CarrySkip(bits, block int, budget int) *CarrySkipExperiment {
 	}
 	ex.DominatorChainLength = repHigh.Dominators
 
-	repLow := v.Check(cout, res.Delay)
+	repLow := v.Run(context.Background(), core.Request{Sink: cout, Delta: res.Delay})
 	ex.WitnessBacktracks = repLow.Backtracks
 	ex.CPU = time.Since(start)
 	return ex
@@ -376,15 +360,15 @@ func Anecdote() *DominatorAnecdote {
 	lo, hi := waveform.Time(0), an.Top
 	for lo < hi {
 		mid := waveform.Midpoint(lo, hi)
-		if withDom.VerifyOnly(deep, mid) == core.NoViolation {
+		if withDom.Run(context.Background(), core.Request{Sink: deep, Delta: mid, VerifyOnly: true}).Final == core.NoViolation {
 			hi = mid
 		} else {
 			lo = mid.Add(1)
 		}
 	}
 	an.ProvedBound = lo
-	an.WithDomVerdict = withDom.VerifyOnly(deep, lo)
-	an.PlainVerdict = plain.VerifyOnly(deep, lo)
+	an.WithDomVerdict = withDom.Run(context.Background(), core.Request{Sink: deep, Delta: lo, VerifyOnly: true}).Final
+	an.PlainVerdict = plain.Run(context.Background(), core.Request{Sink: deep, Delta: lo, VerifyOnly: true}).Final
 
 	sys := core.NewVerifier(c, core.Options{}).SystemAfterFixpoint(deep, lo)
 	doms := dom.Dynamic(sys, deep, lo)

@@ -2,39 +2,29 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"log/slog"
-	"net/http"
-	"os"
-	"path/filepath"
-	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/waveform"
 )
 
-// batch is one admitted submission being executed. The handler
-// goroutine owns it: it prepares the circuit, fans checks out over the
-// server's shared pool, and assembles the response (or streams events
-// as they arrive).
+// batch is one admitted submission executed on the worker's pool.
+// The handler goroutine owns it: it prepares the circuit, fans checks
+// out over the server's shared pool, and assembles the response (or
+// streams events as they arrive).
 type batch struct {
+	*batchHead
 	srv     *Server
-	req     *Request
-	c       *circuit.Circuit
-	checks  []resolvedCheck
 	prep    *core.Prepared // registry-cached precompute; nil on the inline path
 	opts    core.Options
 	budgets core.Budgets
-
-	id    int64
-	log   *slog.Logger      // request-scoped: carries the batch id and trace id
-	rec   *obs.SpanRecorder // per-batch timeline when Config.TraceDir is set
-	trace *api.TraceContext // completed trace context (id always set)
+	rec     *obs.SpanRecorder // per-batch timeline when Config.TraceDir is set
 
 	checkTimeout time.Duration
 
@@ -42,52 +32,10 @@ type batch struct {
 	checksRun int
 }
 
-// emitter serialises streamed events; nil for buffered responses.
-// Events from pool workers interleave, so emission is locked. Every
-// emitted event echoes the batch's trace id (unless the producer
-// already stamped one).
-type emitter struct {
-	mu      sync.Mutex
-	enc     *json.Encoder
-	fl      http.Flusher
-	traceID string
-}
-
-func (e *emitter) emit(ev Event) {
-	if e == nil {
-		return
-	}
-	if ev.TraceID == "" {
-		ev.TraceID = e.traceID
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	_ = e.enc.Encode(ev)
-	if e.fl != nil {
-		e.fl.Flush()
-	}
-}
-
-// stream runs the batch and writes NDJSON events as results land.
-func (b *batch) stream(ctx context.Context, w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	em := &emitter{enc: json.NewEncoder(w), traceID: b.trace.TraceID}
-	if fl, ok := w.(http.Flusher); ok {
-		em.fl = fl
-	}
-	resp := b.run(ctx, em)
-	em.emit(Event{Type: "done", Done: &resp.Done})
-}
-
 // run executes the batch. With em == nil the results are collected
-// into the returned Response; otherwise every circuit/check/sweep/rows
-// record is additionally emitted as it becomes available.
-func (b *batch) run(ctx context.Context, em *emitter) *Response {
-	start := time.Now()
-	resp := &Response{V: api.Version, Circuit: circuitInfo(b.c, batchSize(b.c, b.req, b.checks)),
-		TraceID: b.trace.TraceID}
-	em.emit(Event{Type: "circuit", Circuit: &resp.Circuit})
-
+// into resp; otherwise every check/sweep/rows record is additionally
+// emitted as it becomes available.
+func (b *batch) run(ctx context.Context, resp *Response, em *emitter) (int, timeline) {
 	prep := b.prep
 	if prep == nil { // inline path: the batch pays its own preparation
 		prep = core.Prepare(b.c)
@@ -106,35 +54,10 @@ func (b *batch) run(ctx context.Context, em *emitter) *Response {
 			em.emit(Event{Type: "sweep", Sweep: &sw})
 		}
 	}
-	resp.Done = DoneInfo{ChecksRun: b.checksRun, ElapsedUs: time.Since(start).Microseconds()}
-	b.log.LogAttrs(ctx, slog.LevelInfo, "batch done",
-		slog.String("circuit", b.c.Name), slog.Int("checks", b.checksRun),
-		slog.Duration("elapsed", time.Since(start)))
-	b.writeTrace(ctx)
-	return resp
-}
-
-// writeTrace dumps the batch's span timeline to
-// TraceDir/batch-<id>.trace.json when span recording is on.
-func (b *batch) writeTrace(ctx context.Context) {
 	if b.rec == nil {
-		return
+		return b.checksRun, nil
 	}
-	path := filepath.Join(b.srv.cfg.TraceDir, "batch-"+strconv.FormatInt(b.id, 10)+".trace.json")
-	f, err := os.Create(path)
-	if err == nil {
-		err = b.rec.WriteTrace(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		b.log.LogAttrs(ctx, slog.LevelWarn, "trace write failed",
-			slog.String("path", path), slog.String("error", err.Error()))
-		return
-	}
-	b.log.LogAttrs(ctx, slog.LevelInfo, "trace written",
-		slog.String("path", path), slog.Int("events", b.rec.Len()))
+	return b.checksRun, b.rec
 }
 
 // runOne executes one check on the server pool and logs its outcome
@@ -281,7 +204,7 @@ func (b *batch) runChecks(ctx context.Context, v *core.Verifier, em *emitter) []
 			// context returns Cancelled immediately; this is the same
 			// answer without the queue round trip).
 			wg.Done()
-			results[i] = b.emitCheck(em, i, cancelledReport(rc.sink, rc.delta), "")
+			results[i] = b.emitCheck(em, i, abortedReport(rc.sink, rc.delta, core.Cancelled), "")
 		}
 	}
 	wg.Wait()
@@ -289,15 +212,16 @@ func (b *batch) runChecks(ctx context.Context, v *core.Verifier, em *emitter) []
 	return results
 }
 
-// cancelledReport is the terminal record of a check that never reached
-// a worker: the caller withdrew the question (drain deadline or batch
-// timeout), exactly what core.Run returns for a dead context.
-func cancelledReport(sink circuit.NetID, delta waveform.Time) *core.Report {
+// abortedReport is the terminal record of a check the engine never
+// finished: Cancelled when the caller withdrew the question before it
+// reached a worker (exactly what core.Run returns for a dead context),
+// Abandoned when it panicked or no worker could answer it.
+func abortedReport(sink circuit.NetID, delta waveform.Time, final core.Result) *core.Report {
 	return &core.Report{
 		Sink: sink, Delta: delta,
 		BeforeGITD: core.PossibleViolation, AfterGITD: core.StageSkipped,
 		AfterStem: core.StageSkipped, CaseAnalysis: core.StageSkipped,
-		Backtracks: -1, Final: core.Cancelled,
+		Backtracks: -1, Final: final,
 	}
 }
 
@@ -324,7 +248,7 @@ func (b *batch) runSweep(ctx context.Context, v *core.Verifier, delta waveform.T
 		}
 		if !b.srv.submit(ctx, run) {
 			wg.Done()
-			reports[i] = cancelledReport(po, delta)
+			reports[i] = abortedReport(po, delta, core.Cancelled)
 			results[i] = b.emitCheck(em, i, reports[i], "")
 		}
 	}
@@ -393,7 +317,7 @@ func (b *batch) runSweepFirstWins(ctx context.Context, v *core.Verifier, delta w
 		if !b.srv.submit(ctx, run) {
 			wg.Done()
 			mu.Lock()
-			reports[i] = cancelledReport(po, delta)
+			reports[i] = abortedReport(po, delta, core.Cancelled)
 			keep := i <= witness
 			mu.Unlock()
 			b.countCheck()
@@ -457,32 +381,15 @@ func (b *batch) runTable1(ctx context.Context, v *core.Verifier, em *emitter) ([
 		return nil, nil
 	}
 
-	delta := res.Delay
-	top := v.Topological()
-	mk := func(d waveform.Time, cr *core.CircuitReport) Row {
-		return Row{
-			Circuit: b.c.Name, Gates: b.c.NumGates(),
-			Top: int64(top), Delta: int64(d),
-			BeforeGITD: cr.BeforeGITD.String(), AfterGITD: cr.AfterGITD.String(),
-			AfterStem: cr.AfterStem.String(), Backtracks: cr.Backtracks,
-			CAResult: cr.CaseAnalysis.String(),
-		}
+	var rows []Row
+	var sweeps []SweepResult
+	for _, r := range harness.RowPair(b.c.Name, v, res, func(d waveform.Time) *core.CircuitReport {
+		cr := b.runSweepFirstWins(ctx, v, d, em)
+		sweeps = append(sweeps, SweepFromReport(b.c, cr))
+		return cr
+	}) {
+		rows = append(rows, r.Wire())
 	}
-
-	start := time.Now()
-	crHigh := b.runSweepFirstWins(ctx, v, delta.Add(1), em)
-	rowHigh := mk(delta.Add(1), crHigh)
-	rowHigh.CPUSeconds = time.Since(start).Seconds()
-
-	start = time.Now()
-	crLow := b.runSweepFirstWins(ctx, v, delta, em)
-	rowLow := mk(delta, crLow)
-	rowLow.CPUSeconds = time.Since(start).Seconds()
-	rowLow.Exact = res.Exact && crLow.Final == core.ViolationFound && crHigh.Final == core.NoViolation
-	rowLow.Upper = !rowLow.Exact
-
-	rows := []Row{rowHigh, rowLow}
-	sweeps := []SweepResult{SweepFromReport(b.c, crHigh), SweepFromReport(b.c, crLow)}
 	for i := range sweeps {
 		em.emit(Event{Type: "sweep", Sweep: &sweeps[i]})
 	}

@@ -2,10 +2,8 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,18 +68,6 @@ type CoordConfig struct {
 }
 
 func (cfg CoordConfig) withDefaults() CoordConfig {
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 32 << 20
-	}
-	if cfg.MaxChecks <= 0 {
-		cfg.MaxChecks = 100000
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
 	if cfg.HedgeAfter == 0 {
 		cfg.HedgeAfter = 2 * time.Second
 	}
@@ -100,62 +86,40 @@ func (cfg CoordConfig) withDefaults() CoordConfig {
 	if cfg.Name == "" {
 		cfg.Name = "lttad-coord"
 	}
-	if cfg.Logger == nil {
-		cfg.Logger = obs.NopLogger()
-	}
 	return cfg
 }
 
-// Coordinator is the cluster front end of lttad: it speaks the same
-// wire protocol as a single daemon (PUT /v1/circuits, POST /v1/check,
-// POST /v1/circuits/{hash}/check, NDJSON streaming) but runs no checks
-// itself. A batch is sharded by (circuit-hash, sink) rendezvous
-// hashing over the live workers — so each worker's prepared-state LRU
-// and warm-start memos stay hot for its shard — and the per-shard
-// result streams are merged back into one client-facing stream with an
-// exactly-once terminal result per check: worker failures requeue the
-// unfinished checks onto survivors, stragglers are hedged, and
-// duplicate results from the races that creates are dropped at the
-// merge point. See DESIGN.md §15.
+// Coordinator is the cluster tier of lttad: the shared HTTP front end
+// (same wire protocol as a single daemon — PUT /v1/circuits, POST
+// /v1/check, POST /v1/circuits/{hash}/check, NDJSON streaming) over
+// shard dispatch instead of a local pool. A batch is sharded by
+// (circuit-hash, sink) rendezvous hashing over the live workers — so
+// each worker's prepared-state LRU and warm-start memos stay hot for
+// its shard — and the per-shard result streams are merged back into
+// one client-facing stream with an exactly-once terminal result per
+// check: worker failures requeue the unfinished checks onto survivors,
+// stragglers are hedged, and duplicate results from the races that
+// creates are dropped at the merge point. See DESIGN.md §15.
 type Coordinator struct {
+	*frontEnd
 	cfg CoordConfig
-	mux *http.ServeMux
 
 	pool    *client.Pool
 	workers []*coordWorker
 	byAddr  map[string]*coordWorker
 
-	slots    chan struct{}
-	inflight sync.WaitGroup
-	draining atomic.Bool
-	ready    atomic.Bool
+	probed    atomic.Bool // a probe round has completed
+	probeStop context.CancelFunc
+	probeDone chan struct{}
 
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
-
-	probeStop    context.CancelFunc
-	probeDone    chan struct{}
-	shutdownOnce sync.Once
-
-	log      *slog.Logger
-	batchSeq atomic.Int64
-	reg      *obs.Registry
-
-	flight       *obs.FlightRecorder // always-on merged-check record behind /debug/checks
-	checkSeconds *obs.Histogram      // merged terminal results, worker-reported latency
-	requeues     *obs.CounterVec     // lttad_coord_requeues_total by reason
-	hedges       *obs.CounterVec     // lttad_coord_hedges_total by attempt
+	requeues *obs.CounterVec // lttad_coord_requeues_total by reason
+	hedges   *obs.CounterVec // lttad_coord_hedges_total by attempt
 
 	mu       sync.Mutex
 	circuits map[api.Hash]*coordEntry // guarded by mu
 	useSeq   int64                    // guarded by mu
 
 	// counters behind /metrics (lttad_coord_*)
-	accepted          atomic.Int64
-	rejectedFull      atomic.Int64
-	rejectedDrain     atomic.Int64
-	badRequests       atomic.Int64
-	streams           atomic.Int64
 	checksMerged      atomic.Int64
 	dispatchPrimary   atomic.Int64
 	dispatchRequeue   atomic.Int64
@@ -166,7 +130,6 @@ type Coordinator struct {
 	workerFailures    atomic.Int64
 	workerUploads     atomic.Int64
 	checkFailures     atomic.Int64
-	netlistParses     atomic.Int64
 }
 
 // coordWorker is the coordinator's view of one worker daemon: its
@@ -219,31 +182,22 @@ func NewCoordinator(cfg CoordConfig) *Coordinator {
 	cfg = cfg.withDefaults()
 	co := &Coordinator{
 		cfg:      cfg,
-		mux:      http.NewServeMux(),
 		pool:     client.NewPool(cfg.Workers),
 		byAddr:   make(map[string]*coordWorker),
-		slots:    make(chan struct{}, cfg.QueueDepth),
 		circuits: make(map[api.Hash]*coordEntry),
 	}
-	co.baseCtx, co.baseCancel = context.WithCancel(context.Background())
-	co.log = cfg.Logger
-	co.reg = obs.NewRegistry()
-	co.flight = obs.NewFlightRecorder(cfg.FlightLast, cfg.FlightSlowest)
-	co.checkSeconds = obs.NewHistogram(obs.ExpBuckets(1_000, 100_000_000_000, 5))
+	co.frontEnd = newFrontEnd(frontConfig{
+		queueDepth: cfg.QueueDepth, maxBody: cfg.MaxBodyBytes, maxChecks: cfg.MaxChecks,
+		retryAfter: cfg.RetryAfter, traceDir: cfg.TraceDir,
+		flightLast: cfg.FlightLast, flightSlowest: cfg.FlightSlowest, logger: cfg.Logger,
+		role: "coordinator", prefix: "lttad_coord_",
+	}, co, obs.NewHistogram(obs.ExpBuckets(1_000, 100_000_000_000, 5)))
 	for _, addr := range co.pool.Addrs() {
 		w := &coordWorker{addr: addr, cl: co.pool.For(addr), uploaded: make(map[api.Hash]bool)}
 		co.workers = append(co.workers, w)
 		co.byAddr[addr] = w
 	}
 	co.registerCoordMetrics()
-	co.mux.HandleFunc("/v1/check", co.handleCheck)
-	co.mux.HandleFunc("PUT /v1/circuits", co.handleCircuitPut)
-	co.mux.HandleFunc("POST /v1/circuits/{hash}/check", co.handleCheckByHash)
-	co.mux.HandleFunc("/healthz", co.handleHealthz)
-	co.mux.HandleFunc("/readyz", co.handleReadyz)
-	co.mux.HandleFunc("/metrics", co.handleMetricsProm)
-	co.mux.HandleFunc("/metrics.json", co.handleMetricsJSON)
-	co.mux.HandleFunc("GET /debug/checks", co.handleDebugChecks)
 
 	probeCtx, stop := context.WithCancel(co.baseCtx)
 	co.probeStop = stop
@@ -251,8 +205,6 @@ func NewCoordinator(cfg CoordConfig) *Coordinator {
 	go co.probeLoop(probeCtx)
 	return co
 }
-
-func (co *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { co.mux.ServeHTTP(w, r) }
 
 // probeLoop keeps the live worker set fresh: every ProbeInterval each
 // worker's /readyz is asked whether it would admit a batch. Dispatch
@@ -295,9 +247,7 @@ func (co *Coordinator) probeAll(ctx context.Context) {
 		}()
 	}
 	wg.Wait()
-	if co.aliveCount() > 0 {
-		co.ready.Store(true)
-	}
+	co.probed.Store(true)
 }
 
 func (co *Coordinator) aliveCount() int {
@@ -326,7 +276,7 @@ func (co *Coordinator) aliveWorkers(ctx context.Context) []string {
 	}
 	// Until a probe round has completed, the live set may be a partial
 	// one from the start-up round still in flight.
-	if co.ready.Load() {
+	if co.probed.Load() {
 		if ws := collect(); len(ws) > 0 {
 			return ws
 		}
@@ -381,11 +331,17 @@ func (co *Coordinator) getEntry(h api.Hash) (*coordEntry, bool) {
 	return e, ok
 }
 
-// putEntry registers a circuit (idempotent) and reports whether this
-// call created it, evicting the least-recently-used entry beyond the
-// capacity. Workers keep their own registries; evicting here only
-// means a later check on the hash must re-upload through a client.
-func (co *Coordinator) putEntry(hash api.Hash, canon *api.UploadRequest, build func() (*circuit.Circuit, error)) (*coordEntry, bool, error) {
+// put canonicalizes and hashes an upload exactly like a worker would
+// (shared canonicalization, so the address is identical cluster-wide),
+// registers it (idempotent) and reports whether this call created it,
+// evicting the least-recently-used entry beyond the capacity. Workers
+// keep their own registries; evicting here only means a later check on
+// the hash must re-upload through a client.
+func (co *Coordinator) put(up *api.UploadRequest) (*coordEntry, bool, error) {
+	hash, canon, err := registry.HashUpload(up)
+	if err != nil {
+		return nil, false, err
+	}
 	co.mu.Lock()
 	if e, ok := co.circuits[hash]; ok {
 		co.useSeq++
@@ -396,7 +352,7 @@ func (co *Coordinator) putEntry(hash api.Hash, canon *api.UploadRequest, build f
 	co.mu.Unlock()
 	// Parse outside the lock; concurrent identical uploads both parse
 	// and the second insert loses gracefully (same content, same hash).
-	c, err := build()
+	c, err := co.buildCircuit(canon)
 	if err != nil {
 		return nil, false, err
 	}
@@ -428,292 +384,63 @@ func (co *Coordinator) circuitCount() int {
 	return len(co.circuits)
 }
 
-// BeginDrain moves the coordinator to draining: new submissions are
-// rejected with 503 + Retry-After; in-flight batches keep merging.
-// Idempotent.
-func (co *Coordinator) BeginDrain() { co.draining.Store(true) }
-
-// Shutdown drains the coordinator: it stops admitting batches, waits
-// for the in-flight ones, and — if ctx expires first — cancels them so
-// every check still reports exactly one terminal result (verdict C for
-// those cut off), with the cancellation fanned out to every worker
-// stream the batches hold open. The probe loop has exited when it
-// returns.
-func (co *Coordinator) Shutdown(ctx context.Context) error {
-	co.BeginDrain()
-	var err error
-	co.shutdownOnce.Do(func() {
-		done := make(chan struct{})
-		go func() {
-			co.inflight.Wait()
-			close(done)
-		}()
-		select {
-		case <-done:
-		case <-ctx.Done():
-			err = ctx.Err()
-			co.baseCancel()
-			<-done
-		}
-		co.baseCancel()
-		co.probeStop()
-	})
-	<-co.probeDone
-	return err
-}
-
-// rejectDraining answers a submission arriving during drain.
-func (co *Coordinator) rejectDraining(ctx context.Context, w http.ResponseWriter, what string) {
-	co.rejectedDrain.Add(1)
-	co.log.LogAttrs(ctx, slog.LevelWarn, what+" rejected", slog.String("reason", "draining"))
-	w.Header().Set("Retry-After", co.retryAfterSeconds())
-	writeError(w, &apiError{status: http.StatusServiceUnavailable, code: "draining",
-		msg: "coordinator is draining; resubmit elsewhere"})
-}
-
-func (co *Coordinator) retryAfterSeconds() string {
-	secs := int(co.cfg.RetryAfter / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return fmt.Sprintf("%d", secs)
-}
-
-func (co *Coordinator) rejectBadRequest(ctx context.Context, w http.ResponseWriter, e *apiError) {
-	co.badRequests.Add(1)
-	co.log.LogAttrs(ctx, slog.LevelInfo, "bad request",
-		slog.String("code", e.code), slog.String("message", e.msg))
-	writeError(w, e)
-}
-
-// handleCircuitPut is PUT /v1/circuits on the coordinator: hash and
-// parse exactly like a worker would (shared canonicalization, so the
-// address is identical cluster-wide), keep the canonical form for
-// worker uploads, and echo the address. Workers receive the circuit
-// lazily, the first time a shard routes to them.
-func (co *Coordinator) handleCircuitPut(w http.ResponseWriter, r *http.Request) {
-	if co.draining.Load() {
-		co.rejectDraining(r.Context(), w, "upload")
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, co.cfg.MaxBodyBytes)
-	var up UploadRequest
-	if apiErr := decodeBody(r.Body, &up); apiErr != nil {
-		co.rejectBadRequest(r.Context(), w, apiErr)
-		return
-	}
-	if !api.AcceptsVersion(up.V) {
-		co.rejectBadRequest(r.Context(), w, unsupportedVersion(up.V))
-		return
-	}
-	hash, canon, err := registry.HashUpload(&up)
+// register is PUT /v1/circuits on the coordinator: the table keeps the
+// canonical form for worker uploads.
+func (co *Coordinator) register(up *UploadRequest) (registry.PutResult, error) {
+	e, created, err := co.put(up)
 	if err != nil {
-		co.rejectBadRequest(r.Context(), w, uploadError(err))
-		return
+		return registry.PutResult{}, err
 	}
-	entry, created, err := co.putEntry(hash, canon, func() (*circuit.Circuit, error) {
-		co.netlistParses.Add(1)
-		return buildUploadCircuit(canon)
-	})
-	if err != nil {
-		co.rejectBadRequest(r.Context(), w, uploadError(err))
-		return
-	}
-	co.log.LogAttrs(r.Context(), slog.LevelInfo, "circuit upload",
-		slog.String("hash", string(hash)), slog.Bool("created", created),
-		slog.String("circuit", entry.c.Name))
-	w.Header().Set("Content-Type", "application/json")
-	if created {
-		w.WriteHeader(http.StatusCreated)
-	}
-	_ = json.NewEncoder(w).Encode(UploadResponse{
-		V: api.Version, Hash: hash, Created: created,
-		Circuit: circuitInfo(entry.c, 0),
-	})
+	return registry.PutResult{Hash: e.hash, Circuit: e.c, Created: created}, nil
 }
 
-// handleCheck is the coordinator's inline POST /v1/check: the netlist
-// rides in the body, is hashed into the coordinator's table exactly
-// like an upload, and the batch then runs on the sharded path — so
-// inline and hash-addressed submissions are served by the same merge
-// machine and are result-identical.
-func (co *Coordinator) handleCheck(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, &apiError{status: http.StatusMethodNotAllowed, code: "method_not_allowed",
-			msg: "POST required"})
-		return
-	}
-	if co.draining.Load() {
-		co.rejectDraining(r.Context(), w, "batch")
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, co.cfg.MaxBodyBytes)
-	req, apiErr := decodeRequest(r.Body, false)
-	if apiErr != nil {
-		co.rejectBadRequest(r.Context(), w, apiErr)
-		return
-	}
-	hash, canon, err := registry.HashUpload(&api.UploadRequest{
+// inline hashes an inline check's netlist into the table exactly like
+// an upload, so inline and hash-addressed submissions are served by
+// the same merge machine and are result-identical.
+func (co *Coordinator) inline(req *Request) (circuitRef, *apiError) {
+	e, _, err := co.put(&api.UploadRequest{
 		Netlist: req.Netlist, Format: req.Format, Name: req.Name, DefaultDelay: req.DefaultDelay,
 	})
 	if err != nil {
-		co.rejectBadRequest(r.Context(), w, uploadError(err))
-		return
+		return circuitRef{}, uploadError(err)
 	}
-	entry, _, err := co.putEntry(hash, canon, func() (*circuit.Circuit, error) {
-		co.netlistParses.Add(1)
-		return buildUploadCircuit(canon)
-	})
-	if err != nil {
-		co.rejectBadRequest(r.Context(), w, uploadError(err))
-		return
-	}
-	co.admitAndRun(w, r, req, entry)
+	return e.ref(), nil
 }
 
-// handleCheckByHash is POST /v1/circuits/{hash}/check on the
-// coordinator.
-func (co *Coordinator) handleCheckByHash(w http.ResponseWriter, r *http.Request) {
-	if co.draining.Load() {
-		co.rejectDraining(r.Context(), w, "batch")
-		return
-	}
-	h := api.Hash(r.PathValue("hash"))
-	if !h.Valid() {
-		co.rejectBadRequest(r.Context(), w, badRequest("bad_hash",
-			"malformed circuit hash %q (want sha256:<64 hex>)", string(h)))
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, co.cfg.MaxBodyBytes)
-	req, apiErr := decodeRequest(r.Body, true)
-	if apiErr != nil {
-		co.rejectBadRequest(r.Context(), w, apiErr)
-		return
-	}
-	entry, ok := co.getEntry(h)
+func (co *Coordinator) lookup(h api.Hash) (circuitRef, bool) {
+	e, ok := co.getEntry(h)
 	if !ok {
-		co.badRequests.Add(1)
-		co.log.LogAttrs(r.Context(), slog.LevelInfo, "unknown hash", slog.String("hash", string(h)))
-		writeError(w, &apiError{status: http.StatusNotFound, code: "unknown_hash",
-			msg:  "no circuit registered under this hash; PUT /v1/circuits and retry",
-			hash: h})
-		return
+		return circuitRef{}, false
 	}
-	co.admitAndRun(w, r, req, entry)
+	return e.ref(), true
 }
 
-// admitAndRun is the coordinator's admission + execution half: resolve
-// sinks, take a queue slot (or 429), build the batch context, and run
-// the shard/merge state machine.
-func (co *Coordinator) admitAndRun(w http.ResponseWriter, r *http.Request, req *Request, entry *coordEntry) {
-	checks, apiErr := resolveChecks(entry.c, req.Checks)
-	if apiErr != nil {
-		co.rejectBadRequest(r.Context(), w, apiErr)
-		return
-	}
-	if n := batchSize(entry.c, req, checks); n > co.cfg.MaxChecks {
-		co.rejectBadRequest(r.Context(), w, badRequest("too_many_checks",
-			"batch expands to %d checks, cap is %d", n, co.cfg.MaxChecks))
-		return
-	}
+func (e *coordEntry) ref() circuitRef { return circuitRef{c: e.c, hash: e.hash, entry: e} }
 
-	select {
-	case co.slots <- struct{}{}:
-	default:
-		co.rejectedFull.Add(1)
-		co.log.LogAttrs(r.Context(), slog.LevelWarn, "batch rejected",
-			slog.String("reason", "queue_full"), slog.Int("queueDepth", co.cfg.QueueDepth))
-		w.Header().Set("Retry-After", co.retryAfterSeconds())
-		writeError(w, &apiError{status: http.StatusTooManyRequests, code: "queue_full",
-			msg: fmt.Sprintf("admission queue full (%d batches)", co.cfg.QueueDepth)})
-		return
-	}
-	co.inflight.Add(1)
-	co.accepted.Add(1)
-	defer func() {
-		<-co.slots
-		co.inflight.Done()
-	}()
-
-	ctx := co.baseCtx
-	if reqCtx := r.Context(); reqCtx != nil {
-		var stop context.CancelFunc
-		ctx, stop = mergeCancel(ctx, reqCtx)
-		defer stop()
-	}
-	if d := time.Duration(req.TimeoutMs) * time.Millisecond; d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-
-	id := co.batchSeq.Add(1)
-	trace := api.EnsureTrace(req.Trace)
-	logger := co.log.With(slog.Int64("batch", id), slog.String("trace_id", trace.TraceID))
-	if trace.Tenant != "" {
-		logger = logger.With(slog.String("tenant", trace.Tenant))
-	}
-	cb := &coordBatch{
-		co: co, entry: entry, req: req, checks: checks, id: id,
-		log: logger, trace: trace, clientTraced: req.Trace != nil,
-	}
+func (co *Coordinator) open(_ context.Context, h *batchHead) (runner, *apiError) {
+	cb := &coordBatch{batchHead: h, co: co}
 	if co.cfg.TraceDir != "" {
 		cb.ct = obs.NewClusterTrace(time.Now())
 	}
-	cb.log.LogAttrs(ctx, slog.LevelInfo, "batch accepted",
-		slog.String("circuit", entry.c.Name), slog.String("hash", string(entry.hash)),
-		slog.Int("checks", batchSize(entry.c, req, checks)), slog.Bool("stream", req.Stream))
-	if req.Stream {
-		co.streams.Add(1)
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		em := &emitter{enc: json.NewEncoder(w), traceID: trace.TraceID}
-		if fl, ok := w.(http.Flusher); ok {
-			em.fl = fl
-		}
-		resp := cb.run(ctx, em)
-		em.emit(Event{Type: "done", Done: &resp.Done})
-		return
-	}
-	resp := cb.run(ctx, nil)
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
+	return cb, nil
 }
 
-func (co *Coordinator) health() Health {
-	h := Health{Status: "ok", Workers: co.aliveCount(),
-		Queued: len(co.slots), Capacity: co.cfg.QueueDepth}
-	switch {
-	case co.draining.Load():
-		h.Status = "draining"
-	case !co.ready.Load():
-		h.Status = "starting"
-	}
-	return h
+// status is ready once a probe round has completed and at least one
+// worker is alive: a coordinator with no cluster behind it must not
+// join a load balancer.
+func (co *Coordinator) status() (bool, int) {
+	n := co.aliveCount()
+	return co.probed.Load() && n > 0, n
 }
 
-// handleHealthz is pure liveness, exactly like the worker's.
-func (co *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(co.health())
-}
-
-// handleReadyz is readiness: 503 until the first probe round finds a
-// live worker, and from the moment draining begins — a coordinator
-// with no cluster behind it must not join a load balancer.
-func (co *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	h := co.health()
-	code := http.StatusOK
-	if h.Status != "ok" {
-		code = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", co.retryAfterSeconds())
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(h)
+// stop ends the probe loop; it has exited when stop returns.
+func (co *Coordinator) stop() {
+	co.probeStop()
+	<-co.probeDone
 }
 
 // registerCoordMetrics wires the shard/requeue/hedge counters into the
-// Prometheus registry (mirrored in /metrics.json below).
+// Prometheus registry (mirrored in /metrics.json by metricsJSON).
 func (co *Coordinator) registerCoordMetrics() {
 	co.reg.GaugeFunc("lttad_coord_workers",
 		"Workers configured behind the coordinator.", nil,
@@ -724,16 +451,6 @@ func (co *Coordinator) registerCoordMetrics() {
 	co.reg.GaugeFunc("lttad_coord_circuits",
 		"Circuits registered on the coordinator.", nil,
 		func() float64 { return float64(co.circuitCount()) })
-	co.reg.CounterFunc("lttad_coord_batches_accepted_total",
-		"Batches admitted past the bounded queue.", nil, co.accepted.Load)
-	co.reg.CounterFunc("lttad_coord_batches_rejected_total",
-		"Batches rejected by backpressure.", obs.Labels{"reason": "queue_full"}, co.rejectedFull.Load)
-	co.reg.CounterFunc("lttad_coord_batches_rejected_total",
-		"Batches rejected by backpressure.", obs.Labels{"reason": "draining"}, co.rejectedDrain.Load)
-	co.reg.CounterFunc("lttad_coord_bad_requests_total",
-		"Submissions rejected before admission (parse/validate).", nil, co.badRequests.Load)
-	co.reg.CounterFunc("lttad_coord_streams_total",
-		"Batches served as NDJSON streams.", nil, co.streams.Load)
 	co.reg.CounterFunc("lttad_coord_checks_total",
 		"Terminal check results merged into client responses.", nil, co.checksMerged.Load)
 	co.reg.CounterFunc("lttad_coord_shard_dispatches_total",
@@ -763,55 +480,24 @@ func (co *Coordinator) registerCoordMetrics() {
 	co.reg.CounterFunc("lttad_coord_check_failures_total",
 		"Checks that exhausted every dispatch attempt and reported verdict A.",
 		nil, co.checkFailures.Load)
-	co.reg.CounterFunc("lttad_coord_netlist_parses_total",
-		"Netlist parses performed by the coordinator (uploads and inline checks).",
-		nil, co.netlistParses.Load)
 }
 
-// handleMetricsProm is GET /metrics: the coordinator's Prometheus text
-// exposition (lttad_coord_* plus runtime samples).
-func (co *Coordinator) handleMetricsProm(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	co.reg.WritePrometheus(w)
-	obs.WriteRuntimeProm(w)
-}
-
-// handleDebugChecks is GET /debug/checks on the coordinator: the
-// merged-result flight recorder plus the merge-latency exemplars, the
-// cluster-level half of the introspection a worker's endpoint serves.
-func (co *Coordinator) handleDebugChecks(w http.ResponseWriter, _ *http.Request) {
-	writeDebugChecks(w, co.flight, co.checkSeconds.Exemplars())
-}
-
-// handleMetricsJSON mirrors the same counters as a structured
-// document, the coordinator's /metrics.json.
-func (co *Coordinator) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	m := Metrics{
-		Server: map[string]int64{
-			"coordWorkers":            int64(len(co.workers)),
-			"coordWorkersAlive":       int64(co.aliveCount()),
-			"coordCircuits":           int64(co.circuitCount()),
-			"acceptedBatches":         co.accepted.Load(),
-			"rejectedFull":            co.rejectedFull.Load(),
-			"rejectedDraining":        co.rejectedDrain.Load(),
-			"badRequests":             co.badRequests.Load(),
-			"streams":                 co.streams.Load(),
-			"queuedBatches":           int64(len(co.slots)),
-			"queueDepth":              int64(co.cfg.QueueDepth),
-			"checksMerged":            co.checksMerged.Load(),
-			"shardDispatchesPrimary":  co.dispatchPrimary.Load(),
-			"shardDispatchesRequeue":  co.dispatchRequeue.Load(),
-			"shardDispatchesHedge":    co.dispatchHedge.Load(),
-			"requeuedChecks":          co.requeuedChecks.Load(),
-			"hedgedChecks":            co.hedgedChecks.Load(),
-			"duplicateResultsDropped": co.duplicatesDropped.Load(),
-			"workerFailures":          co.workerFailures.Load(),
-			"workerUploads":           co.workerUploads.Load(),
-			"checkFailures":           co.checkFailures.Load(),
-			"netlistParses":           co.netlistParses.Load(),
-		},
-		Engine: map[string]int64{},
+func (co *Coordinator) metricsJSON(m *Metrics) {
+	for k, v := range map[string]int64{
+		"coordWorkers":            int64(len(co.workers)),
+		"coordWorkersAlive":       int64(co.aliveCount()),
+		"coordCircuits":           int64(co.circuitCount()),
+		"checksMerged":            co.checksMerged.Load(),
+		"shardDispatchesPrimary":  co.dispatchPrimary.Load(),
+		"shardDispatchesRequeue":  co.dispatchRequeue.Load(),
+		"shardDispatchesHedge":    co.dispatchHedge.Load(),
+		"requeuedChecks":          co.requeuedChecks.Load(),
+		"hedgedChecks":            co.hedgedChecks.Load(),
+		"duplicateResultsDropped": co.duplicatesDropped.Load(),
+		"workerFailures":          co.workerFailures.Load(),
+		"workerUploads":           co.workerUploads.Load(),
+		"checkFailures":           co.checkFailures.Load(),
+	} {
+		m.Server[k] = v
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(m)
 }

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"sync"
@@ -38,22 +36,9 @@ import (
 // every race: late duplicates from hedges or requeue overlap are
 // counted and dropped, never re-emitted.
 type coordBatch struct {
-	co     *Coordinator
-	entry  *coordEntry
-	req    *Request
-	checks []resolvedCheck
-
-	id  int64
-	log *slog.Logger
-
-	// trace is the batch's completed trace context (id always set; the
-	// coordinator is the admitting tier when the client sent none).
-	// clientTraced records whether the client itself asked for tracing —
-	// worker span summaries are forwarded downstream only then, though
-	// the coordinator always collects them for its own timeline.
-	trace        *api.TraceContext
-	clientTraced bool
-	ct           *obs.ClusterTrace // cluster timeline when CoordConfig.TraceDir is set
+	*batchHead
+	co *Coordinator
+	ct *obs.ClusterTrace // cluster timeline when CoordConfig.TraceDir is set
 
 	ctx    context.Context // the batch context; checked by the C-requeue rule
 	em     *emitter
@@ -63,7 +48,6 @@ type coordBatch struct {
 	mu        sync.Mutex
 	units     []*coordUnit // guarded by mu
 	remaining int          // guarded by mu
-	checksRun int          // table1 forward only; unit workloads use len(units); guarded by mu
 }
 
 // coordUnit is one client-facing check flowing through the merge
@@ -105,25 +89,13 @@ func (u *coordUnit) tried(addr string) bool {
 	return false
 }
 
-// run executes the batch against the cluster and assembles the
-// response (emitting events along the way when em is non-nil).
-func (cb *coordBatch) run(ctx context.Context, em *emitter) *Response {
+// run executes the batch against the cluster and fills resp
+// (emitting events along the way when em is non-nil).
+func (cb *coordBatch) run(ctx context.Context, resp *Response, em *emitter) (int, timeline) {
 	start := time.Now()
-	c := cb.entry.c
-	resp := &Response{V: api.Version, Circuit: circuitInfo(c, batchSize(c, cb.req, cb.checks)),
-		TraceID: cb.trace.TraceID}
-	em.emit(Event{Type: "circuit", Circuit: &resp.Circuit})
-
+	cb.em = em
 	if cb.req.Sweep != nil && cb.req.Sweep.Table1 {
-		cb.em = em
-		cb.runTable1Forward(ctx, em, resp)
-		cb.mu.Lock()
-		n := cb.checksRun
-		cb.mu.Unlock()
-		resp.Done = DoneInfo{ChecksRun: n, ElapsedUs: time.Since(start).Microseconds()}
-		cb.logDone(ctx, start)
-		cb.writeClusterTrace(ctx, start)
-		return resp
+		return cb.finish(start, cb.runTable1Forward(ctx, em, resp))
 	}
 
 	// Unit workloads: a batch-scoped context so finishing the batch
@@ -133,7 +105,6 @@ func (cb *coordBatch) run(ctx context.Context, em *emitter) *Response {
 	bctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	cb.ctx = bctx
-	cb.em = em
 	cb.doneCh = make(chan struct{})
 	cb.mu.Lock()
 	cb.buildUnits()
@@ -173,6 +144,7 @@ func (cb *coordBatch) run(ctx context.Context, em *emitter) *Response {
 	// assembly still takes mu: the guarded fields are only ever read
 	// under it, and a finished batch has no contention to pay.
 	cb.mu.Lock()
+	defer cb.mu.Unlock()
 	if cb.req.Sweep == nil {
 		resp.Results = make([]CheckResult, len(cb.units))
 		for i, u := range cb.units {
@@ -181,50 +153,19 @@ func (cb *coordBatch) run(ctx context.Context, em *emitter) *Response {
 	} else {
 		cb.assembleSweeps(resp, em)
 	}
-	n := len(cb.units)
-	cb.mu.Unlock()
-	resp.Done = DoneInfo{ChecksRun: n, ElapsedUs: time.Since(start).Microseconds()}
-	cb.logDone(ctx, start)
-	cb.writeClusterTrace(ctx, start)
-	return resp
+	return cb.finish(start, len(cb.units))
 }
 
-// writeClusterTrace closes the batch's root span and dumps the cluster
-// timeline to TraceDir/batch-<id>.trace.json.
-func (cb *coordBatch) writeClusterTrace(ctx context.Context, start time.Time) {
+// finish closes the batch's root span on the cluster timeline, if one
+// is being recorded, and reports the checks merged.
+func (cb *coordBatch) finish(start time.Time, checks int) (int, timeline) {
 	if cb.ct == nil {
-		return
+		return checks, nil
 	}
 	cb.ct.Span("coordinator", "batch "+strconv.FormatInt(cb.id, 10),
 		start.UnixMicro(), time.Since(start).Microseconds(),
-		map[string]any{"trace_id": cb.trace.TraceID, "circuit": cb.entry.c.Name})
-	path := filepath.Join(cb.co.cfg.TraceDir, "batch-"+strconv.FormatInt(cb.id, 10)+".trace.json")
-	f, err := os.Create(path)
-	if err == nil {
-		err = cb.ct.WriteTrace(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		cb.log.LogAttrs(ctx, slog.LevelWarn, "cluster trace write failed",
-			slog.String("path", path), slog.String("error", err.Error()))
-		return
-	}
-	cb.log.LogAttrs(ctx, slog.LevelInfo, "cluster trace written",
-		slog.String("path", path), slog.Int("events", cb.ct.Len()))
-}
-
-func (cb *coordBatch) logDone(ctx context.Context, start time.Time) {
-	cb.mu.Lock()
-	n := cb.checksRun
-	if cb.units != nil {
-		n = len(cb.units)
-	}
-	cb.mu.Unlock()
-	cb.log.LogAttrs(ctx, slog.LevelInfo, "batch done",
-		slog.String("circuit", cb.entry.c.Name), slog.Int("checks", n),
-		slog.Duration("elapsed", time.Since(start)))
+		map[string]any{"trace_id": cb.trace.TraceID, "circuit": cb.c.Name})
+	return checks, cb.ct
 }
 
 // buildUnits expands the workload into units in client-facing order:
@@ -233,7 +174,7 @@ func (cb *coordBatch) logDone(ctx context.Context, start time.Time) {
 // index a single daemon stamps on its streamed sweep checks. Caller
 // holds cb.mu.
 func (cb *coordBatch) buildUnits() {
-	c := cb.entry.c
+	c := cb.c
 	if cb.req.Sweep == nil {
 		cb.units = make([]*coordUnit, len(cb.checks))
 		for i, rc := range cb.checks {
@@ -273,7 +214,7 @@ func (cb *coordBatch) dispatchAll(ctx context.Context) {
 	groups := make(map[string][]*coordUnit)
 	cb.mu.Lock()
 	for _, u := range cb.units {
-		owner, _ := router.Assign(u.key(cb.entry.hash))
+		owner, _ := router.Assign(u.key(cb.hash))
 		groups[owner] = append(groups[owner], u)
 	}
 	cb.mu.Unlock()
@@ -375,7 +316,7 @@ func (cb *coordBatch) streamShard(ctx context.Context, w *coordWorker, units []*
 			Trace: &api.TraceContext{TraceID: cb.trace.TraceID,
 				ParentSpan: api.NewSpanID(), Tenant: cb.trace.Tenant},
 		}
-		err := w.cl.StreamByHash(ctx, cb.entry.hash, req, func(ev Event) error {
+		err := w.cl.StreamByHash(ctx, cb.hash, req, func(ev Event) error {
 			switch {
 			case ev.Type == "check" && ev.Check != nil:
 				cb.deliver(units, ev.Check, w.addr)
@@ -386,12 +327,12 @@ func (cb *coordBatch) streamShard(ctx context.Context, w *coordWorker, units []*
 		})
 		var ae *client.APIError
 		if errors.As(err, &ae) && ae.UnknownHash() {
-			w.forget(cb.entry.hash)
+			w.forget(cb.hash)
 			continue
 		}
 		return err
 	}
-	return fmt.Errorf("worker %s keeps answering unknown_hash for %s", w.addr, cb.entry.hash)
+	return fmt.Errorf("worker %s keeps answering unknown_hash for %s", w.addr, cb.hash)
 }
 
 // workerSpans folds one worker's in-band span summary into the
@@ -408,7 +349,7 @@ func (cb *coordBatch) workerSpans(shard []*coordUnit, sum *api.SpanSummary, work
 			map[string]any{"trace_id": sum.TraceID, "span_id": sum.SpanID,
 				"verdict": sum.Verdict, "attempt": sum.Attempt})
 	}
-	if cb.clientTraced {
+	if cb.req.Trace != nil { // the client itself asked for tracing
 		fwd := *sum
 		fwd.Index = u.emitIndex // immutable after buildUnits; shard index → client index
 		if fwd.Worker == "" {
@@ -486,13 +427,7 @@ func (cb *coordBatch) deliverLocked(u *coordUnit, res *CheckResult, worker strin
 // never got a usable worker answer): the same shape a worker's
 // panic-isolation (A) or cancellation (C) path produces.
 func (cb *coordBatch) syntheticResult(u *coordUnit, final core.Result, errMsg string) *CheckResult {
-	rep := &core.Report{
-		Sink: u.sinkID, Delta: u.delta,
-		BeforeGITD: core.PossibleViolation, AfterGITD: core.StageSkipped,
-		AfterStem: core.StageSkipped, CaseAnalysis: core.StageSkipped,
-		Backtracks: -1, Final: final,
-	}
-	res := ResultFromReport(cb.entry.c, u.emitIndex, rep)
+	res := ResultFromReport(cb.c, u.emitIndex, abortedReport(u.sinkID, u.delta, final))
 	res.Error = errMsg
 	return &res
 }
@@ -574,7 +509,7 @@ func (cb *coordBatch) redispatch(ctx context.Context, units []*coordUnit, cause 
 	groups := make(map[string][]*coordUnit)
 	cb.mu.Lock()
 	for _, u := range retry {
-		ranked := router.Ranked(u.key(cb.entry.hash))
+		ranked := router.Ranked(u.key(cb.hash))
 		target := ranked[0]
 		for _, cand := range ranked {
 			if !u.tried(cand) {
@@ -641,7 +576,7 @@ func (cb *coordBatch) hedgePass(ctx context.Context) {
 			continue
 		}
 		target := ""
-		for _, cand := range router.Ranked(u.key(cb.entry.hash)) {
+		for _, cand := range router.Ranked(u.key(cb.hash)) {
 			if !u.tried(cand) {
 				target = cand
 				break
@@ -680,7 +615,7 @@ func (cb *coordBatch) hedgePass(ctx context.Context) {
 // sweeps (the differential cluster suite pins this). Caller holds
 // cb.mu.
 func (cb *coordBatch) assembleSweeps(resp *Response, em *emitter) {
-	c := cb.entry.c
+	c := cb.c
 	npos := len(c.PrimaryOutputs())
 	for di, d := range cb.req.Sweep.Deltas {
 		reports := make([]*core.Report, npos)
@@ -692,12 +627,7 @@ func (cb *coordBatch) assembleSweeps(resp *Response, em *emitter) {
 				// output as abandoned rather than failing the batch.
 				cb.log.LogAttrs(cb.ctx, slog.LevelError, "unusable worker result",
 					slog.String("sink", u.sink), slog.String("error", err.Error()))
-				rep = &core.Report{
-					Sink: u.sinkID, Delta: u.delta,
-					BeforeGITD: core.PossibleViolation, AfterGITD: core.StageSkipped,
-					AfterStem: core.StageSkipped, CaseAnalysis: core.StageSkipped,
-					Backtracks: -1, Final: core.Abandoned,
-				}
+				rep = abortedReport(u.sinkID, u.delta, core.Abandoned)
 			}
 			reports[pi] = rep
 		}
@@ -725,14 +655,14 @@ func (cb *coordBatch) assembleSweeps(resp *Response, em *emitter) {
 // last verdict), so sharding it would change it. The owner is the
 // rendezvous choice for the circuit itself (empty sink), and the
 // Ranked tail is the failover order.
-func (cb *coordBatch) runTable1Forward(ctx context.Context, em *emitter, resp *Response) {
+func (cb *coordBatch) runTable1Forward(ctx context.Context, em *emitter, resp *Response) int {
 	alive := cb.co.aliveWorkers(ctx)
 	if len(alive) == 0 {
 		em.emit(Event{Type: "error", Error: "no live workers"})
-		return
+		return 0
 	}
 	router := NewShardRouter(alive)
-	ranked := router.Ranked(ShardKey{Hash: string(cb.entry.hash)})
+	ranked := router.Ranked(ShardKey{Hash: string(cb.hash)})
 	var lastErr error
 	for attempt, addr := range ranked {
 		if ctx.Err() != nil {
@@ -762,9 +692,6 @@ func (cb *coordBatch) runTable1Forward(ctx context.Context, em *emitter, resp *R
 		cb.co.dispatchPrimary.Add(1)
 		resp.Rows = wresp.Rows
 		resp.Sweeps = wresp.Sweeps
-		cb.mu.Lock()
-		cb.checksRun = wresp.Done.ChecksRun
-		cb.mu.Unlock()
 		cb.co.checksMerged.Add(int64(wresp.Done.ChecksRun))
 		for i := range resp.Sweeps {
 			em.emit(Event{Type: "sweep", Sweep: &resp.Sweeps[i]})
@@ -772,13 +699,14 @@ func (cb *coordBatch) runTable1Forward(ctx context.Context, em *emitter, resp *R
 		if len(resp.Rows) > 0 {
 			em.emit(Event{Type: "rows", Rows: resp.Rows})
 		}
-		return
+		return wresp.Done.ChecksRun
 	}
 	msg := "table1 sweep failed on every live worker"
 	if lastErr != nil {
 		msg += ": " + lastErr.Error()
 	}
 	em.emit(Event{Type: "error", Error: msg})
+	return 0
 }
 
 // forwardTable1 runs the whole table1 request on one worker as a
@@ -799,13 +727,13 @@ func (cb *coordBatch) forwardTable1(ctx context.Context, w *coordWorker, attempt
 			Trace: &api.TraceContext{TraceID: cb.trace.TraceID,
 				ParentSpan: api.NewSpanID(), Tenant: cb.trace.Tenant},
 		}
-		wresp, err := w.cl.CheckByHash(ctx, cb.entry.hash, req)
+		wresp, err := w.cl.CheckByHash(ctx, cb.hash, req)
 		var ae *client.APIError
 		if errors.As(err, &ae) && ae.UnknownHash() {
-			w.forget(cb.entry.hash)
+			w.forget(cb.hash)
 			continue
 		}
 		return wresp, err
 	}
-	return nil, fmt.Errorf("worker %s keeps answering unknown_hash for %s", w.addr, cb.entry.hash)
+	return nil, fmt.Errorf("worker %s keeps answering unknown_hash for %s", w.addr, cb.hash)
 }

@@ -2,19 +2,16 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"expvar"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/obs"
@@ -68,71 +65,29 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 32 << 20
-	}
-	if cfg.MaxChecks <= 0 {
-		cfg.MaxChecks = 100000
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
-	if cfg.Logger == nil {
-		cfg.Logger = obs.NopLogger()
-	}
 	return cfg
 }
 
-// Server is the lttad HTTP service. Create with New, serve with any
-// http.Server (it implements http.Handler), stop with Shutdown.
-//
-// Lifecycle: accepting → draining → stopped. Accepting, submissions
-// are admitted up to QueueDepth concurrent batches (429 beyond).
-// Draining (entered by BeginDrain/Shutdown), every new submission is
-// rejected with 503 while in-flight batches run to completion; at the
-// drain deadline the remaining checks are cancelled via context so
-// each still produces exactly one terminal result (verdict C) and the
-// batches finish. Stopped, the pool has exited.
+// Server is the lttad worker: the shared HTTP front end over the
+// content-addressed registry and a local check-execution pool. Create
+// with New, serve with any http.Server (it implements http.Handler),
+// stop with Shutdown.
 type Server struct {
+	*frontEnd
 	cfg Config
-	mux *http.ServeMux
 
 	tasks     chan func()
 	workersWG sync.WaitGroup
+	ready     atomic.Bool // flips once the warm-up Prepare canary completes
 
-	slots    chan struct{} // admission tokens, cap QueueDepth
-	inflight sync.WaitGroup
-	draining atomic.Bool
-	ready    atomic.Bool // flips once the warm-up Prepare canary completes
-
-	baseCtx    context.Context // cancelled at the drain deadline
-	baseCancel context.CancelFunc
-
-	shutdownOnce sync.Once
-
-	log      *slog.Logger
-	batchSeq atomic.Int64 // batch ids for request-scoped log attrs
-
-	agg    core.StatsTracer    // engine telemetry across all served checks
-	eng    *obs.Tracer         // histogram telemetry behind /metrics
-	reg    *obs.Registry       // the Prometheus exposition
-	tracer core.Tracer         // agg+eng chain stamped on every check
-	flight *obs.FlightRecorder // always-on last-N/slowest-K record behind /debug/checks
+	agg    core.StatsTracer // engine telemetry across all served checks
+	eng    *obs.Tracer      // histogram telemetry behind /metrics
+	tracer core.Tracer      // agg+eng chain stamped on every check
 
 	registry *registry.Registry // content-addressed circuits + prepared-state cache
 
-	// counters behind /metrics
-	accepted      atomic.Int64
-	rejectedFull  atomic.Int64
-	rejectedDrain atomic.Int64
-	badRequests   atomic.Int64
-	checksRun     atomic.Int64
-	panics        atomic.Int64
-	streams       atomic.Int64
-	netlistParses atomic.Int64 // every parseNetlist call; warm hash checks stay at zero
+	checksRun atomic.Int64
+	panics    atomic.Int64
 }
 
 // New builds a Server and starts its worker pool.
@@ -140,30 +95,22 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:   cfg,
-		mux:   http.NewServeMux(),
 		tasks: make(chan func()),
-		slots: make(chan struct{}, cfg.QueueDepth),
+		eng:   obs.NewTracer(),
+		registry: registry.New(registry.Config{
+			MaxCircuits:      cfg.RegistryMaxCircuits,
+			MaxResidentBytes: cfg.RegistryMaxBytes,
+		}),
 	}
-	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	s.log = cfg.Logger
-	s.eng = obs.NewTracer()
 	s.tracer = core.MultiTracer(&s.agg, s.eng)
-	s.reg = obs.NewRegistry()
+	s.frontEnd = newFrontEnd(frontConfig{
+		queueDepth: cfg.QueueDepth, maxBody: cfg.MaxBodyBytes, maxChecks: cfg.MaxChecks,
+		retryAfter: cfg.RetryAfter, batchTimeout: cfg.BatchTimeout, traceDir: cfg.TraceDir,
+		flightLast: cfg.FlightLast, flightSlowest: cfg.FlightSlowest, logger: cfg.Logger,
+		role: "server", prefix: "lttad_",
+	}, s, s.eng.CheckSeconds)
 	s.eng.MustRegister(s.reg, "ltta")
-	s.flight = obs.NewFlightRecorder(cfg.FlightLast, cfg.FlightSlowest)
-	s.registry = registry.New(registry.Config{
-		MaxCircuits:      cfg.RegistryMaxCircuits,
-		MaxResidentBytes: cfg.RegistryMaxBytes,
-	})
-	s.registerServerMetrics()
-	s.mux.HandleFunc("/v1/check", s.handleCheck)
-	s.mux.HandleFunc("PUT /v1/circuits", s.handleCircuitPut)
-	s.mux.HandleFunc("POST /v1/circuits/{hash}/check", s.handleCheckByHash)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/readyz", s.handleReadyz)
-	s.mux.HandleFunc("/metrics", s.handleMetricsProm)
-	s.mux.HandleFunc("/metrics.json", s.handleMetricsJSON)
-	s.mux.HandleFunc("GET /debug/checks", s.handleDebugChecks)
+	s.registerWorkerMetrics()
 	for i := 0; i < cfg.Workers; i++ {
 		s.workersWG.Add(1)
 		go s.worker()
@@ -183,38 +130,26 @@ func (s *Server) warmup() {
 	s.ready.Store(true)
 	s.log.LogAttrs(s.baseCtx, slog.LevelInfo, "ready",
 		slog.String("canary", c.Name), slog.String("verdict", cr.Final.String()),
-		slog.Int("workers", s.cfg.Workers), slog.Int("queueDepth", s.cfg.QueueDepth))
+		slog.Int("workers", s.cfg.Workers), slog.Int("queueDepth", s.fc.queueDepth))
 }
 
-// registerServerMetrics wires the admission and lifecycle counters
-// into the Prometheus registry next to the engine histograms.
-func (s *Server) registerServerMetrics() {
-	s.reg.CounterFunc("lttad_batches_accepted_total",
-		"Batches admitted past the bounded queue.", nil, s.accepted.Load)
-	s.reg.CounterFunc("lttad_batches_rejected_total",
-		"Batches rejected by backpressure.", obs.Labels{"reason": "queue_full"}, s.rejectedFull.Load)
-	s.reg.CounterFunc("lttad_batches_rejected_total",
-		"Batches rejected by backpressure.", obs.Labels{"reason": "draining"}, s.rejectedDrain.Load)
-	s.reg.CounterFunc("lttad_bad_requests_total",
-		"Submissions rejected before admission (parse/validate).", nil, s.badRequests.Load)
+// registerWorkerMetrics wires the pool and registry series into the
+// Prometheus registry next to the admission counters and the engine
+// histograms.
+func (s *Server) registerWorkerMetrics() {
 	s.reg.CounterFunc("lttad_checks_run_total",
 		"Checks executed on the pool.", nil, s.checksRun.Load)
 	s.reg.CounterFunc("lttad_check_panics_total",
 		"Checks that panicked and were isolated.", nil, s.panics.Load)
-	s.reg.CounterFunc("lttad_streams_total",
-		"Batches served as NDJSON streams.", nil, s.streams.Load)
 	s.reg.GaugeFunc("lttad_queued_batches",
 		"Admitted batches currently holding a queue slot.", nil,
 		func() float64 { return float64(len(s.slots)) })
 	s.reg.GaugeFunc("lttad_queue_depth",
 		"Admission queue capacity.", nil,
-		func() float64 { return float64(s.cfg.QueueDepth) })
+		func() float64 { return float64(s.fc.queueDepth) })
 	s.reg.GaugeFunc("lttad_workers",
 		"Check-execution pool size.", nil,
 		func() float64 { return float64(s.cfg.Workers) })
-	s.reg.CounterFunc("lttad_netlist_parses_total",
-		"Netlist parses performed (uploads and inline checks; registry cache hits never parse).",
-		nil, s.netlistParses.Load)
 	s.reg.CounterFunc("lttad_registry_hits_total",
 		"Hash-addressed checks that found their prepared state resident.", nil, s.registry.Hits)
 	s.reg.CounterFunc("lttad_registry_misses_total",
@@ -243,8 +178,6 @@ func (s *Server) registerServerMetrics() {
 		"Estimated bytes held by registered circuits and prepared state.", nil,
 		func() float64 { return float64(s.registry.ResidentBytes()) })
 }
-
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // worker executes pool tasks; each task does its own panic isolation.
 func (s *Server) worker() {
@@ -275,12 +208,7 @@ func (s *Server) runOne(ctx context.Context, v *core.Verifier, req core.Request)
 		if p := recover(); p != nil {
 			s.panics.Add(1)
 			panicMsg = fmt.Sprintf("check panicked: %v", p)
-			rep = &core.Report{
-				Sink: req.Sink, Delta: req.Delta,
-				BeforeGITD: core.PossibleViolation, AfterGITD: core.StageSkipped,
-				AfterStem: core.StageSkipped, CaseAnalysis: core.StageSkipped,
-				Backtracks: -1, Final: core.Abandoned,
-			}
+			rep = abortedReport(req.Sink, req.Delta, core.Abandoned)
 		}
 	}()
 	// Chain the server-wide tracers with any batch-level tracer (span
@@ -291,332 +219,86 @@ func (s *Server) runOne(ctx context.Context, v *core.Verifier, req core.Request)
 	return rep, ""
 }
 
-// BeginDrain moves the server to draining: new submissions are
-// rejected with 503 + Retry-After immediately; in-flight batches keep
-// running. Idempotent.
-func (s *Server) BeginDrain() { s.draining.Store(true) }
-
-// Shutdown drains the server: it stops admitting work, waits for
-// in-flight batches, and — if ctx expires first — cancels the
-// remaining checks so every accepted check still reports exactly one
-// terminal result (verdict C for the cancelled ones) and the batches
-// finish promptly (the engine polls cancellation sub-millisecond).
-// It returns ctx.Err() when the drain deadline forced cancellation,
-// nil on a clean drain; either way all accepted work has been
-// answered and the pool has exited when it returns.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.BeginDrain()
-	var err error
-	s.shutdownOnce.Do(func() {
-		done := make(chan struct{})
-		go func() {
-			s.inflight.Wait()
-			close(done)
-		}()
-		select {
-		case <-done:
-		case <-ctx.Done():
-			err = ctx.Err()
-			s.baseCancel()
-			<-done
-		}
-		s.baseCancel()
-		close(s.tasks)
-	})
-	s.workersWG.Wait()
-	return err
+// register is PUT /v1/circuits on the worker: the registry parses only
+// hashes it has not seen.
+func (s *Server) register(up *UploadRequest) (registry.PutResult, error) {
+	return s.registry.Put(up, s.buildCircuit)
 }
 
-// writeError emits the structured error envelope.
-func writeError(w http.ResponseWriter, e *apiError) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(e.status)
-	_ = json.NewEncoder(w).Encode(ErrorBody{Error: ErrorInfo{Code: e.code, Message: e.msg, Hash: e.hash}})
-}
-
-func (s *Server) retryAfterSeconds() string {
-	secs := int(s.cfg.RetryAfter / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
-}
-
-// handleCheck is POST /v1/check: decode, parse, admit, execute,
-// respond (JSON document or NDJSON stream).
-func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, &apiError{status: http.StatusMethodNotAllowed, code: "method_not_allowed",
-			msg: "POST required"})
-		return
-	}
-	if s.draining.Load() {
-		s.rejectedDrain.Add(1)
-		s.log.LogAttrs(r.Context(), slog.LevelWarn, "batch rejected",
-			slog.String("reason", "draining"))
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
-		writeError(w, &apiError{status: http.StatusServiceUnavailable, code: "draining",
-			msg: "server is draining; resubmit elsewhere"})
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	req, apiErr := decodeRequest(r.Body, false)
-	if apiErr != nil {
-		s.rejectBadRequest(r.Context(), w, apiErr)
-		return
-	}
+// inline parses an inline check's netlist; the batch pays its own
+// preparation.
+func (s *Server) inline(req *Request) (circuitRef, *apiError) {
 	s.netlistParses.Add(1)
 	c, apiErr := parseNetlist(req.Netlist, req.Format, req.Name, req.DefaultDelay)
-	if apiErr != nil {
-		s.rejectBadRequest(r.Context(), w, apiErr)
-		return
-	}
-	s.admitAndRun(w, r, req, c, nil)
+	return circuitRef{c: c}, apiErr
 }
 
-// admitAndRun is the admission + execution half shared by the inline
-// and hash-addressed check paths: resolve sinks, take a queue slot (or
-// 429), build the batch context, and execute. pin is nil on the inline
-// path; on the hash path it holds the registered circuit (already
-// acquired by the caller, who releases it after the response is
-// written) and its prepared state is resolved here — after admission,
-// under the batch context — so cold preparations respect the queue
-// bound and the drain deadline.
-func (s *Server) admitAndRun(w http.ResponseWriter, r *http.Request, req *Request, c *circuit.Circuit, pin *registry.Pin) {
-	checks, apiErr := resolveChecks(c, req.Checks)
-	if apiErr != nil {
-		s.rejectBadRequest(r.Context(), w, apiErr)
-		return
+// lookup pins a registered circuit: the pin holds the entry (and its
+// shared prepared state) against eviction for the whole batch.
+func (s *Server) lookup(h api.Hash) (circuitRef, bool) {
+	pin, ok := s.registry.Acquire(h)
+	if !ok {
+		return circuitRef{}, false
 	}
-	if n := batchSize(c, req, checks); n > s.cfg.MaxChecks {
-		s.rejectBadRequest(r.Context(), w, badRequest("too_many_checks",
-			"batch expands to %d checks, cap is %d", n, s.cfg.MaxChecks))
-		return
-	}
+	return circuitRef{c: pin.Circuit(), hash: h, pin: pin}, true
+}
 
-	// Admission: a slot per batch, non-blocking — the bounded queue.
-	select {
-	case s.slots <- struct{}{}:
-	default:
-		s.rejectedFull.Add(1)
-		s.log.LogAttrs(r.Context(), slog.LevelWarn, "batch rejected",
-			slog.String("reason", "queue_full"), slog.Int("queueDepth", s.cfg.QueueDepth))
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
-		writeError(w, &apiError{status: http.StatusTooManyRequests, code: "queue_full",
-			msg: fmt.Sprintf("admission queue full (%d batches)", s.cfg.QueueDepth)})
-		return
+// open resolves a hash-addressed batch's prepared state — after
+// admission, under the batch context, so cold preparations respect
+// the queue bound and the drain deadline — and builds the pool batch.
+func (s *Server) open(ctx context.Context, h *batchHead) (runner, *apiError) {
+	b := &batch{batchHead: h, srv: s,
+		opts: engineOptions(h.req.Options), budgets: engineBudgets(h.req.Budgets),
+		checkTimeout: minTimeout(s.cfg.CheckTimeout, time.Duration(h.req.CheckTimeoutMs)*time.Millisecond),
 	}
-	s.inflight.Add(1)
-	s.accepted.Add(1)
-	defer func() {
-		<-s.slots
-		s.inflight.Done()
-	}()
-
-	// The batch context: the server's base context (cancelled at the
-	// drain deadline) bounded by the batch timeouts. The client going
-	// away also cancels everything it still has queued.
-	ctx := s.baseCtx
-	if reqCtx := r.Context(); reqCtx != nil {
-		var stop context.CancelFunc
-		ctx, stop = mergeCancel(ctx, reqCtx)
-		defer stop()
-	}
-	if d := minTimeout(s.cfg.BatchTimeout, time.Duration(req.TimeoutMs)*time.Millisecond); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-
-	var (
-		prep    *core.Prepared
-		wasHit  bool
-		hashStr string
-	)
-	if pin != nil {
-		var err error
-		prep, wasHit, err = pin.Prepared(ctx)
+	if h.pin != nil {
+		prep, wasHit, err := h.pin.Prepared(ctx)
 		if err != nil {
-			writeError(w, &apiError{status: http.StatusInternalServerError,
-				code: "prepare_failed", msg: err.Error(), hash: pin.Hash()})
-			return
+			return nil, &apiError{status: http.StatusInternalServerError,
+				code: "prepare_failed", msg: err.Error(), hash: h.hash}
 		}
-		hashStr = string(pin.Hash())
-	}
-
-	id := s.batchSeq.Add(1)
-	// The admitting tier completes the trace context: an absent or
-	// malformed client trace gets a freshly minted id here, and every
-	// event, log line, and flight record of the batch carries it.
-	trace := api.EnsureTrace(req.Trace)
-	logger := s.log.With(slog.Int64("batch", id), slog.String("trace_id", trace.TraceID))
-	if trace.Tenant != "" {
-		logger = logger.With(slog.String("tenant", trace.Tenant))
-	}
-	if sh := req.Shard; sh != nil && sh.Attempt > 0 {
-		logger = logger.With(slog.Int("attempt", sh.Attempt))
-	}
-	b := &batch{srv: s, req: req, c: c, checks: checks, prep: prep, id: id,
-		log: logger, trace: trace,
-		opts: engineOptions(req.Options), budgets: engineBudgets(req.Budgets),
-		checkTimeout: minTimeout(s.cfg.CheckTimeout, time.Duration(req.CheckTimeoutMs)*time.Millisecond),
+		b.prep = prep
+		h.attrs = append(h.attrs, slog.Bool("cacheHit", wasHit))
 	}
 	if s.cfg.TraceDir != "" {
-		b.rec = obs.NewSpanRecorder(c)
-		stamp := map[string]any{"trace_id": trace.TraceID, "batch": id}
-		if sh := req.Shard; sh != nil {
+		b.rec = obs.NewSpanRecorder(h.c)
+		stamp := map[string]any{"trace_id": h.trace.TraceID, "batch": h.id}
+		if sh := h.req.Shard; sh != nil {
 			stamp["attempt"] = sh.Attempt
 		}
 		b.rec.Stamp(stamp)
 	}
-	attrs := []slog.Attr{
-		slog.String("circuit", c.Name), slog.Int("checks", batchSize(c, req, checks)),
-		slog.Bool("stream", req.Stream),
-	}
-	if pin != nil {
-		attrs = append(attrs, slog.String("hash", hashStr), slog.Bool("cacheHit", wasHit))
-	}
-	if sh := req.Shard; sh != nil {
-		// Stamped by a coordinator: trace which cluster placement this
-		// batch is (primary, requeue, or hedge dispatch).
-		attrs = append(attrs,
-			slog.String("coordinator", sh.Coordinator), slog.Int64("coordBatch", sh.Batch),
-			slog.Int("attempt", sh.Attempt), slog.Bool("hedge", sh.Hedge))
-	}
-	b.log.LogAttrs(ctx, slog.LevelInfo, "batch accepted", attrs...)
-	if req.Stream {
-		s.streams.Add(1)
-		b.stream(ctx, w)
-		return
-	}
-	resp := b.run(ctx, nil)
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
+	return b, nil
 }
 
-// rejectBadRequest tallies, logs, and answers a pre-admission error.
-func (s *Server) rejectBadRequest(ctx context.Context, w http.ResponseWriter, e *apiError) {
-	s.badRequests.Add(1)
-	s.log.LogAttrs(ctx, slog.LevelInfo, "bad request",
-		slog.String("code", e.code), slog.String("message", e.msg))
-	writeError(w, e)
+func (s *Server) status() (bool, int) { return s.ready.Load(), s.cfg.Workers }
+
+func (s *Server) stop() {
+	close(s.tasks)
+	s.workersWG.Wait()
 }
 
-// batchSize is the number of checks a request expands to (-1 when a
-// table1 sweep discovers them during the delay search).
-func batchSize(c *circuit.Circuit, req *Request, checks []resolvedCheck) int {
-	if req.Sweep == nil {
-		return len(checks)
+func (s *Server) metricsJSON(m *Metrics) {
+	for k, v := range map[string]int64{
+		"checksRun": s.checksRun.Load(),
+		"panics":    s.panics.Load(),
+		"workers":   int64(s.cfg.Workers),
+
+		"registryCircuits":          int64(s.registry.Circuits()),
+		"registryResidentBytes":     s.registry.ResidentBytes(),
+		"registryHits":              s.registry.Hits(),
+		"registryMisses":            s.registry.Misses(),
+		"registryUnknown":           s.registry.Unknown(),
+		"registryPrepares":          s.registry.Prepares(),
+		"registryCoalesced":         s.registry.Coalesced(),
+		"registryEvictions":         s.registry.Evictions(),
+		"registryDeferredEvictions": s.registry.DeferredEvictions(),
+		"registryUploadsCreated":    s.registry.UploadsCreated(),
+		"registryUploadsExisting":   s.registry.UploadsExisting(),
+	} {
+		m.Server[k] = v
 	}
-	if req.Sweep.Table1 {
-		return -1
-	}
-	return len(req.Sweep.Deltas) * len(c.PrimaryOutputs())
-}
-
-// mergeCancel derives a context from a that is additionally cancelled
-// when b ends (context.WithoutCancel-free two-parent merge).
-func mergeCancel(a, b context.Context) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithCancel(a)
-	stopCh := make(chan struct{})
-	go func() {
-		select {
-		case <-b.Done():
-			cancel()
-		case <-ctx.Done():
-		case <-stopCh:
-		}
-	}()
-	return ctx, func() { close(stopCh); cancel() }
-}
-
-// minTimeout composes two optional timeouts: the smaller positive one.
-func minTimeout(a, b time.Duration) time.Duration {
-	switch {
-	case a <= 0:
-		return b
-	case b <= 0:
-		return a
-	case a < b:
-		return a
-	}
-	return b
-}
-
-func (s *Server) health() Health {
-	h := Health{Status: "ok", Workers: s.cfg.Workers, Queued: len(s.slots), Capacity: s.cfg.QueueDepth}
-	switch {
-	case s.draining.Load():
-		h.Status = "draining"
-	case !s.ready.Load():
-		h.Status = "starting"
-	}
-	return h
-}
-
-// handleHealthz is pure liveness: the process is up and serving HTTP,
-// so it always answers 200 — the status field is informational.
-// Restart-deciders probe here; load balancers probe /readyz.
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(s.health())
-}
-
-// handleReadyz is readiness: 503 before the warm-up canary completes
-// ("starting") and from the moment the server begins draining
-// ("draining"), 200 in between — exactly the window in which a new
-// submission would be admitted.
-func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	h := s.health()
-	code := http.StatusOK
-	if h.Status != "ok" {
-		code = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(h)
-}
-
-// handleMetricsProm is GET /metrics: the Prometheus text exposition —
-// server admission counters, the engine's per-stage latency and work
-// histograms, and runtime/metrics samples (heap, GC, goroutines).
-func (s *Server) handleMetricsProm(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.reg.WritePrometheus(w)
-	obs.WriteRuntimeProm(w)
-}
-
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	m := Metrics{
-		Server: map[string]int64{
-			"acceptedBatches":  s.accepted.Load(),
-			"rejectedFull":     s.rejectedFull.Load(),
-			"rejectedDraining": s.rejectedDrain.Load(),
-			"badRequests":      s.badRequests.Load(),
-			"checksRun":        s.checksRun.Load(),
-			"panics":           s.panics.Load(),
-			"streams":          s.streams.Load(),
-			"queuedBatches":    int64(len(s.slots)),
-			"queueDepth":       int64(s.cfg.QueueDepth),
-			"workers":          int64(s.cfg.Workers),
-
-			"netlistParses":             s.netlistParses.Load(),
-			"registryCircuits":          int64(s.registry.Circuits()),
-			"registryResidentBytes":     s.registry.ResidentBytes(),
-			"registryHits":              s.registry.Hits(),
-			"registryMisses":            s.registry.Misses(),
-			"registryUnknown":           s.registry.Unknown(),
-			"registryPrepares":          s.registry.Prepares(),
-			"registryCoalesced":         s.registry.Coalesced(),
-			"registryEvictions":         s.registry.Evictions(),
-			"registryDeferredEvictions": s.registry.DeferredEvictions(),
-			"registryUploadsCreated":    s.registry.UploadsCreated(),
-			"registryUploadsExisting":   s.registry.UploadsExisting(),
-		},
-		Engine: map[string]int64{},
-		Checks: s.agg.String(),
-	}
+	m.Checks = s.agg.String()
 	expvar.Do(func(kv expvar.KeyValue) {
 		if len(kv.Key) > 5 && kv.Key[:5] == "ltta." {
 			if iv, ok := kv.Value.(*expvar.Int); ok {
@@ -624,6 +306,4 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
 			}
 		}
 	})
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(m)
 }
