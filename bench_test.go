@@ -210,9 +210,9 @@ func BenchmarkAblationStaticDominatorsOnly(b *testing.B) {
 
 // --- E6: Run API overhead -------------------------------------------------
 //
-// The Run path with a nil tracer and no deadline must cost the same as
-// the legacy Check (which is now a wrapper over it): observability that
-// is off must be free. BenchmarkRunTraced measures the StatsTracer tax.
+// The Run path with a nil tracer and no deadline must cost nothing
+// extra: observability that is off must be free. BenchmarkRunObsTracer
+// measures the tax of the engine's telemetry tracer.
 
 func benchRun(b *testing.B, req core.Request) {
 	c := gen.Hrapcenko(10)
@@ -230,8 +230,8 @@ func benchRun(b *testing.B, req core.Request) {
 
 func BenchmarkRunNilTracer(b *testing.B) { benchRun(b, core.Request{}) }
 
-func BenchmarkRunStatsTracer(b *testing.B) {
-	benchRun(b, core.Request{Tracer: new(core.StatsTracer)})
+func BenchmarkRunObsTracer(b *testing.B) {
+	benchRun(b, core.Request{Tracer: obs.NewTracer()})
 }
 
 func BenchmarkRunWithDeadline(b *testing.B) {

@@ -20,8 +20,10 @@
 //
 //	-timeout D    bound every check by the wall-clock duration D; an
 //	              interrupted check reports the verdict C (cancelled)
-//	-stats        print aggregated engine telemetry (propagations,
-//	              narrowings, backtracks, per-stage CPU) after the run
+//	-stats        print engine telemetry after the run: totals (checks
+//	              by verdict, propagations, narrowings, backtracks,
+//	              per-stage CPU), then latency/work distributions
+//	              (p50/p90/p99 per pipeline stage)
 //	-trace        stream engine events (stages, decisions, backtracks,
 //	              stem splits) as text; for a single-output -delta
 //	              check, also print the plain-fixpoint narrowing listing
@@ -29,12 +31,11 @@
 //	-trace-out F  record every check as a Chrome trace_event timeline
 //	              and write it to F — load in Perfetto (ui.perfetto.dev)
 //	              or chrome://tracing; parallel checks get worker lanes
-//	-hist         print latency/work distributions (p50/p90/p99 per
-//	              pipeline stage) after the run
 //	-workers N    fan whole-circuit checks over N workers (0 = all
 //	              CPUs); the aggregate verdict is identical to serial
-//	-debug-addr A serve /debug/vars (expvar engine counters) and
-//	              /debug/pprof on address A while the run executes
+//	-debug-addr A serve /metrics (the engine telemetry of -stats as a
+//	              Prometheus exposition) and /debug/pprof on address A
+//	              while the run executes
 package main
 
 import (
@@ -79,9 +80,8 @@ func main() {
 	trace := flag.Bool("trace", false, "stream engine trace events as text (plus the plain-fixpoint narrowing listing on single-output -delta checks)")
 	traceJSON := flag.Bool("trace-json", false, "stream engine trace events as JSON")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event timeline (Perfetto-loadable) to this file")
-	hist := flag.Bool("hist", false, "print latency/work distributions (p50/p90/p99 per stage) after the run")
-	stats := flag.Bool("stats", false, "print aggregated engine telemetry after the run")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address during the run")
+	stats := flag.Bool("stats", false, "print engine telemetry totals and latency/work distributions after the run")
+	debugAddr := flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address during the run")
 	flag.Parse()
 
 	if *file == "" {
@@ -120,13 +120,24 @@ func main() {
 			an.Design, an.Applied, len(an.Missing))
 	}
 
+	// One engine tracer feeds both -stats and the debug /metrics.
+	var engine *obs.Tracer
+	if *stats || *debugAddr != "" {
+		engine = obs.NewTracer()
+	}
 	if *debugAddr != "" {
+		reg := obs.NewRegistry()
+		engine.MustRegister(reg, "ltta")
+		http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+			reg.WritePrometheus(w)
+		})
 		go func() {
 			if err := http.ListenAndServe(*debugAddr, nil); err != nil {
 				fmt.Fprintln(os.Stderr, "ltta: debug server:", err)
 			}
 		}()
-		fmt.Printf("debug server on %s (/debug/vars, /debug/pprof)\n", *debugAddr)
+		fmt.Printf("debug server on %s (/metrics, /debug/pprof)\n", *debugAddr)
 	}
 
 	if *sta {
@@ -165,17 +176,10 @@ func main() {
 
 	// Assemble the request shared by every engine call: budgets,
 	// per-check deadline, tracer chain.
-	var statsTracer *core.StatsTracer
-	var histTracer *obs.Tracer
 	var spans *obs.SpanRecorder
 	var tracers []core.Tracer
-	if *stats {
-		statsTracer = new(core.StatsTracer)
-		tracers = append(tracers, statsTracer)
-	}
-	if *hist {
-		histTracer = obs.NewTracer()
-		tracers = append(tracers, histTracer)
+	if engine != nil {
+		tracers = append(tracers, engine)
 	}
 	if *traceOut != "" {
 		spans = obs.NewSpanRecorder(c)
@@ -243,11 +247,8 @@ func main() {
 		fatal(fmt.Errorf("one of -delta, -exact, or -sta is required"))
 	}
 
-	if statsTracer != nil {
-		fmt.Printf("engine: %s\n", statsTracer)
-	}
-	if histTracer != nil {
-		histTracer.WriteSummary(os.Stdout)
+	if *stats {
+		engine.WriteSummary(os.Stdout)
 	}
 	if spans != nil {
 		tf, err := os.Create(*traceOut)

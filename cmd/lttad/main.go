@@ -50,8 +50,8 @@
 //     whenever no worker is alive) — point load balancers at /readyz
 //     and restart-deciders at /healthz
 //   - /metrics is the Prometheus text exposition (server counters,
-//     per-stage latency histograms, runtime samples); /metrics.json
-//     keeps the structured counter document
+//     per-stage latency histograms, runtime samples) and the only
+//     metrics endpoint; -debug-addr serves /debug/pprof alone
 //   - logs are structured (log/slog): -log-format text|json and
 //     -log-level debug|info|warn|error; at debug every check logs its
 //     sink, δ, verdict, and duration under the batch id
@@ -128,7 +128,7 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 15*time.Second, "graceful-drain bound on SIGTERM/SIGINT")
 	fs.Int64Var(&o.maxBody, "max-body", 32<<20, "request body byte cap")
 	fs.IntVar(&o.maxChecks, "max-checks", 100000, "per-batch check-count cap")
-	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve /debug/vars and /debug/pprof on this address")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve /debug/pprof on this address")
 	fs.StringVar(&o.logFormat, "log-format", "text", "log output format: text or json")
 	fs.StringVar(&o.logLevel, "log-level", "info", "log level: debug, info, warn, or error")
 	fs.StringVar(&o.traceDir, "trace-dir", "", "write a trace_event timeline per batch to this directory")

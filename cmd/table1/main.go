@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	table1 [-budget N] [-only circuit] [-hist]
+//	table1 [-budget N] [-only circuit] [-stats]
 package main
 
 import (
@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/harness"
 	"repro/internal/obs"
@@ -25,8 +24,7 @@ func main() {
 	only := flag.String("only", "", "run a single suite circuit by name (e.g. c1908)")
 	asJSON := flag.Bool("json", false, "emit rows as JSON instead of the text table")
 	workers := flag.Int("parallel", 1, "fan per-output checks over N workers (verdicts unchanged)")
-	stats := flag.Bool("stats", false, "print aggregated engine telemetry after the table")
-	hist := flag.Bool("hist", false, "print latency/work distributions (p50/p90/p99 per stage) after the table")
+	stats := flag.Bool("stats", false, "print engine telemetry totals and latency/work distributions after the table")
 	pprofLabels := flag.Bool("pprof-labels", false, "tag parallel per-output checks with pprof labels")
 	noCone := flag.Bool("no-cone", false, "solve every check on the whole circuit instead of the sink's fan-in cone")
 	noWarm := flag.Bool("no-warm-start", false, "solve every check cold instead of warm-starting repeat checks of a sink")
@@ -52,16 +50,11 @@ func main() {
 		fmt.Println("Substitutes are synthetic stand-ins of comparable structure; see DESIGN.md §4.")
 		fmt.Println()
 	}
-	var tracer *core.StatsTracer
-	var histTracer *obs.Tracer
+	var tracer *obs.Tracer
 	var opts []harness.RowOption
 	if *stats {
-		tracer = new(core.StatsTracer)
+		tracer = obs.NewTracer()
 		opts = append(opts, harness.WithTracer(tracer))
-	}
-	if *hist {
-		histTracer = obs.NewTracer()
-		opts = append(opts, harness.WithTracer(histTracer))
 	}
 	if *pprofLabels {
 		opts = append(opts, harness.WithPprofLabels())
@@ -83,10 +76,7 @@ func main() {
 			os.Exit(1)
 		}
 		if tracer != nil {
-			fmt.Fprintln(os.Stderr, "engine:", tracer)
-		}
-		if histTracer != nil {
-			histTracer.WriteSummary(os.Stderr)
+			tracer.WriteSummary(os.Stderr)
 		}
 		return
 	}
@@ -97,10 +87,6 @@ func main() {
 	fmt.Println("        E exact floating delay, U upper bound.")
 	if tracer != nil {
 		fmt.Println()
-		fmt.Println("engine:", tracer)
-	}
-	if histTracer != nil {
-		fmt.Println()
-		histTracer.WriteSummary(os.Stdout)
+		tracer.WriteSummary(os.Stdout)
 	}
 }

@@ -403,12 +403,3 @@ type Health struct {
 	Queued   int    `json:"queuedBatches"`
 	Capacity int    `json:"queueDepth"`
 }
-
-// Metrics is the /metrics.json body: server counters plus the
-// engine-wide ltta.* expvar counters and the aggregated engine
-// telemetry of every check this server ran.
-type Metrics struct {
-	Server map[string]int64 `json:"server"`
-	Engine map[string]int64 `json:"engine"`
-	Checks string           `json:"checksSummary"`
-}

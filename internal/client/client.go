@@ -232,46 +232,6 @@ func (c *Client) CheckInline(ctx context.Context, req api.Request) (*api.Respons
 	return &out, nil
 }
 
-// Check submits a batch and returns the buffered response.
-//
-// Deprecated: Check now rides the registry — it uploads the request's
-// netlist (idempotent) and checks by hash, so repeated batches against
-// one circuit reuse the server's cached prepared state. Call Upload +
-// CheckByHash directly to control the two steps, or CheckInline for
-// the original single-request protocol.
-func (c *Client) Check(ctx context.Context, req api.Request) (*api.Response, error) {
-	hash, err := c.Upload(ctx, req.Netlist, UploadOptions{
-		Format: req.Format, Name: req.Name, DefaultDelay: req.DefaultDelay,
-	})
-	if err != nil {
-		return nil, err
-	}
-	byHash := req
-	byHash.Netlist, byHash.Format, byHash.Name, byHash.DefaultDelay = "", "", "", 0
-	resp, err := c.CheckByHash(ctx, hash, byHash)
-	var apiErr *APIError
-	if err != nil && apiErrAs(err, &apiErr) && apiErr.UnknownHash() {
-		// Evicted between upload and check: re-register once and retry.
-		if hash, err = c.Upload(ctx, req.Netlist, UploadOptions{
-			Format: req.Format, Name: req.Name, DefaultDelay: req.DefaultDelay,
-		}); err != nil {
-			return nil, err
-		}
-		return c.CheckByHash(ctx, hash, byHash)
-	}
-	return resp, err
-}
-
-// apiErrAs is errors.As specialised to *APIError (the only error type
-// this package mints for HTTP-level failures).
-func apiErrAs(err error, target **APIError) bool {
-	e, ok := err.(*APIError)
-	if ok {
-		*target = e
-	}
-	return ok
-}
-
 // Stream submits an inline batch with NDJSON streaming and calls fn
 // for every event, in arrival order, ending with the "done" event. A
 // non-nil error from fn aborts the stream and is returned.
@@ -433,28 +393,6 @@ func (c *Client) getHealth(ctx context.Context, path string) (*api.Health, error
 		return &h, apiErr
 	}
 	return &h, nil
-}
-
-// Metrics reads /metrics.json, the structured counter document. The
-// Prometheus text exposition lives at /metrics (see MetricsProm).
-func (c *Client) Metrics(ctx context.Context) (*api.Metrics, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/metrics.json", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient().Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeAPIError(resp)
-	}
-	var m api.Metrics
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return nil, fmt.Errorf("client: decoding metrics: %w", err)
-	}
-	return &m, nil
 }
 
 // MetricsProm reads the raw Prometheus text exposition from /metrics.

@@ -93,110 +93,6 @@ type Stats struct {
 	StageTime [NumStages]time.Duration
 }
 
-// StatsTracer aggregates telemetry across checks into totals — the
-// cheap always-on tracer behind `ltta -stats` and the per-circuit
-// summaries. Safe for concurrent use.
-type StatsTracer struct {
-	mu sync.Mutex
-
-	// Checks counts finished checks; the per-verdict counters break
-	// them down by final result.
-	Checks     int
-	Refuted    int // NoViolation
-	Violations int // ViolationFound
-	Abandons   int // Abandoned
-	Cancels    int // Cancelled
-	Possible   int // PossibleViolation (VerifyOnly runs)
-
-	Propagations    int64
-	Narrowings      int64
-	Backtracks      int64
-	Decisions       int64
-	DominatorRounds int64
-	StemSplits      int64
-	QueueHighWater  int // max over checks
-	StageTime       [NumStages]time.Duration
-	Elapsed         time.Duration
-}
-
-var _ Tracer = (*StatsTracer)(nil)
-
-func (t *StatsTracer) CheckStart(circuit.NetID, waveform.Time) {}
-func (t *StatsTracer) StageEnter(Stage)                        {}
-
-func (t *StatsTracer) StageExit(stage Stage, _ Result, elapsed time.Duration) {
-	t.mu.Lock()
-	t.StageTime[stage] += elapsed
-	t.mu.Unlock()
-}
-
-func (t *StatsTracer) DominatorRound(_, _ int, narrowed bool) {
-	if !narrowed {
-		return
-	}
-	t.mu.Lock()
-	t.DominatorRounds++
-	t.mu.Unlock()
-}
-
-func (t *StatsTracer) Decision(int, circuit.NetID, int) {
-	t.mu.Lock()
-	t.Decisions++
-	t.mu.Unlock()
-}
-
-func (t *StatsTracer) Backtrack(int) {}
-
-func (t *StatsTracer) StemSplit(int, circuit.NetID) {
-	t.mu.Lock()
-	t.StemSplits++
-	t.mu.Unlock()
-}
-
-func (t *StatsTracer) CheckDone(rep *Report) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.Checks++
-	switch rep.Final {
-	case NoViolation:
-		t.Refuted++
-	case ViolationFound:
-		t.Violations++
-	case Abandoned:
-		t.Abandons++
-	case Cancelled:
-		t.Cancels++
-	case PossibleViolation:
-		t.Possible++
-	}
-	t.Propagations += rep.Propagations
-	t.Narrowings += rep.Stats.Narrowings
-	if rep.Backtracks > 0 {
-		t.Backtracks += int64(rep.Backtracks)
-	}
-	if rep.Stats.QueueHighWater > t.QueueHighWater {
-		t.QueueHighWater = rep.Stats.QueueHighWater
-	}
-	t.Elapsed += rep.Elapsed
-}
-
-// String renders a one-paragraph summary of the aggregated telemetry.
-func (t *StatsTracer) String() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := fmt.Sprintf(
-		"checks %d (N %d, V %d, A %d, C %d, P %d); propagations %d, narrowings %d, backtracks %d, decisions %d, dominator rounds %d, stem splits %d; queue high-water %d; cpu %.3fs",
-		t.Checks, t.Refuted, t.Violations, t.Abandons, t.Cancels, t.Possible,
-		t.Propagations, t.Narrowings, t.Backtracks, t.Decisions,
-		t.DominatorRounds, t.StemSplits, t.QueueHighWater, t.Elapsed.Seconds())
-	for st := Stage(0); st < NumStages; st++ {
-		if t.StageTime[st] > 0 {
-			s += fmt.Sprintf("; %s %.3fs", st, t.StageTime[st].Seconds())
-		}
-	}
-	return s
-}
-
 // TraceWriter renders every tracer event as one line of text or JSON —
 // the engine-level counterpart of the paper's propagation listings,
 // wired into `ltta -trace`. Safe for concurrent use (events from
@@ -290,7 +186,7 @@ func (t *TraceWriter) CheckDone(rep *Report) {
 }
 
 // MultiTracer fans every event out to each tracer in order (e.g. a
-// TraceWriter plus a StatsTracer for `ltta -trace -stats`). Nil entries
+// TraceWriter plus an obs.Tracer for `ltta -trace -stats`). Nil entries
 // are skipped; a MultiTracer of zero non-nil tracers behaves like nil.
 func MultiTracer(tracers ...Tracer) Tracer {
 	var ts []Tracer

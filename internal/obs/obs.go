@@ -5,13 +5,14 @@
 //
 // The paper's whole argument is *where the time goes* — which checks
 // fall through to case analysis, how many propagations and backtracks
-// each stage burns (Table 1). The flat counters of core.StatsTracer
-// answer "how much total"; this package answers the distributional
-// questions a serving deployment actually asks: per-stage latency
-// percentiles (ltta_stage_duration_seconds), how skewed the
-// propagation cost is across checks (ltta_check_propagations), and an
-// exportable per-worker timeline (SpanRecorder) that renders the
-// parallel sweep in Perfetto.
+// each stage burns (Table 1). Tracer is the engine's only telemetry
+// sink: its snapshot answers "how much total" (the -stats line of the
+// CLIs) and the distributional questions a serving deployment asks,
+// through one Registry rendered as the Prometheus exposition:
+// per-stage latency percentiles (ltta_stage_duration_seconds), how
+// skewed the propagation cost is across checks
+// (ltta_check_propagations). SpanRecorder adds an exportable
+// per-worker timeline that renders the parallel sweep in Perfetto.
 //
 // Everything here is stdlib-only and safe for concurrent use; the
 // histogram hot path is a bounded binary search plus two atomic adds,

@@ -11,9 +11,9 @@ import (
 	"repro/internal/waveform"
 )
 
-// Tracer is the histogram-backed core.Tracer: it turns the pipeline's
-// callbacks into latency and work distributions instead of the flat
-// sums of core.StatsTracer. Every callback is either a no-op, an
+// Tracer is the engine's one telemetry sink, a core.Tracer: it turns
+// the pipeline's callbacks into per-verdict check counts, work totals,
+// and latency and work distributions. Every callback is either a no-op, an
 // atomic add, or one histogram Observe, so a single Tracer shared
 // across all workers of a parallel RunAll never serialises them; the
 // distributions are built entirely from the per-callback arguments
@@ -230,12 +230,24 @@ func (t *Tracer) MustRegister(reg *Registry, ns string) {
 		func() int64 { return t.narrow.Load() })
 }
 
-// WriteSummary renders a human-readable percentile summary of the
-// tracer's distributions — the `table1 -hist` / `ltta` companion to
-// core.StatsTracer's flat sums.
+// WriteSummary renders the tracer's telemetry for `ltta -stats` and
+// `table1 -stats`: one line of totals (checks by verdict, work
+// counters, summed check and per-stage wall time), then the
+// per-stage latency and per-check work percentiles. The queue
+// high-water total is the upper bound of the highest occupied bucket.
 func (t *Tracer) WriteSummary(w io.Writer) {
 	s := t.Snapshot()
-	fmt.Fprintf(w, "latency/work distributions over %d checks:\n", s.TotalChecks())
+	fmt.Fprintf(w, "engine: checks %d (N %d, V %d, A %d, C %d, P %d); propagations %d, narrowings %d, backtracks %d, decisions %d, dominator rounds %d, stem splits %d; queue high-water <=%d; cpu %.3fs",
+		s.TotalChecks(), s.Checks[core.NoViolation], s.Checks[core.ViolationFound],
+		s.Checks[core.Abandoned], s.Checks[core.Cancelled], s.Checks[core.PossibleViolation],
+		s.Propagations.Sum, s.Narrowings, s.Backtracks.Sum, s.Decisions, s.DominatorRds,
+		s.StemSplits, s.QueueHighWater.Quantile(1), time.Duration(s.CheckSeconds.Sum).Seconds())
+	for st := core.Stage(0); st < core.NumStages; st++ {
+		if h := s.StageSeconds[st]; h.Count > 0 {
+			fmt.Fprintf(w, "; %s %.3fs", st, time.Duration(h.Sum).Seconds())
+		}
+	}
+	fmt.Fprintf(w, "\nlatency/work distributions over %d checks:\n", s.TotalChecks())
 	row := func(name string, h HistSnapshot, dur bool) {
 		if h.Count == 0 {
 			return

@@ -3,13 +3,76 @@ package obs_test
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/obs"
+	"repro/internal/waveform"
 )
+
+// withoutClocks copies a circuit report with every wall-clock field
+// zeroed, leaving only what a deterministic run reproduces.
+func withoutClocks(cr *core.CircuitReport) core.CircuitReport {
+	out := *cr
+	out.PerOutput = make([]*core.Report, len(cr.PerOutput))
+	for i, r := range cr.PerOutput {
+		rc := *r
+		rc.Started, rc.Elapsed, rc.Stats.StageTime = time.Time{}, 0, [core.NumStages]time.Duration{}
+		out.PerOutput[i] = &rc
+	}
+	return out
+}
+
+// TestNilTracerVsTracerEquivalence asserts tracing is purely
+// observational: verdicts and counters with a Tracer installed are
+// identical to the nil-tracer run, and the tracer totals agree with
+// the report sums.
+func TestNilTracerVsTracerEquivalence(t *testing.T) {
+	suite := map[string]*gen.SuiteEntry{}
+	for _, e := range gen.SubstituteSuite() {
+		e := e
+		suite[e.Name] = &e
+	}
+	for _, name := range []string{"c17", "c432", "c880"} {
+		prep := core.Prepare(suite[name].Circuit)
+		res, err := prep.NewVerifier(core.Default()).CircuitFloatingDelayCtx(context.Background(), core.Request{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, delta := range []waveform.Time{res.Delay.Add(1), res.Delay} {
+			// Fresh verifier per arm: warm-start memos are per verifier
+			// and the comparison includes work counters.
+			plain := prep.NewVerifier(core.Default()).RunAll(context.Background(), core.Request{Delta: delta, Workers: 1})
+			tr := obs.NewTracer()
+			traced := prep.NewVerifier(core.Default()).RunAll(context.Background(), core.Request{Delta: delta, Workers: 1, Tracer: tr})
+			if p, q := withoutClocks(plain), withoutClocks(traced); !reflect.DeepEqual(p, q) {
+				t.Fatalf("%s δ=%s: tracer changed results:\n%+v\nvs\n%+v", name, delta, p, q)
+			}
+			s := tr.Snapshot()
+			if s.TotalChecks() != int64(len(traced.PerOutput)) {
+				t.Fatalf("%s: tracer saw %d checks, aggregate kept %d", name, s.TotalChecks(), len(traced.PerOutput))
+			}
+			if s.Propagations.Sum != traced.Propagations {
+				t.Fatalf("%s: tracer propagations %d != aggregate %d", name, s.Propagations.Sum, traced.Propagations)
+			}
+			if int(s.Backtracks.Sum) != traced.Backtracks {
+				t.Fatalf("%s: tracer backtracks %d != aggregate %d", name, s.Backtracks.Sum, traced.Backtracks)
+			}
+			var wantDec int64
+			for _, r := range traced.PerOutput {
+				wantDec += r.Stats.Decisions
+			}
+			if s.Decisions != wantDec {
+				t.Fatalf("%s: tracer decisions %d != report sum %d", name, s.Decisions, wantDec)
+			}
+		}
+	}
+}
 
 // TestTracerSharedAcrossWorkers drives ONE obs.Tracer through a
 // parallel RunAll (run with -race in CI): the merged histogram counts
@@ -129,15 +192,31 @@ func TestTracerExposition(t *testing.T) {
 	}
 }
 
-// TestTracerSummary smoke-tests the human-readable percentile dump.
+// TestTracerSummary pins the -stats totals line against the sweep's
+// own reports, then smoke-tests the percentile dump after it.
 func TestTracerSummary(t *testing.T) {
 	c := gen.C17(10)
 	v := core.NewVerifier(c, core.Default())
 	tr := obs.NewTracer()
-	v.RunAll(context.Background(), core.Request{Delta: v.Topological().Add(1), Tracer: tr})
+	cr := v.RunAll(context.Background(), core.Request{Delta: v.Topological().Add(1), Tracer: tr})
 	var buf bytes.Buffer
 	tr.WriteSummary(&buf)
 	out := buf.String()
+
+	var narrow int64
+	for _, r := range cr.PerOutput {
+		narrow += r.Stats.Narrowings
+	}
+	want := fmt.Sprintf("engine: checks %d (N %d, V 0, A 0, C 0, P 0); propagations %d, narrowings %d, backtracks 0, decisions 0, dominator rounds 0, stem splits 0; queue high-water <=",
+		len(cr.PerOutput), len(cr.PerOutput), cr.Propagations, narrow)
+	if !strings.HasPrefix(out, want) {
+		t.Errorf("totals line:\n%s\nwant prefix:\n%s", out, want)
+	}
+	totals, _, _ := strings.Cut(out, "\n")
+	if !strings.Contains(totals, "; cpu ") || !strings.HasSuffix(totals, "s") ||
+		!strings.Contains(totals, "; fixpoint ") {
+		t.Errorf("totals line lacks cpu or per-stage time: %s", totals)
+	}
 	for _, want := range []string{"stage fixpoint", "check latency", "p99"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary missing %q:\n%s", want, out)

@@ -54,7 +54,6 @@ type (
 	ErrorBody       = api.ErrorBody
 	ErrorInfo       = api.ErrorInfo
 	Health          = api.Health
-	Metrics         = api.Metrics
 )
 
 // apiError is an error with an HTTP status and a stable code; every

@@ -58,7 +58,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 		t.Fatal("batch never admitted")
 	}
 
-	_, err := cl.Check(context.Background(), server.Request{
+	_, err := cl.CheckInline(context.Background(), server.Request{
 		Netlist: bench, Sweep: &server.SweepSpec{Deltas: []int64{top + 1}},
 	})
 	var apiErr *client.APIError
@@ -74,7 +74,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 		t.Fatalf("held stream failed: %v", err)
 	}
 	// Slot released: the same submission is admitted now.
-	if _, err := cl.Check(context.Background(), server.Request{
+	if _, err := cl.CheckInline(context.Background(), server.Request{
 		Netlist: bench, Sweep: &server.SweepSpec{Deltas: []int64{top + 1}},
 	}); err != nil {
 		t.Fatalf("after release: %v", err)

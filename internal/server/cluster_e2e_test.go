@@ -300,7 +300,7 @@ func TestClusterKillWorkerMidFlight(t *testing.T) {
 	}
 
 	// Verdicts must match a single, unharmed daemon exactly, per check.
-	refResp, err := refCl.Check(ctx, server.Request{
+	refResp, err := uploadAndCheck(ctx, refCl, server.Request{
 		Netlist: bench, Name: e.Name, Sweep: &server.SweepSpec{Deltas: deltas},
 	})
 	if err != nil {
@@ -310,21 +310,18 @@ func TestClusterKillWorkerMidFlight(t *testing.T) {
 		t.Errorf("cluster verdicts diverge from single daemon:\n got %v\nwant %v", finals, want)
 	}
 
-	m, err := coordCl.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
+	m := scrapeMetrics(t, coordCl)
+	if m["lttad_coord_requeued_checks_total"] == 0 {
+		t.Errorf("kill stranded no checks: %+v", m)
 	}
-	if m.Server["requeuedChecks"] == 0 {
-		t.Errorf("kill stranded no checks: %+v", m.Server)
+	if m["lttad_coord_worker_failures_total"] == 0 {
+		t.Errorf("kill was not detected as a worker failure: %+v", m)
 	}
-	if m.Server["workerFailures"] == 0 {
-		t.Errorf("kill was not detected as a worker failure: %+v", m.Server)
+	if m["lttad_coord_check_failures_total"] != 0 {
+		t.Errorf("%d checks exhausted their attempts; survivors should have absorbed the shard", m["lttad_coord_check_failures_total"])
 	}
-	if m.Server["checkFailures"] != 0 {
-		t.Errorf("%d checks exhausted their attempts; survivors should have absorbed the shard", m.Server["checkFailures"])
-	}
-	if m.Server["checksMerged"] != int64(wantChecks) {
-		t.Errorf("merged %d terminal results, want %d", m.Server["checksMerged"], wantChecks)
+	if m["lttad_coord_checks_total"] != int64(wantChecks) {
+		t.Errorf("merged %d terminal results, want %d", m["lttad_coord_checks_total"], wantChecks)
 	}
 
 	if err := co.Shutdown(context.Background()); err != nil {
@@ -509,11 +506,11 @@ func TestClusterDifferential(t *testing.T) {
 			// whole to one worker — rows against the in-process harness,
 			// the full response against the standalone daemon.
 			tableReq := server.Request{Netlist: bench, Name: name, Sweep: &server.SweepSpec{Table1: true}}
-			coordTable, err := coordCl.Check(ctx, tableReq)
+			coordTable, err := uploadAndCheck(ctx, coordCl, tableReq)
 			if err != nil {
 				t.Fatalf("coordinator table1: %v", err)
 			}
-			singleTable, err := singleCl.Check(ctx, tableReq)
+			singleTable, err := uploadAndCheck(ctx, singleCl, tableReq)
 			if err != nil {
 				t.Fatalf("single-daemon table1: %v", err)
 			}
@@ -542,11 +539,11 @@ func TestClusterDifferential(t *testing.T) {
 			// sweep aggregates carry no placement.
 			sweepReq := server.Request{Netlist: bench, Name: name,
 				Sweep: &server.SweepSpec{Deltas: []int64{1, top}}}
-			coordSweep, err := coordCl.Check(ctx, sweepReq)
+			coordSweep, err := uploadAndCheck(ctx, coordCl, sweepReq)
 			if err != nil {
 				t.Fatalf("coordinator sweep: %v", err)
 			}
-			singleSweep, err := singleCl.Check(ctx, sweepReq)
+			singleSweep, err := uploadAndCheck(ctx, singleCl, sweepReq)
 			if err != nil {
 				t.Fatalf("single-daemon sweep: %v", err)
 			}
@@ -583,11 +580,11 @@ func TestClusterDifferential(t *testing.T) {
 					server.CheckSpec{Sink: poName, Delta: top + 1})
 			}
 			batchReq := server.Request{Netlist: bench, Name: name, Checks: specs}
-			coordBatch, err := coordCl.Check(ctx, batchReq)
+			coordBatch, err := uploadAndCheck(ctx, coordCl, batchReq)
 			if err != nil {
 				t.Fatalf("coordinator batch: %v", err)
 			}
-			singleBatch, err := singleCl.Check(ctx, batchReq)
+			singleBatch, err := uploadAndCheck(ctx, singleCl, batchReq)
 			if err != nil {
 				t.Fatalf("single-daemon batch: %v", err)
 			}
@@ -610,40 +607,28 @@ func TestClusterDifferential(t *testing.T) {
 			type workerWork struct{ parses, prepares int64 }
 			before := make([]workerWork, len(workerCls))
 			for i, cl := range workerCls {
-				m, err := cl.Metrics(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				before[i] = workerWork{m.Server["netlistParses"], m.Server["registryPrepares"]}
+				m := scrapeMetrics(t, cl)
+				before[i] = workerWork{m["lttad_netlist_parses_total"], m["lttad_registry_prepares_total"]}
 			}
-			coordBefore, err := coordCl.Metrics(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := coordCl.Check(ctx, sweepReq); err != nil {
+			coordBefore := scrapeMetrics(t, coordCl)
+			if _, err := uploadAndCheck(ctx, coordCl, sweepReq); err != nil {
 				t.Fatalf("warm repeat sweep: %v", err)
 			}
 			for i, cl := range workerCls {
-				m, err := cl.Metrics(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if m.Server["netlistParses"] != before[i].parses {
+				m := scrapeMetrics(t, cl)
+				if m["lttad_netlist_parses_total"] != before[i].parses {
 					t.Errorf("worker %d parsed on the warm path: %d → %d",
-						i, before[i].parses, m.Server["netlistParses"])
+						i, before[i].parses, m["lttad_netlist_parses_total"])
 				}
-				if m.Server["registryPrepares"] != before[i].prepares {
+				if m["lttad_registry_prepares_total"] != before[i].prepares {
 					t.Errorf("worker %d prepared on the warm path: %d → %d",
-						i, before[i].prepares, m.Server["registryPrepares"])
+						i, before[i].prepares, m["lttad_registry_prepares_total"])
 				}
 			}
-			coordAfter, err := coordCl.Metrics(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if coordAfter.Server["workerUploads"] != coordBefore.Server["workerUploads"] {
+			coordAfter := scrapeMetrics(t, coordCl)
+			if coordAfter["lttad_coord_worker_uploads_total"] != coordBefore["lttad_coord_worker_uploads_total"] {
 				t.Errorf("warm repeat re-uploaded circuits: %d → %d",
-					coordBefore.Server["workerUploads"], coordAfter.Server["workerUploads"])
+					coordBefore["lttad_coord_worker_uploads_total"], coordAfter["lttad_coord_worker_uploads_total"])
 			}
 		})
 	}
@@ -668,7 +653,7 @@ func TestCoordMetricsExposition(t *testing.T) {
 	coordCl := client.New(cts.URL)
 
 	bench := circuit.BenchString(gen.C17(10))
-	if _, err := coordCl.Check(ctx, server.Request{Netlist: bench, Name: "c17",
+	if _, err := uploadAndCheck(ctx, coordCl, server.Request{Netlist: bench, Name: "c17",
 		Sweep: &server.SweepSpec{Deltas: []int64{40, 51}}}); err != nil {
 		t.Fatal(err)
 	}
@@ -692,6 +677,7 @@ func TestCoordMetricsExposition(t *testing.T) {
 	}
 	for name, want := range map[string]float64{
 		"lttad_coord_workers":                2,
+		"lttad_coord_queue_depth":            4,
 		"lttad_coord_batches_accepted_total": 1,
 		"lttad_coord_checks_total":           4, // 2 POs × 2 deltas
 		"lttad_coord_netlist_parses_total":   1,

@@ -252,7 +252,7 @@ func (fx *clusterSweepFixture) run(t *testing.T) map[checkKey]string {
 // reference computes the same sweep's finals on the unharmed daemon.
 func (fx *clusterSweepFixture) reference(t *testing.T) map[checkKey]string {
 	t.Helper()
-	resp, err := fx.refCl.Check(context.Background(), server.Request{
+	resp, err := uploadAndCheck(context.Background(), fx.refCl, server.Request{
 		Netlist: fx.bench, Name: fx.local.Name,
 		Sweep: &server.SweepSpec{Deltas: fx.deltas},
 	})
@@ -278,21 +278,18 @@ func TestClusterStreamCutRequeues(t *testing.T) {
 		t.Errorf("verdicts after cut+requeue diverge from single daemon:\n got %v\nwant %v", finals, want)
 	}
 
-	m, err := fx.coordCl.Metrics(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	m := scrapeMetrics(t, fx.coordCl)
+	if m["lttad_coord_requeued_checks_total"] == 0 {
+		t.Errorf("cut streams stranded no checks: %+v", m)
 	}
-	if m.Server["requeuedChecks"] == 0 {
-		t.Errorf("cut streams stranded no checks: %+v", m.Server)
+	if m["lttad_coord_worker_failures_total"] == 0 {
+		t.Errorf("cut streams were not counted as worker failures: %+v", m)
 	}
-	if m.Server["workerFailures"] == 0 {
-		t.Errorf("cut streams were not counted as worker failures: %+v", m.Server)
+	if m["lttad_coord_check_failures_total"] != 0 {
+		t.Errorf("%d checks exhausted their attempts after a single cut each", m["lttad_coord_check_failures_total"])
 	}
-	if m.Server["checkFailures"] != 0 {
-		t.Errorf("%d checks exhausted their attempts after a single cut each", m.Server["checkFailures"])
-	}
-	if m.Server["checksMerged"] != int64(fx.want) {
-		t.Errorf("merged %d results, want %d", m.Server["checksMerged"], fx.want)
+	if m["lttad_coord_checks_total"] != int64(fx.want) {
+		t.Errorf("merged %d results, want %d", m["lttad_coord_checks_total"], fx.want)
 	}
 }
 
@@ -311,15 +308,12 @@ func TestClusterDuplicateEventsDropped(t *testing.T) {
 		t.Errorf("verdicts under duplication diverge from single daemon:\n got %v\nwant %v", finals, want)
 	}
 
-	m, err := fx.coordCl.Metrics(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	m := scrapeMetrics(t, fx.coordCl)
+	if m["lttad_coord_duplicate_results_dropped_total"] == 0 {
+		t.Errorf("replayed events were not dropped as duplicates: %+v", m)
 	}
-	if m.Server["duplicateResultsDropped"] == 0 {
-		t.Errorf("replayed events were not dropped as duplicates: %+v", m.Server)
-	}
-	if m.Server["checkFailures"] != 0 || m.Server["requeuedChecks"] != 0 {
-		t.Errorf("duplication alone must not fail or requeue checks: %+v", m.Server)
+	if m["lttad_coord_check_failures_total"] != 0 || m["lttad_coord_requeued_checks_total"] != 0 {
+		t.Errorf("duplication alone must not fail or requeue checks: %+v", m)
 	}
 }
 
@@ -398,7 +392,7 @@ func TestClusterHedgeStragglers(t *testing.T) {
 
 	ref := startClusterWorker(t, server.Config{Workers: 2, QueueDepth: 4})
 	defer ref.stop()
-	refResp, err := client.New(ref.addr).Check(context.Background(), server.Request{
+	refResp, err := uploadAndCheck(context.Background(), client.New(ref.addr), server.Request{
 		Netlist: bench, Name: "c880", Sweep: &server.SweepSpec{Deltas: deltas},
 	})
 	if err != nil {
@@ -408,14 +402,11 @@ func TestClusterHedgeStragglers(t *testing.T) {
 		t.Errorf("verdicts under hedging diverge from single daemon:\n got %v\nwant %v", finals, want)
 	}
 
-	m, err := coordCl.Metrics(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	m := scrapeMetrics(t, coordCl)
+	if m["lttad_coord_hedged_checks_total"] == 0 {
+		t.Errorf("slow worker was never hedged: %+v", m)
 	}
-	if m.Server["hedgedChecks"] == 0 {
-		t.Errorf("slow worker was never hedged: %+v", m.Server)
-	}
-	if m.Server["checkFailures"] != 0 {
-		t.Errorf("hedging produced %d failed checks", m.Server["checkFailures"])
+	if m["lttad_coord_check_failures_total"] != 0 {
+		t.Errorf("hedging produced %d failed checks", m["lttad_coord_check_failures_total"])
 	}
 }

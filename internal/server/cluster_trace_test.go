@@ -167,7 +167,7 @@ func TestClusterTraceTimeline(t *testing.T) {
 	// Verdicts still match an unharmed single daemon exactly.
 	ref := startClusterWorker(t, server.Config{Workers: 2, QueueDepth: 4})
 	defer ref.stop()
-	refResp, err := client.New(ref.addr).Check(ctx, server.Request{
+	refResp, err := uploadAndCheck(ctx, client.New(ref.addr), server.Request{
 		Netlist: bench, Name: e.Name, Sweep: &server.SweepSpec{Deltas: deltas},
 	})
 	if err != nil {
@@ -212,18 +212,15 @@ func TestClusterTraceTimeline(t *testing.T) {
 	}
 
 	// Both fault paths fired and were accounted.
-	m, err := coordCl.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
+	m := scrapeMetrics(t, coordCl)
+	if m["lttad_coord_requeued_checks_total"] == 0 {
+		t.Errorf("kill requeued no checks: %+v", m)
 	}
-	if m.Server["requeuedChecks"] == 0 {
-		t.Errorf("kill requeued no checks: %+v", m.Server)
+	if m["lttad_coord_hedged_checks_total"] == 0 {
+		t.Errorf("straggler was never hedged: %+v", m)
 	}
-	if m.Server["hedgedChecks"] == 0 {
-		t.Errorf("straggler was never hedged: %+v", m.Server)
-	}
-	if m.Server["checkFailures"] != 0 {
-		t.Errorf("%d checks exhausted their attempts", m.Server["checkFailures"])
+	if m["lttad_coord_check_failures_total"] != 0 {
+		t.Errorf("%d checks exhausted their attempts", m["lttad_coord_check_failures_total"])
 	}
 	promText, err := coordCl.MetricsProm(ctx)
 	if err != nil {

@@ -440,7 +440,7 @@ func (co *Coordinator) stop() {
 }
 
 // registerCoordMetrics wires the shard/requeue/hedge counters into the
-// Prometheus registry (mirrored in /metrics.json by metricsJSON).
+// Prometheus registry.
 func (co *Coordinator) registerCoordMetrics() {
 	co.reg.GaugeFunc("lttad_coord_workers",
 		"Workers configured behind the coordinator.", nil,
@@ -480,24 +480,4 @@ func (co *Coordinator) registerCoordMetrics() {
 	co.reg.CounterFunc("lttad_coord_check_failures_total",
 		"Checks that exhausted every dispatch attempt and reported verdict A.",
 		nil, co.checkFailures.Load)
-}
-
-func (co *Coordinator) metricsJSON(m *Metrics) {
-	for k, v := range map[string]int64{
-		"coordWorkers":            int64(len(co.workers)),
-		"coordWorkersAlive":       int64(co.aliveCount()),
-		"coordCircuits":           int64(co.circuitCount()),
-		"checksMerged":            co.checksMerged.Load(),
-		"shardDispatchesPrimary":  co.dispatchPrimary.Load(),
-		"shardDispatchesRequeue":  co.dispatchRequeue.Load(),
-		"shardDispatchesHedge":    co.dispatchHedge.Load(),
-		"requeuedChecks":          co.requeuedChecks.Load(),
-		"hedgedChecks":            co.hedgedChecks.Load(),
-		"duplicateResultsDropped": co.duplicatesDropped.Load(),
-		"workerFailures":          co.workerFailures.Load(),
-		"workerUploads":           co.workerUploads.Load(),
-		"checkFailures":           co.checkFailures.Load(),
-	} {
-		m.Server[k] = v
-	}
 }

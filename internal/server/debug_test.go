@@ -61,7 +61,7 @@ func TestDebugChecksEndpoint(t *testing.T) {
 
 	traceID := api.NewTraceID()
 	src := gen.C17(10)
-	resp, err := cl.Check(context.Background(), server.Request{
+	resp, err := cl.CheckInline(context.Background(), server.Request{
 		Netlist: circuit.BenchString(src), Name: "c17",
 		Sweep: &server.SweepSpec{Deltas: []int64{40, 51}},
 		Trace: &api.TraceContext{TraceID: traceID, Tenant: "acme"},
@@ -122,7 +122,7 @@ func TestDebugChecksUntracedBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	po := local.Net(local.PrimaryOutputs()[0]).Name
-	if _, err := cl.Check(context.Background(), server.Request{
+	if _, err := cl.CheckInline(context.Background(), server.Request{
 		Netlist: circuit.BenchString(src), Name: "c17",
 		Checks: []server.CheckSpec{{Sink: po, Delta: 51}},
 	}); err != nil {

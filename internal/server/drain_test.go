@@ -105,7 +105,7 @@ func TestDrainMidFlight(t *testing.T) {
 	}
 
 	// Draining (and after): new submissions bounce with 503 + Retry-After.
-	_, err = cl.Check(context.Background(), server.Request{
+	_, err = cl.CheckInline(context.Background(), server.Request{
 		Netlist: bench, Checks: []server.CheckSpec{{Sink: local.Net(local.PrimaryOutputs()[0]).Name, Delta: top}},
 	})
 	var apiErr *client.APIError

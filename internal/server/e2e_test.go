@@ -87,7 +87,7 @@ func TestE2EDifferentialSuite(t *testing.T) {
 				t.Fatalf("re-parsing %s: %v", e.Name, err)
 			}
 
-			got, err := cl.Check(context.Background(), server.Request{
+			got, err := cl.CheckInline(context.Background(), server.Request{
 				Netlist: bench, Name: e.Name,
 				Sweep: &server.SweepSpec{Table1: true},
 			})
@@ -204,7 +204,7 @@ func TestE2EExplicitBatch(t *testing.T) {
 			specs = append(specs, server.CheckSpec{Sink: local.Net(po).Name, Delta: d})
 		}
 	}
-	got, err := cl.Check(context.Background(), server.Request{
+	got, err := cl.CheckInline(context.Background(), server.Request{
 		Netlist: bench, Name: "c17", Checks: specs,
 	})
 	if err != nil {

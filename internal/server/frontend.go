@@ -96,8 +96,6 @@ type executor interface {
 	open(ctx context.Context, h *batchHead) (runner, *apiError)
 	// status reports readiness and the workers count /healthz shows.
 	status() (ready bool, workers int)
-	// metricsJSON adds the executor's counters to /metrics.json.
-	metricsJSON(m *Metrics)
 	// stop releases the executor once the drain has finished.
 	stop()
 }
@@ -169,15 +167,14 @@ func newFrontEnd(fc frontConfig, exec executor, checkSeconds *obs.Histogram) *fr
 	fe.mux.HandleFunc("/healthz", fe.handleHealthz)
 	fe.mux.HandleFunc("/readyz", fe.handleReadyz)
 	fe.mux.HandleFunc("/metrics", fe.handleMetricsProm)
-	fe.mux.HandleFunc("/metrics.json", fe.handleMetricsJSON)
 	fe.mux.HandleFunc("GET /debug/checks", fe.handleDebugChecks)
 	return fe
 }
 
 func (fe *frontEnd) ServeHTTP(w http.ResponseWriter, r *http.Request) { fe.mux.ServeHTTP(w, r) }
 
-// registerMetrics wires the admission counters into the Prometheus
-// registry under the tier's prefix.
+// registerMetrics wires the admission counters and queue gauges into
+// the Prometheus registry under the tier's prefix.
 func (fe *frontEnd) registerMetrics() {
 	p := fe.fc.prefix
 	fe.reg.CounterFunc(p+"batches_accepted_total",
@@ -193,6 +190,12 @@ func (fe *frontEnd) registerMetrics() {
 	fe.reg.CounterFunc(p+"netlist_parses_total",
 		"Netlist parses performed (uploads and inline checks; registry cache hits never parse).",
 		nil, fe.netlistParses.Load)
+	fe.reg.GaugeFunc(p+"queued_batches",
+		"Admitted batches currently holding a queue slot.", nil,
+		func() float64 { return float64(len(fe.slots)) })
+	fe.reg.GaugeFunc(p+"queue_depth",
+		"Admission queue capacity.", nil,
+		func() float64 { return float64(fe.fc.queueDepth) })
 }
 
 // BeginDrain moves the tier to draining: new submissions are rejected
@@ -588,27 +591,6 @@ func (fe *frontEnd) handleMetricsProm(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	fe.reg.WritePrometheus(w)
 	obs.WriteRuntimeProm(w)
-}
-
-// handleMetricsJSON is GET /metrics.json: the same counters as a
-// structured document.
-func (fe *frontEnd) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	m := Metrics{
-		Server: map[string]int64{
-			"acceptedBatches":  fe.accepted.Load(),
-			"rejectedFull":     fe.rejectedFull.Load(),
-			"rejectedDraining": fe.rejectedDrain.Load(),
-			"badRequests":      fe.badRequests.Load(),
-			"streams":          fe.streams.Load(),
-			"queuedBatches":    int64(len(fe.slots)),
-			"queueDepth":       int64(fe.fc.queueDepth),
-			"netlistParses":    fe.netlistParses.Load(),
-		},
-		Engine: map[string]int64{},
-	}
-	fe.exec.metricsJSON(&m)
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(m)
 }
 
 // debugChecksBody is the GET /debug/checks response: the flight

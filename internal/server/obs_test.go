@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -65,9 +66,44 @@ func TestHealthzReadyzSplit(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoints runs a batch and checks both metric surfaces:
+// metricSeries is one /metrics scrape keyed by series: the sample
+// name plus its labels sorted by key, as the exposition renders them,
+// e.g. lttad_registry_evictions_total{mode="deferred"}.
+type metricSeries map[string]int64
+
+// scrapeMetrics reads a tier's counters and gauges the way an
+// operator's scraper does: from the Prometheus exposition.
+func scrapeMetrics(t *testing.T, cl *client.Client) metricSeries {
+	t.Helper()
+	text, err := cl.MetricsProm(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseProm(bytes.NewReader(text))
+	if err != nil {
+		t.Fatalf("/metrics is not a valid exposition: %v\n%s", err, text)
+	}
+	m := metricSeries{}
+	for _, f := range fams {
+		for _, smp := range f.Samples {
+			key := smp.Name
+			if len(smp.Labels) > 0 {
+				var kv []string
+				for k, v := range smp.Labels {
+					kv = append(kv, k+`="`+v+`"`)
+				}
+				sort.Strings(kv)
+				key += "{" + strings.Join(kv, ",") + "}"
+			}
+			m[key] = int64(smp.Value)
+		}
+	}
+	return m
+}
+
+// TestMetricsEndpoints runs a batch and checks the metrics surface:
 // /metrics is a valid Prometheus exposition with a latency histogram
-// per pipeline stage, /metrics.json still serves the counter document.
+// per pipeline stage, and it is the only one (/metrics.json is 404).
 func TestMetricsEndpoints(t *testing.T) {
 	s := server.New(server.Config{Workers: 2, QueueDepth: 4})
 	ts := httptest.NewServer(s)
@@ -77,7 +113,7 @@ func TestMetricsEndpoints(t *testing.T) {
 
 	src := gen.C17(10)
 	bench := circuit.BenchString(src)
-	if _, err := cl.Check(context.Background(), server.Request{
+	if _, err := cl.CheckInline(context.Background(), server.Request{
 		Netlist: bench, Name: "c17",
 		Sweep: &server.SweepSpec{Deltas: []int64{40, 51}},
 	}); err != nil {
@@ -119,12 +155,17 @@ func TestMetricsEndpoints(t *testing.T) {
 		}
 	}
 
-	m, err := cl.Metrics(context.Background())
+	m := scrapeMetrics(t, cl)
+	if m["lttad_checks_run_total"] == 0 || m["lttad_batches_accepted_total"] == 0 {
+		t.Fatalf("exposition counters not populated: %+v", m)
+	}
+	resp, err := http.Get(ts.URL + "/metrics.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Server["checksRun"] == 0 || m.Server["acceptedBatches"] == 0 {
-		t.Fatalf("/metrics.json counters not populated: %+v", m.Server)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /metrics.json = %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -139,7 +180,7 @@ func TestBatchTraceDir(t *testing.T) {
 	cl := client.New(ts.URL)
 
 	src := gen.C17(10)
-	if _, err := cl.Check(context.Background(), server.Request{
+	if _, err := cl.CheckInline(context.Background(), server.Request{
 		Netlist: circuit.BenchString(src), Name: "c17",
 		Sweep: &server.SweepSpec{Deltas: []int64{51}},
 	}); err != nil {
@@ -182,7 +223,7 @@ func TestStructuredLogs(t *testing.T) {
 		t.Fatal(err)
 	}
 	po := local.Net(local.PrimaryOutputs()[0]).Name
-	if _, err := cl.Check(context.Background(), server.Request{
+	if _, err := cl.CheckInline(context.Background(), server.Request{
 		Netlist: circuit.BenchString(src), Name: "c17",
 		Checks: []server.CheckSpec{{Sink: po, Delta: 51}},
 	}); err != nil {

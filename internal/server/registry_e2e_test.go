@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"net/http/httptest"
@@ -108,8 +107,8 @@ func TestRegistryDifferentialInline(t *testing.T) {
 
 // TestRegistryWarmZeroWork is the tentpole acceptance criterion: after
 // one upload, a warm hash-addressed check performs zero netlist parses
-// and zero core.Prepare calls — proven by the server's own counters,
-// through both /metrics.json and the Prometheus exposition.
+// and zero core.Prepare calls — proven by the server's own counters in
+// the Prometheus exposition (the counters CI scrapes and asserts on).
 func TestRegistryWarmZeroWork(t *testing.T) {
 	cl, stop := newRegistryTestServer(t, server.Config{Workers: 2, QueueDepth: 4})
 	defer stop()
@@ -135,56 +134,22 @@ func TestRegistryWarmZeroWork(t *testing.T) {
 		t.Errorf("warm check answered differently:\n got %+v\nwant %+v", second, first)
 	}
 
-	m, err := cl.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := scrapeMetrics(t, cl)
 	// One parse at upload, one Prepare on the cold check, and nothing —
 	// no parse, no Prepare — on the warm one.
-	for key, want := range map[string]int64{
-		"netlistParses":    1,
-		"registryPrepares": 1,
-		"registryMisses":   1,
-		"registryHits":     1,
-		"registryCircuits": 1,
-	} {
-		if got := m.Server[key]; got != want {
-			t.Errorf("server counter %s = %d, want %d (%+v)", key, got, want, m.Server)
-		}
-	}
-	if m.Server["registryResidentBytes"] <= 0 {
-		t.Errorf("resident-bytes gauge not populated: %+v", m.Server)
-	}
-
-	// The same facts through the Prometheus exposition (the counters CI
-	// scrapes and asserts on).
-	text, err := cl.MetricsProm(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fams, err := obs.ParseProm(bytes.NewReader(text))
-	if err != nil {
-		t.Fatalf("/metrics is not a valid exposition: %v\n%s", err, text)
-	}
-	values := map[string]float64{}
-	for _, f := range fams {
-		for _, smp := range f.Samples {
-			values[f.Name] = smp.Value
-		}
-	}
-	for name, want := range map[string]float64{
+	for name, want := range map[string]int64{
 		"lttad_netlist_parses_total":    1,
 		"lttad_registry_prepares_total": 1,
-		"lttad_registry_hits_total":     1,
 		"lttad_registry_misses_total":   1,
+		"lttad_registry_hits_total":     1,
 		"lttad_registry_circuits":       1,
 	} {
-		if got, ok := values[name]; !ok || got != want {
-			t.Errorf("exposition %s = %v (present %v), want %v", name, got, ok, want)
+		if got, ok := m[name]; !ok || got != want {
+			t.Errorf("exposition %s = %d (present %v), want %d (%+v)", name, got, ok, want, m)
 		}
 	}
-	if values["lttad_registry_resident_bytes"] <= 0 {
-		t.Errorf("lttad_registry_resident_bytes not populated:\n%s", text)
+	if m["lttad_registry_resident_bytes"] <= 0 {
+		t.Errorf("resident-bytes gauge not populated: %+v", m)
 	}
 }
 
@@ -212,16 +177,13 @@ func TestRegistryUploadIdempotent(t *testing.T) {
 	if h1 != h2 {
 		t.Fatalf("annotation order changed the served hash: %s vs %s", h1, h2)
 	}
-	m, err := cl.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
+	m := scrapeMetrics(t, cl)
+	created, existing := m[`lttad_registry_uploads_total{result="created"}`], m[`lttad_registry_uploads_total{result="existing"}`]
+	if created != 1 || existing != 1 {
+		t.Fatalf("upload counters: created=%d existing=%d, want 1/1", created, existing)
 	}
-	if m.Server["registryUploadsCreated"] != 1 || m.Server["registryUploadsExisting"] != 1 {
-		t.Fatalf("upload counters: created=%d existing=%d, want 1/1",
-			m.Server["registryUploadsCreated"], m.Server["registryUploadsExisting"])
-	}
-	if m.Server["netlistParses"] != 1 {
-		t.Fatalf("re-upload parsed again: %d parses", m.Server["netlistParses"])
+	if m["lttad_netlist_parses_total"] != 1 {
+		t.Fatalf("re-upload parsed again: %d parses", m["lttad_netlist_parses_total"])
 	}
 }
 
@@ -303,64 +265,70 @@ func TestRegistryConcurrentColdHTTP(t *testing.T) {
 		}
 	}
 
-	m, err := cl.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Server["registryPrepares"] != 1 {
+	m := scrapeMetrics(t, cl)
+	prepares, coalesced := m["lttad_registry_prepares_total"], m["lttad_registry_singleflight_coalesced_total"]
+	hits, misses := m["lttad_registry_hits_total"], m["lttad_registry_misses_total"]
+	if prepares != 1 {
 		t.Fatalf("%d concurrent cold checks ran %d Prepares, want 1 (coalesced=%d misses=%d hits=%d)",
-			n, m.Server["registryPrepares"], m.Server["registryCoalesced"],
-			m.Server["registryMisses"], m.Server["registryHits"])
+			n, prepares, coalesced, misses, hits)
 	}
-	if m.Server["registryHits"]+m.Server["registryMisses"] != n {
-		t.Fatalf("hit/miss accounting: hits=%d misses=%d, want sum %d",
-			m.Server["registryHits"], m.Server["registryMisses"], n)
+	if hits+misses != n {
+		t.Fatalf("hit/miss accounting: hits=%d misses=%d, want sum %d", hits, misses, n)
 	}
-	if m.Server["registryCoalesced"] != m.Server["registryMisses"]-1 {
-		t.Fatalf("coalesced=%d, want misses-1=%d",
-			m.Server["registryCoalesced"], m.Server["registryMisses"]-1)
+	if coalesced != misses-1 {
+		t.Fatalf("coalesced=%d, want misses-1=%d", coalesced, misses-1)
 	}
-	if m.Server["netlistParses"] != 1 {
-		t.Fatalf("hash checks parsed netlists: %d parses", m.Server["netlistParses"])
+	if m["lttad_netlist_parses_total"] != 1 {
+		t.Fatalf("hash checks parsed netlists: %d parses", m["lttad_netlist_parses_total"])
 	}
 }
 
-// TestDeprecatedCheckRidesRegistry: the legacy Client.Check wrapper
-// now uploads then checks by hash, so repeated batches on one netlist
-// hit the cache.
-func TestDeprecatedCheckRidesRegistry(t *testing.T) {
+// uploadAndCheck runs a request carrying its netlist the registry way:
+// an idempotent Upload, then CheckByHash on the returned address.
+func uploadAndCheck(ctx context.Context, cl *client.Client, req server.Request) (*server.Response, error) {
+	hash, err := cl.Upload(ctx, req.Netlist, client.UploadOptions{
+		Format: req.Format, Name: req.Name, DefaultDelay: req.DefaultDelay,
+	})
+	if err != nil {
+		return nil, err
+	}
+	req.Netlist, req.Format, req.Name, req.DefaultDelay = "", "", "", 0
+	return cl.CheckByHash(ctx, hash, req)
+}
+
+// TestUploadCheckByHashRidesRegistry: repeated upload-then-check
+// batches on one netlist parse and prepare once and hit the cache.
+func TestUploadCheckByHashRidesRegistry(t *testing.T) {
 	cl, stop := newRegistryTestServer(t, server.Config{Workers: 2, QueueDepth: 4})
 	defer stop()
 	ctx := context.Background()
 
 	req := server.Request{Netlist: circuit.BenchString(gen.C17(10)), Name: "c17",
 		Checks: []server.CheckSpec{{Sink: "G22", Delta: 40}}}
-	first, err := cl.Check(ctx, req)
+	first, err := uploadAndCheck(ctx, cl, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := cl.Check(ctx, req)
+	second, err := uploadAndCheck(ctx, cl, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	zeroResponseClocks(first)
 	zeroResponseClocks(second)
 	if !reflect.DeepEqual(first, second) {
-		t.Errorf("repeated Check answered differently")
+		t.Errorf("repeated upload-then-check answered differently")
 	}
-	m, err := cl.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Server["netlistParses"] != 1 || m.Server["registryPrepares"] != 1 || m.Server["registryHits"] != 1 {
-		t.Fatalf("legacy Check did not ride the cache: parses=%d prepares=%d hits=%d",
-			m.Server["netlistParses"], m.Server["registryPrepares"], m.Server["registryHits"])
+	m := scrapeMetrics(t, cl)
+	parses, prepares, hits := m["lttad_netlist_parses_total"], m["lttad_registry_prepares_total"], m["lttad_registry_hits_total"]
+	if parses != 1 || prepares != 1 || hits != 1 {
+		t.Fatalf("upload-then-check did not ride the cache: parses=%d prepares=%d hits=%d",
+			parses, prepares, hits)
 	}
 }
 
 // TestRegistryEvictionHTTP: over-capacity uploads evict LRU circuits;
-// a check against the evicted hash 404s and the deprecated wrapper
-// transparently re-uploads.
+// a check against the evicted hash 404s, and uploading again recovers
+// it.
 func TestRegistryEvictionHTTP(t *testing.T) {
 	cl, stop := newRegistryTestServer(t, server.Config{Workers: 1, QueueDepth: 2,
 		RegistryMaxCircuits: 1})
@@ -380,18 +348,17 @@ func TestRegistryEvictionHTTP(t *testing.T) {
 		t.Fatalf("evicted hash: got %v, want unknown_hash", err)
 	}
 
-	// The deprecated wrapper recovers by re-uploading.
-	legacy := req
-	legacy.Netlist, legacy.Name = circuit.BenchString(gen.C17(10)), "one"
-	if _, err := cl.Check(ctx, legacy); err != nil {
-		t.Fatalf("legacy Check after eviction: %v", err)
-	}
-	m, err := cl.Metrics(ctx)
+	// Recovery is a second upload of the same netlist.
+	h, err := cl.Upload(ctx, circuit.BenchString(gen.C17(10)), client.UploadOptions{Name: "one"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Server["registryEvictions"] == 0 {
-		t.Fatalf("eviction counter not populated: %+v", m.Server)
+	if _, err := cl.CheckByHash(ctx, h, req); err != nil {
+		t.Fatalf("check after re-upload: %v", err)
+	}
+	m := scrapeMetrics(t, cl)
+	if m[`lttad_registry_evictions_total{mode="immediate"}`] == 0 {
+		t.Fatalf("eviction counter not populated: %+v", m)
 	}
 }
 

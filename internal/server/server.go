@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -80,9 +79,7 @@ type Server struct {
 	workersWG sync.WaitGroup
 	ready     atomic.Bool // flips once the warm-up Prepare canary completes
 
-	agg    core.StatsTracer // engine telemetry across all served checks
-	eng    *obs.Tracer      // histogram telemetry behind /metrics
-	tracer core.Tracer      // agg+eng chain stamped on every check
+	eng *obs.Tracer // engine telemetry behind /metrics, stamped on every check
 
 	registry *registry.Registry // content-addressed circuits + prepared-state cache
 
@@ -102,7 +99,6 @@ func New(cfg Config) *Server {
 			MaxResidentBytes: cfg.RegistryMaxBytes,
 		}),
 	}
-	s.tracer = core.MultiTracer(&s.agg, s.eng)
 	s.frontEnd = newFrontEnd(frontConfig{
 		queueDepth: cfg.QueueDepth, maxBody: cfg.MaxBodyBytes, maxChecks: cfg.MaxChecks,
 		retryAfter: cfg.RetryAfter, batchTimeout: cfg.BatchTimeout, traceDir: cfg.TraceDir,
@@ -141,12 +137,6 @@ func (s *Server) registerWorkerMetrics() {
 		"Checks executed on the pool.", nil, s.checksRun.Load)
 	s.reg.CounterFunc("lttad_check_panics_total",
 		"Checks that panicked and were isolated.", nil, s.panics.Load)
-	s.reg.GaugeFunc("lttad_queued_batches",
-		"Admitted batches currently holding a queue slot.", nil,
-		func() float64 { return float64(len(s.slots)) })
-	s.reg.GaugeFunc("lttad_queue_depth",
-		"Admission queue capacity.", nil,
-		func() float64 { return float64(s.fc.queueDepth) })
 	s.reg.GaugeFunc("lttad_workers",
 		"Check-execution pool size.", nil,
 		func() float64 { return float64(s.cfg.Workers) })
@@ -211,9 +201,9 @@ func (s *Server) runOne(ctx context.Context, v *core.Verifier, req core.Request)
 			rep = abortedReport(req.Sink, req.Delta, core.Abandoned)
 		}
 	}()
-	// Chain the server-wide tracers with any batch-level tracer (span
+	// Chain the server-wide tracer with any batch-level tracer (span
 	// recording) the caller installed.
-	req.Tracer = core.MultiTracer(s.tracer, req.Tracer)
+	req.Tracer = core.MultiTracer(s.eng, req.Tracer)
 	rep = v.Run(ctx, req)
 	s.checksRun.Add(1)
 	return rep, ""
@@ -276,34 +266,4 @@ func (s *Server) status() (bool, int) { return s.ready.Load(), s.cfg.Workers }
 func (s *Server) stop() {
 	close(s.tasks)
 	s.workersWG.Wait()
-}
-
-func (s *Server) metricsJSON(m *Metrics) {
-	for k, v := range map[string]int64{
-		"checksRun": s.checksRun.Load(),
-		"panics":    s.panics.Load(),
-		"workers":   int64(s.cfg.Workers),
-
-		"registryCircuits":          int64(s.registry.Circuits()),
-		"registryResidentBytes":     s.registry.ResidentBytes(),
-		"registryHits":              s.registry.Hits(),
-		"registryMisses":            s.registry.Misses(),
-		"registryUnknown":           s.registry.Unknown(),
-		"registryPrepares":          s.registry.Prepares(),
-		"registryCoalesced":         s.registry.Coalesced(),
-		"registryEvictions":         s.registry.Evictions(),
-		"registryDeferredEvictions": s.registry.DeferredEvictions(),
-		"registryUploadsCreated":    s.registry.UploadsCreated(),
-		"registryUploadsExisting":   s.registry.UploadsExisting(),
-	} {
-		m.Server[k] = v
-	}
-	m.Checks = s.agg.String()
-	expvar.Do(func(kv expvar.KeyValue) {
-		if len(kv.Key) > 5 && kv.Key[:5] == "ltta." {
-			if iv, ok := kv.Value.(*expvar.Int); ok {
-				m.Engine[kv.Key] = iv.Value()
-			}
-		}
-	})
 }
