@@ -18,14 +18,23 @@ import (
 	"repro/internal/waveform"
 )
 
-// The golden differential test pins the engine's observable search
-// behaviour check by check: every non-timing Report field plus the
-// Decision/Backtrack/StemSplit/DominatorRound event sequence, hashed
-// into one fingerprint per check. The file under testdata/ was
-// recorded once and is compared verbatim, so a refactor or
-// optimisation of the pipeline (buffer reuse, carrier hand-off between
-// stages) must reproduce the search exactly — the same decisions in
-// the same order, the same backtracks, the same dominators.
+// The golden differential test pins the engine's observable behaviour
+// check by check, in two hashes per check:
+//
+//   - the search hash covers the Decision/Backtrack/StemSplit/
+//     DominatorRound event sequence and every search field of the
+//     Report: stage verdicts, backtracks, witness, dominators and their
+//     set, dominator rounds, decisions and stem splits;
+//   - the work hash covers the fixpoint's work counters: gate
+//     applications (prop), narrowings (narrow) and the worklist's high
+//     water (qhw).
+//
+// The file under testdata/ was recorded once and is compared verbatim,
+// so a refactor or optimisation of the pipeline must reproduce the
+// search exactly — the same decisions in the same order, the same
+// backtracks, the same dominators. A scheduling change that reaches
+// the same fixpoints with fewer applications (DESIGN.md §17) moves
+// only the work column.
 //
 // Regenerate only for an intended behaviour change:
 //
@@ -47,8 +56,13 @@ var goldenSuiteDelay = map[string]int64{
 type fingerprintTracer struct {
 	c     *circuit.Circuit
 	label string
-	h     hash.Hash
+	h     hash.Hash // search events of the check in flight
+	work  hash.Hash
 	lines []string
+}
+
+func newFingerprintTracer(c *circuit.Circuit, label string) *fingerprintTracer {
+	return &fingerprintTracer{c: c, label: label, h: sha256.New(), work: sha256.New()}
 }
 
 func (t *fingerprintTracer) CheckStart(circuit.NetID, waveform.Time) { t.h.Reset() }
@@ -66,16 +80,17 @@ func (t *fingerprintTracer) StemSplit(split int, stem circuit.NetID) {
 }
 
 func (t *fingerprintTracer) CheckDone(r *Report) {
-	fmt.Fprintf(t.h, "|%s%s%s%s%s bt=%d wit=%v@%s dom=%d set=%v/%v rounds=%d prop=%d narrow=%d dec=%d splits=%d qhw=%d",
+	fmt.Fprintf(t.h, "|%s%s%s%s%s bt=%d wit=%v@%s dom=%d set=%v/%v rounds=%d dec=%d splits=%d",
 		r.BeforeGITD, r.AfterGITD, r.AfterStem, r.CaseAnalysis, r.Final,
 		r.Backtracks, r.Witness, r.WitnessSettle, r.Dominators,
 		r.DominatorSet.Nets, r.DominatorSet.Dist, r.DominatorRounds,
-		r.Propagations, r.Stats.Narrowings, r.Stats.Decisions, r.Stats.StemSplits,
-		r.Stats.QueueHighWater)
-	t.lines = append(t.lines, fmt.Sprintf("%s %s δ=%s %s%s%s%s%s bt=%d %s",
+		r.Stats.Decisions, r.Stats.StemSplits)
+	t.work.Reset()
+	fmt.Fprintf(t.work, "prop=%d narrow=%d qhw=%d", r.Propagations, r.Stats.Narrowings, r.Stats.QueueHighWater)
+	t.lines = append(t.lines, fmt.Sprintf("%s %s δ=%s %s%s%s%s%s bt=%d %s %s",
 		t.label, t.c.Net(r.Sink).Name, r.Delta,
 		r.BeforeGITD, r.AfterGITD, r.AfterStem, r.CaseAnalysis, r.Final,
-		r.Backtracks, hex.EncodeToString(t.h.Sum(nil))[:24]))
+		r.Backtracks, hex.EncodeToString(t.h.Sum(nil))[:24], hex.EncodeToString(t.work.Sum(nil))[:16]))
 }
 
 // goldenConfigs are the option sets the fingerprints cover: the
@@ -153,7 +168,7 @@ func goldenLines(t *testing.T) []string {
 		for _, w := range loads {
 			prep := Prepare(w.c)
 			v := prep.NewVerifier(cfg.opts)
-			tr := &fingerprintTracer{c: w.c, label: cfg.name + " " + w.name, h: sha256.New()}
+			tr := newFingerprintTracer(w.c, cfg.name+" "+w.name)
 			for _, delta := range w.deltas(v.Topological()) {
 				req := Request{Delta: delta, Workers: 1, Tracer: tr}
 				req.Budgets.MaxBacktracks = w.budget
@@ -195,7 +210,7 @@ func TestGoldenFingerprints(t *testing.T) {
 	}
 	got := goldenLines(t)
 	if *updateGolden {
-		body := "# ltta golden check fingerprints: config circuit sink δ stages(before,gitd,stem,ca,final) backtracks sha256-prefix\n" +
+		body := "# ltta golden check fingerprints: config circuit sink δ stages(before,gitd,stem,ca,final) backtracks search-sha256-prefix work-sha256-prefix\n" +
 			strings.Join(got, "\n") + "\n"
 		if err := os.WriteFile(goldenFile, []byte(body), 0o644); err != nil {
 			t.Fatal(err)

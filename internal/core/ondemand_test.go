@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"crypto/sha256"
 	"fmt"
 	"slices"
 	"sync"
@@ -148,7 +147,7 @@ func TestOnDemandAnalyses(t *testing.T) {
 				forceAnalyses(p)
 			}
 			v := p.NewVerifier(cfg.opts)
-			tr := &fingerprintTracer{c: c, label: cfg.name, h: sha256.New()}
+			tr := newFingerprintTracer(c, cfg.name)
 			for _, po := range c.PrimaryOutputs() {
 				v.Run(context.Background(), Request{Sink: po, Delta: v.Topological().Add(1), Tracer: tr})
 				for _, d := range deltas {
