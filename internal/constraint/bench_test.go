@@ -13,8 +13,8 @@ import (
 // ScheduleAll fixpoint for every output in turn, each on a Reset
 // system with the check CheckOutput(δ) on that output — c6288 at its
 // exact delay D = 1210, and gen.Industrial(1, 200) at its topological
-// delay. It reports the time per gate-constraint application, and a
-// warmed system must not allocate.
+// delay. It reports the time per gate-constraint application and the
+// applications per op, and a warmed system must not allocate.
 func BenchmarkFixpoint(b *testing.B) {
 	var c6288 *circuit.Circuit
 	for _, e := range gen.SubstituteSuite() {
@@ -52,6 +52,7 @@ func BenchmarkFixpoint(b *testing.B) {
 				props += pass()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(props), "ns/prop")
+			b.ReportMetric(float64(props)/float64(b.N), "props/op")
 		})
 	}
 }

@@ -11,9 +11,10 @@ import (
 
 // This file pins the change-log contract the incremental stage-2–4
 // consumers rely on: off until the first Subscribe, one entry per
-// effective narrowing and per net an Undo restores, cleared with a new
-// generation by Reset and Restore, truncated once every subscriber has
-// read it — and, with the log on, still allocation-free in steady
+// effective narrowing, cut back to the mark by an Undo no consumer has
+// read past and one entry per restored net otherwise, cleared with a
+// new generation by Reset and Restore, truncated once every subscriber
+// has read it — and, with the log on, still allocation-free in steady
 // state.
 
 func TestChangeLogOffUntilSubscribe(t *testing.T) {
@@ -31,32 +32,97 @@ func TestChangeLogOffUntilSubscribe(t *testing.T) {
 	}
 }
 
+// TestChangeLogRecordsNarrowAndUndo: every effective narrowing is
+// logged once; an Undo no consumer has read past cuts the log back to
+// its mark, and any other Undo logs each net it restores.
 func TestChangeLogRecordsNarrowAndUndo(t *testing.T) {
 	c := chainCircuit(t, 8)
-	s := New(c)
 	a, b, z := id(t, c, "n2"), id(t, c, "n5"), id(t, c, "n8")
-	sub := s.Subscribe()
-	s.Narrow(b, waveform.SettledTo(1))
-	s.Narrow(a, waveform.SettledTo(0))
-	s.Narrow(a, waveform.SettledTo(0)) // no change: not logged
-	if got := s.Changes(sub, nil); !slices.Equal(got, []circuit.NetID{b, a}) {
-		t.Fatalf("changes %v, want [%d %d]", got, b, a)
+	// setup subscribes, logs two narrowings and reads them, then
+	// narrows z and b under a new mark.
+	setup := func(t *testing.T, subs int) (*System, []int) {
+		s := New(c)
+		var ids []int
+		for range subs {
+			ids = append(ids, s.Subscribe())
+		}
+		s.Narrow(b, waveform.SettledTo(1))
+		s.Narrow(a, waveform.SettledTo(0))
+		s.Narrow(a, waveform.SettledTo(0)) // no change: not logged
+		for _, sub := range ids {
+			if got := s.Changes(sub, nil); !slices.Equal(got, []circuit.NetID{b, a}) {
+				t.Fatalf("changes %v, want [%d %d]", got, b, a)
+			}
+		}
+		s.Mark()
+		s.Narrow(z, waveform.CheckOutput(5))
+		s.Narrow(b, waveform.CheckOutput(2))
+		if got := s.AppendTouched(nil); !slices.Equal(got, []circuit.NetID{z, b}) {
+			t.Fatalf("trail since the mark touches %v, want [%d %d]", got, z, b)
+		}
+		return s, ids
 	}
-	s.Mark()
-	s.Narrow(z, waveform.CheckOutput(5))
-	s.Narrow(b, waveform.CheckOutput(2))
-	if got := s.AppendTouched(nil); !slices.Equal(got, []circuit.NetID{z, b}) {
-		t.Fatalf("trail since the mark touches %v, want [%d %d]", got, z, b)
-	}
-	s.Undo()
-	// The two narrowings, then the restorations in reverse trail order,
-	// one entry per restored net.
-	if got, want := s.Changes(sub, nil), []circuit.NetID{z, b, b, z}; !slices.Equal(got, want) {
-		t.Fatalf("changes %v, want %v", got, want)
-	}
-	if got := s.AppendTouched(nil); len(got) != 0 {
-		t.Fatalf("no mark open: AppendTouched = %v, want none", got)
-	}
+	t.Run("rewound", func(t *testing.T) {
+		s, ids := setup(t, 2)
+		before := s.logLen()
+		s.Undo()
+		// Neither consumer read the two narrowings: they are undone
+		// unseen, and the log is back to its length at the mark.
+		if s.logLen() != before-2 {
+			t.Fatalf("log holds %d entries after the Undo, want %d", s.logLen(), before-2)
+		}
+		for _, sub := range ids {
+			if got := s.Changes(sub, nil); len(got) != 0 {
+				t.Fatalf("changes %v after a rewound Undo, want none", got)
+			}
+		}
+		if got := s.Domain(b); !got.Equal(waveform.SettledTo(1).Intersect(waveform.FullSignal)) {
+			t.Fatalf("b restored to %v", got)
+		}
+		if got := s.AppendTouched(nil); len(got) != 0 {
+			t.Fatalf("no mark open: AppendTouched = %v, want none", got)
+		}
+	})
+	t.Run("logged", func(t *testing.T) {
+		// One consumer reads past the mark while the other lags, so
+		// the log is not truncated: the restorations are logged, in
+		// reverse trail order, one entry per restored net.
+		s, ids := setup(t, 2)
+		if got := s.Changes(ids[0], nil); !slices.Equal(got, []circuit.NetID{z, b}) {
+			t.Fatalf("changes %v, want [%d %d]", got, z, b)
+		}
+		s.Undo()
+		if got, want := s.Changes(ids[0], nil), []circuit.NetID{b, z}; !slices.Equal(got, want) {
+			t.Fatalf("reader: changes %v, want %v", got, want)
+		}
+		if got, want := s.Changes(ids[1], nil), []circuit.NetID{z, b, b, z}; !slices.Equal(got, want) {
+			t.Fatalf("lagging consumer: changes %v, want %v", got, want)
+		}
+		if got := s.AppendTouched(nil); len(got) != 0 {
+			t.Fatalf("no mark open: AppendTouched = %v, want none", got)
+		}
+	})
+	t.Run("logged after truncation", func(t *testing.T) {
+		// The only consumer read to the end, truncating the log.
+		s, ids := setup(t, 1)
+		s.Changes(ids[0], nil)
+		s.Undo()
+		if got, want := s.Changes(ids[0], nil), []circuit.NetID{b, z}; !slices.Equal(got, want) {
+			t.Fatalf("changes %v, want %v", got, want)
+		}
+	})
+	t.Run("logged for a later subscriber", func(t *testing.T) {
+		// A consumer that subscribed after the mark saw the narrowed
+		// domains, so the Undo must report the restored nets to it.
+		s := New(c)
+		s.Mark()
+		s.Narrow(z, waveform.CheckOutput(5))
+		sub := s.Subscribe()
+		s.Undo()
+		if got := s.Changes(sub, nil); !slices.Equal(got, []circuit.NetID{z}) {
+			t.Fatalf("changes %v, want [%d]", got, z)
+		}
+	})
 }
 
 func TestChangeLogGenerations(t *testing.T) {

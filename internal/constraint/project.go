@@ -86,8 +86,8 @@ func (s *System) projectUnate(g circuit.GateID, invert bool) {
 	if invert {
 		m0, m1 = m1, m0
 	}
-	s.narrow(in, n0, n1)
-	s.narrow(out, m0.Shift(d), m1.Shift(d))
+	s.narrow(in, n0, n1, g)
+	s.narrow(out, m0.Shift(d), m1.Shift(d), g)
 }
 
 // projectBuffer handles a 1-input AND/OR (invert false) or NAND/NOR
@@ -105,11 +105,11 @@ func (s *System) projectBuffer(g circuit.GateID, invert bool) {
 	// mv is output class v's meet with the input class it follows.
 	m0 := s.wave(out, 0).Shift(-d).Intersect(i0)
 	m1 := s.wave(out, 1).Shift(-d).Intersect(i1)
-	s.narrow(out, m0.Shift(d), m1.Shift(d))
+	s.narrow(out, m0.Shift(d), m1.Shift(d), g)
 	if invert {
 		m0, m1 = m1, m0
 	}
-	s.narrow(in, m0, m1)
+	s.narrow(in, m0, m1, g)
 }
 
 // symAgg aggregates the input class waves of an AND/NAND/OR/NOR gate
@@ -281,12 +281,12 @@ func (a *symAgg) back(cw, nw waveform.Wave, qualOther bool) (projC, projN wavefo
 }
 
 // narrowSym narrows net n to the class waves projC (controlling class
-// ctrl) and projN.
-func (s *System) narrowSym(n circuit.NetID, ctrl int, projC, projN waveform.Wave) {
+// ctrl) and projN on behalf of gate self (see narrow).
+func (s *System) narrowSym(n circuit.NetID, ctrl int, projC, projN waveform.Wave, self circuit.GateID) {
 	if ctrl == 0 {
-		s.narrow(n, projC, projN)
+		s.narrow(n, projC, projN, self)
 	} else {
-		s.narrow(n, projN, projC)
+		s.narrow(n, projN, projC, self)
 	}
 }
 
@@ -342,14 +342,14 @@ func (s *System) projectSymmetric(g circuit.GateID, ctrl int, inverting bool) {
 
 	// Apply all narrowings (output classes mapped back to circuit
 	// classes and time frame).
-	s.narrowSym(out, ctrlOutClass, a.newOutC.Shift(d), a.newOutN.Shift(d))
+	s.narrowSym(out, ctrlOutClass, a.newOutC.Shift(d), a.newOutN.Shift(d), g)
 	for i, n := range ins {
 		others := cntQ
 		if a.qual(ctrlW[i]) {
 			others--
 		}
 		projC, projN := a.back(ctrlW[i], nonW[i], others >= 1)
-		s.narrowSym(n, ctrl, projC, projN)
+		s.narrowSym(n, ctrl, projC, projN, circuit.InvalidGate)
 	}
 }
 
@@ -375,11 +375,11 @@ func (s *System) projectSymmetric2(g circuit.GateID, ctrl int, inverting bool) {
 	a.forward(s.wave(out, ctrlOutClass).Shift(-d), s.wave(out, 1-ctrlOutClass).Shift(-d))
 	qx, qy := a.qual(cx), a.qual(cy)
 
-	s.narrowSym(out, ctrlOutClass, a.newOutC.Shift(d), a.newOutN.Shift(d))
+	s.narrowSym(out, ctrlOutClass, a.newOutC.Shift(d), a.newOutN.Shift(d), g)
 	projC, projN := a.back(cx, nx, qy)
-	s.narrowSym(x, ctrl, projC, projN)
+	s.narrowSym(x, ctrl, projC, projN, circuit.InvalidGate)
 	projC, projN = a.back(cy, ny, qx)
-	s.narrowSym(y, ctrl, projC, projN)
+	s.narrowSym(y, ctrl, projC, projN, circuit.InvalidGate)
 }
 
 // outNBounds extracts the (lo, hi) interval of a wave, with the empty
@@ -487,9 +487,9 @@ func (s *System) projectParity(g circuit.GateID, xnor bool) {
 		}
 	}
 
-	s.narrow(out, outReq[0].Intersect(fwd[0]).Shift(d), outReq[1].Intersect(fwd[1]).Shift(d))
+	s.narrow(out, outReq[0].Intersect(fwd[0]).Shift(d), outReq[1].Intersect(fwd[1]).Shift(d), circuit.InvalidGate)
 	for i, n := range ins {
-		s.narrow(n, back[i][0], back[i][1])
+		s.narrow(n, back[i][0], back[i][1], circuit.InvalidGate)
 	}
 }
 
@@ -531,9 +531,9 @@ func (s *System) projectParity2(g circuit.GateID, xnor bool) {
 		bx[vx] = bx[vx].Union(parityBack(wx, wy.Lmax, lo, hi))
 		by[vy] = by[vy].Union(parityBack(wy, wx.Lmax, lo, hi))
 	}
-	s.narrow(out, outReq[0].Intersect(fwd[0]).Shift(d), outReq[1].Intersect(fwd[1]).Shift(d))
-	s.narrow(x, bx[0], bx[1])
-	s.narrow(y, by[0], by[1])
+	s.narrow(out, outReq[0].Intersect(fwd[0]).Shift(d), outReq[1].Intersect(fwd[1]).Shift(d), circuit.InvalidGate)
+	s.narrow(x, bx[0], bx[1], circuit.InvalidGate)
+	s.narrow(y, by[0], by[1], circuit.InvalidGate)
 }
 
 // parityBack is one input's backward contribution from a parity

@@ -69,11 +69,15 @@ type System struct {
 
 	// The change log (see Subscribe): every net whose domain changed,
 	// in order, while logOn; cursors[i] is consumer i's read position.
-	// gen identifies the run the log belongs to.
-	log     []circuit.NetID
-	logOn   bool
-	cursors []int
-	gen     uint64
+	// gen identifies the run the log belongs to. logMarks holds one
+	// entry per open trail mark, and logEpoch changes whenever the log
+	// is truncated or a consumer subscribes (see Undo).
+	log      []circuit.NetID
+	logOn    bool
+	cursors  []int
+	gen      uint64
+	logMarks []logMark
+	logEpoch uint64
 
 	inconsistent bool
 	emptyNet     circuit.NetID
@@ -231,9 +235,16 @@ func (s *System) ScheduleAll() {
 
 // ScheduleNet enqueues every constraint operating on net n (its driver
 // and its fanout gates, in that order).
-func (s *System) ScheduleNet(n circuit.NetID) {
+func (s *System) ScheduleNet(n circuit.NetID) { s.scheduleNet(n, circuit.InvalidGate) }
+
+// scheduleNet is ScheduleNet without gate self: a gate whose own
+// application narrowed n and cannot narrow anything on a second
+// application (DESIGN.md §17, rule 1).
+func (s *System) scheduleNet(n circuit.NetID, self circuit.GateID) {
 	for _, g := range s.l.Gates(n) {
-		s.schedule(g)
+		if g != self {
+			s.schedule(g)
+		}
 	}
 }
 
@@ -250,13 +261,14 @@ func (s *System) SetTraceFunc(f func(n circuit.NetID, old, new waveform.Signal))
 // whether the domain changed. Narrowing to (φ, φ) marks the system
 // inconsistent.
 func (s *System) Narrow(n circuit.NetID, sig waveform.Signal) bool {
-	return s.narrow(n, sig.W0, sig.W1)
+	return s.narrow(n, sig.W0, sig.W1, circuit.InvalidGate)
 }
 
-// narrow is Narrow on the two class waves. It meets net n's four lanes
-// with the waves' bounds and returns at once when nothing changes; a
-// Signal is built only for the trace hook.
-func (s *System) narrow(n circuit.NetID, w0, w1 waveform.Wave) bool {
+// narrow is Narrow on the two class waves, made by the application of
+// gate self (InvalidGate for none), which is not re-scheduled. It meets
+// net n's four lanes with the waves' bounds and returns at once when
+// nothing changes; a Signal is built only for the trace hook.
+func (s *System) narrow(n circuit.NetID, w0, w1 waveform.Wave, self circuit.GateID) bool {
 	base := lanes * int(n)
 	l0, h0, ch0 := meet(s.dom[base], s.dom[base+1], w0)
 	l1, h1, ch1 := meet(s.dom[base+2], s.dom[base+3], w1)
@@ -281,7 +293,7 @@ func (s *System) narrow(n circuit.NetID, w0, w1 waveform.Wave) bool {
 		s.inconsistent = true
 		s.emptyNet = n
 	}
-	s.ScheduleNet(n)
+	s.scheduleNet(n, self)
 	return true
 }
 
@@ -417,22 +429,36 @@ func sortGatesBy(gs []circuit.GateID, pos []int32, desc bool) {
 	})
 }
 
+// logMark is the change log's state when a trail mark was opened: its
+// length and epoch.
+type logMark struct {
+	pos   int
+	epoch uint64
+}
+
 // Mark opens a new decision level; Undo rewinds to the matching mark.
-func (s *System) Mark() { s.trail.mark() }
+func (s *System) Mark() {
+	s.trail.mark()
+	s.logMarks = append(s.logMarks, logMark{len(s.log), s.logEpoch})
+}
 
 // Undo rewinds domains to the most recent mark, clearing any
-// inconsistency and pending events.
+// inconsistency and pending events. The change log is cut back to its
+// length at the mark when no consumer has read past that point, and
+// records every restored net otherwise.
 func (s *System) Undo() {
 	if n := len(s.trail.marks); n > 0 {
 		base := s.trail.marks[n-1]
 		s.trail.marks = s.trail.marks[:n-1]
+		logRestores := s.logOn && !s.rewindLog(s.logMarks[n-1])
+		s.logMarks = s.logMarks[:n-1]
 		last := circuit.InvalidNet
 		for i := len(s.trail.idx) - 1; i >= base; i-- {
 			lane := s.trail.idx[i]
 			s.dom[lane] = s.trail.old[i]
 			// A narrowing saves its lanes consecutively, so logging
 			// each run of one net once logs every restored net.
-			if net := circuit.NetID(lane / lanes); s.logOn && net != last {
+			if net := circuit.NetID(lane / lanes); logRestores && net != last {
 				s.log = append(s.log, net)
 				last = net
 			}
@@ -446,6 +472,26 @@ func (s *System) Undo() {
 		s.inQueue[g] = false
 	}
 	s.queue, s.qhead = s.queue[:0], 0
+}
+
+// rewindLog cuts the change log back to its length at mark m and
+// reports true when that is exact: the log is the one m was taken on
+// (no truncation or Subscribe since) and no consumer has read past
+// m.pos. Every consumer then last saw domains no later than the mark's,
+// the entries before m.pos stay, and the domains Undo restores are the
+// mark's, so the log from each cursor still names every net whose
+// domain differs from what its consumer last read.
+func (s *System) rewindLog(m logMark) bool {
+	if m.epoch != s.logEpoch {
+		return false
+	}
+	for _, c := range s.cursors {
+		if c > m.pos {
+			return false
+		}
+	}
+	s.log = s.log[:m.pos]
+	return true
 }
 
 // Levels returns the number of open decision levels.
@@ -472,12 +518,14 @@ func (s *System) AppendTouched(dst []circuit.NetID) []circuit.NetID {
 // dominators, learning) revisit only the nets whose domains changed
 // since they last looked, instead of the whole circuit. It is off until
 // the first Subscribe of a run, so checks that never reach a consumer
-// pay nothing. While on, every effective Narrow appends its net, and
-// Undo appends each net it restores. Reset and Restore turn it off,
-// drop every subscription and start a new generation, so a consumer
-// that finds Generation changed starts over with a full computation and
-// a fresh Subscribe. Once every subscriber has read to the end, the log
-// is truncated, which keeps it bounded by the changes of one evaluate
+// pay nothing. While on, every effective Narrow appends its net. An Undo
+// whose mark no consumer has read past cuts the log back to the mark
+// (the narrowings since then are undone unseen); any other Undo appends
+// each net it restores. Reset and Restore turn the log off, drop every
+// subscription and start a new generation, so a consumer that finds
+// Generation changed starts over with a full computation and a fresh
+// Subscribe. Once every subscriber has read to the end, the log is
+// truncated, which keeps it bounded by the changes of one evaluate
 // round plus the restorations since.
 
 // Generation identifies the system's current run: it changes on every
@@ -490,6 +538,7 @@ func (s *System) Generation() uint64 { return s.gen }
 // generation changes.
 func (s *System) Subscribe() int {
 	s.logOn = true
+	s.logEpoch++ // a mark taken before now may predate this consumer's view
 	s.cursors = append(s.cursors, len(s.log))
 	return len(s.cursors) - 1
 }
@@ -506,6 +555,7 @@ func (s *System) Changes(id int, dst []circuit.NetID) []circuit.NetID {
 		}
 	}
 	s.log = s.log[:0]
+	s.logEpoch++
 	clear(s.cursors)
 	return dst
 }
@@ -558,6 +608,7 @@ func (s *System) resetRunState() {
 	s.trail.idx = s.trail.idx[:0]
 	s.trail.old = s.trail.old[:0]
 	s.trail.marks = s.trail.marks[:0]
+	s.logMarks = s.logMarks[:0]
 	for _, g := range s.queue[s.qhead:] {
 		s.inQueue[g] = false
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -318,5 +319,27 @@ func TestTraceWriterSmoke(t *testing.T) {
 	}
 	if !strings.Contains(js.String(), `"ev":"check.done"`) {
 		t.Fatalf("json trace missing check.done:\n%s", js.String())
+	}
+}
+
+// TestMultiTracerNoAlloc: the server combines its engine tracer with
+// each request's, usually nil, once per check, so MultiTracer returns
+// nil or the single non-nil tracer as is, without allocating.
+func TestMultiTracerNoAlloc(t *testing.T) {
+	tr := NewTraceWriter(io.Discard, nil)
+	if got := MultiTracer(nil, nil); got != nil {
+		t.Fatalf("MultiTracer(nil, nil) = %v, want nil", got)
+	}
+	if got := MultiTracer(nil, tr, nil); got != Tracer(tr) {
+		t.Fatalf("MultiTracer(nil, tr, nil) = %v, want tr itself", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = MultiTracer(tr, nil) }); allocs != 0 {
+		t.Fatalf("MultiTracer(tr, nil) allocates %.1f objects, want 0", allocs)
+	}
+	var a, b strings.Builder
+	both := MultiTracer(NewTraceWriter(&a, nil), nil, NewTraceWriter(&b, nil))
+	both.Backtrack(7)
+	if a.String() == "" || a.String() != b.String() {
+		t.Fatalf("a MultiTracer of two tracers wrote %q and %q, want the same event in both", a.String(), b.String())
 	}
 }

@@ -187,21 +187,28 @@ func (t *TraceWriter) CheckDone(rep *Report) {
 
 // MultiTracer fans every event out to each tracer in order (e.g. a
 // TraceWriter plus an obs.Tracer for `ltta -trace -stats`). Nil entries
-// are skipped; a MultiTracer of zero non-nil tracers behaves like nil.
+// are skipped; a MultiTracer of zero non-nil tracers returns nil and
+// one of a single non-nil tracer returns that tracer, without
+// allocating.
 func MultiTracer(tracers ...Tracer) Tracer {
-	var ts []Tracer
+	var one Tracer
+	n := 0
+	for _, t := range tracers {
+		if t != nil {
+			one = t
+			n++
+		}
+	}
+	if n <= 1 {
+		return one
+	}
+	ts := make(multiTracer, 0, n)
 	for _, t := range tracers {
 		if t != nil {
 			ts = append(ts, t)
 		}
 	}
-	switch len(ts) {
-	case 0:
-		return nil
-	case 1:
-		return ts[0]
-	}
-	return multiTracer(ts)
+	return ts
 }
 
 type multiTracer []Tracer

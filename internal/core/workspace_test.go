@@ -142,6 +142,7 @@ func TestRetainedDominatorSetSurvivesReuse(t *testing.T) {
 // search witnesses, cut at 500 backtracks. Each iteration re-runs the
 // check on one verifier, so after the first the cone and warm-start
 // memo are built and the time is the pipeline through case analysis.
+// It reports the gate-constraint applications per check (props/op).
 func BenchmarkCaseAnalysis(b *testing.B) {
 	c := suiteCircuit(b, "c6288")
 	sink, _ := c.NetByName("p15")
@@ -151,11 +152,15 @@ func BenchmarkCaseAnalysis(b *testing.B) {
 	v.Run(context.Background(), req)
 	b.ReportAllocs()
 	b.ResetTimer()
+	var props int64
 	for i := 0; i < b.N; i++ {
-		if rep := v.Run(context.Background(), req); rep.Final != Abandoned {
+		rep := v.Run(context.Background(), req)
+		if rep.Final != Abandoned {
 			b.Fatalf("got %s, want A past the 500-backtrack budget", rep.Final)
 		}
+		props += rep.Propagations
 	}
+	b.ReportMetric(float64(props)/float64(b.N), "props/op")
 }
 
 // BenchmarkStemCorrelation is the stems layer on its heaviest warm
