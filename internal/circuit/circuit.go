@@ -351,11 +351,13 @@ func (c *Circuit) TransitiveFanout(n NetID) []bool {
 // Section 5 of the paper.
 func (c *Circuit) ReconvergentStems() []NetID {
 	var stems []NetID
+	l := &c.layout
 	reach := make([]int32, len(c.nets)) // visit stamp per net
 	stamp := int32(0)
+	var stack []NetID // the depth-first stack, reused by every branch
 	for i := range c.nets {
-		n := &c.nets[i]
-		if len(n.Fanout) < 2 {
+		fanout := l.Fanout(NetID(i))
+		if len(fanout) < 2 {
 			continue
 		}
 		// Mark nets reachable from each branch; a net reached by two
@@ -364,9 +366,8 @@ func (c *Circuit) ReconvergentStems() []NetID {
 		base := stamp
 		recon := false
 	branches:
-		for _, g := range n.Fanout {
-			start := c.gates[g].Output
-			stack := []NetID{start}
+		for _, g := range fanout {
+			stack = append(stack[:0], l.Out[g])
 			for len(stack) > 0 {
 				x := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
@@ -378,14 +379,14 @@ func (c *Circuit) ReconvergentStems() []NetID {
 					continue
 				}
 				reach[x] = stamp
-				for _, fg := range c.nets[x].Fanout {
-					stack = append(stack, c.gates[fg].Output)
+				for _, fg := range l.Fanout(x) {
+					stack = append(stack, l.Out[fg])
 				}
 			}
 			stamp++
 		}
 		if recon {
-			stems = append(stems, n.ID)
+			stems = append(stems, NetID(i))
 		}
 	}
 	return stems

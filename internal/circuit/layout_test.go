@@ -81,6 +81,40 @@ func TestLayout(t *testing.T) {
 	}
 }
 
+// TestReconvergentStemsMatchesReference: the stems equal the
+// reference's, in the same order, on generated circuits of every kind
+// and on cones cut from them.
+func TestReconvergentStemsMatchesReference(t *testing.T) {
+	cs := []*circuit.Circuit{gen.Hrapcenko(10), gen.C17(10), gen.Industrial(1, 100, 10), gen.Industrial(2, 200, 10)}
+	for seed := int64(1); seed <= 20; seed++ {
+		cs = append(cs, gen.Random(seed, 3+int(seed%6), 10*int(seed), 10))
+	}
+	for _, e := range gen.SubstituteSuite() {
+		cs = append(cs, e.Circuit)
+	}
+	stems := 0
+	for _, c := range cs {
+		all := []*circuit.Circuit{c}
+		for _, po := range c.PrimaryOutputs()[:min(3, len(c.PrimaryOutputs()))] {
+			cone, err := circuit.ExtractCone(c, po)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, cone)
+		}
+		for _, x := range all {
+			got, want := x.ReconvergentStems(), circuit.ReferenceReconvergentStems(x)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: stems %v, reference %v", x.Name, got, want)
+			}
+			stems += len(got)
+		}
+	}
+	if stems < 100 {
+		t.Fatalf("only %d stems compared", stems)
+	}
+}
+
 // TestLayoutOpcodes checks every gate type and fan-in class maps to
 // its opcode.
 func TestLayoutOpcodes(t *testing.T) {

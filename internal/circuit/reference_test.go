@@ -253,3 +253,46 @@ func TestReadBenchAllocs(t *testing.T) {
 		t.Fatalf("ParseGateType(string(b)) allocates %.0f times", n)
 	}
 }
+
+// ReferenceReconvergentStems is the ReconvergentStems that allocated a
+// fresh depth-first stack for every fanout branch and read fanout from
+// the Net records, kept as the reference the rewrite must reproduce.
+// Exported (test builds only) for package circuit_test.
+func ReferenceReconvergentStems(c *Circuit) []NetID {
+	var stems []NetID
+	reach := make([]int32, len(c.nets))
+	stamp := int32(0)
+	for i := range c.nets {
+		n := &c.nets[i]
+		if len(n.Fanout) < 2 {
+			continue
+		}
+		stamp++
+		base := stamp
+		recon := false
+	branches:
+		for _, g := range n.Fanout {
+			stack := []NetID{c.gates[g].Output}
+			for len(stack) > 0 {
+				x := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if reach[x] >= base {
+					if reach[x] != stamp {
+						recon = true
+						break branches
+					}
+					continue
+				}
+				reach[x] = stamp
+				for _, fg := range c.nets[x].Fanout {
+					stack = append(stack, c.gates[fg].Output)
+				}
+			}
+			stamp++
+		}
+		if recon {
+			stems = append(stems, n.ID)
+		}
+	}
+	return stems
+}

@@ -162,6 +162,16 @@ func (s *System) Circuit() *circuit.Circuit { return s.c }
 // Domain returns the current domain of net n.
 func (s *System) Domain(n circuit.NetID) waveform.Signal { return s.sig(n) }
 
+// HasTransitionAtOrAfter reports Domain(n).HasTransitionAtOrAfter(t)
+// from the lanes: a class qualifies when its wave is non-empty and
+// meets [t, +∞].
+func (s *System) HasTransitionAtOrAfter(n circuit.NetID, t waveform.Time) bool {
+	base := lanes * int(n)
+	lo0, hi0, lo1, hi1 := s.dom[base], s.dom[base+1], s.dom[base+2], s.dom[base+3]
+	tt, inf := int64(t), int64(waveform.PosInf)
+	return tt <= inf && (lo0 <= hi0 && lo0 <= inf && tt <= hi0 || lo1 <= hi1 && lo1 <= inf && tt <= hi1)
+}
+
 // Inconsistent reports whether some net's domain has become (φ, φ); in
 // that state the timing check has no solution (Theorem 2 generalised to
 // any net).

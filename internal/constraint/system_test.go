@@ -321,3 +321,31 @@ z = BUFF(a)
 		t.Fatal("String must describe the system")
 	}
 }
+
+// TestHasTransitionAtOrAfterReadsLanes: the lane test equals building
+// the Signal and asking it, for every pair of waves over a boundary
+// table (empty waves of every shape, the infinities, single points)
+// and every threshold in the same table.
+func TestHasTransitionAtOrAfterReadsLanes(t *testing.T) {
+	c := mustBuild(t, "INPUT(a)\nOUTPUT(z)\nz = NOT(a)\n", 1)
+	sys := New(c)
+	a := id(t, c, "a")
+	times := []waveform.Time{waveform.NegInf, waveform.NegInf + 1, -5, 0, 4, 5, 6, waveform.PosInf - 1, waveform.PosInf}
+	var waves []waveform.Wave
+	for _, lo := range times {
+		for _, hi := range times {
+			waves = append(waves, waveform.Interval(lo, hi))
+		}
+	}
+	for _, w0 := range waves {
+		for _, w1 := range waves {
+			sig := waveform.Signal{W0: w0, W1: w1}
+			sys.storeSig(a, sig)
+			for _, th := range times {
+				if got, want := sys.HasTransitionAtOrAfter(a, th), sig.HasTransitionAtOrAfter(th); got != want {
+					t.Fatalf("%v at %s: lanes say %v, the signal %v", sig, th, got, want)
+				}
+			}
+		}
+	}
+}

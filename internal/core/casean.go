@@ -159,10 +159,10 @@ type objective struct {
 // the workspace without recomputation. stems is the verifier's
 // reconvergent-stem list, read once per case analysis.
 func (v *Verifier) pickDecision(ws *workspace, sys *constraint.System, sink circuit.NetID, delta waveform.Time, stems []circuit.NetID) (circuit.NetID, int, bool) {
-	carrier, dist := ws.dom.Carriers(sys, sink, delta)
+	carrier, dist := ws.dom.Carriers(sys, v.levels, sink, delta)
 	var doms dom.Dominators
 	if v.opts.UseDominators {
-		doms = ws.dom.Dominators(v.order)
+		doms = ws.dom.Dominators(v.levels)
 	}
 
 	// Phase 1: sensitising objectives on the non-carrier inputs of
@@ -235,7 +235,7 @@ func (v *Verifier) preferredClass(sys *constraint.System, n circuit.NetID) int {
 // (the level order), returning the first decision point a backtrace
 // reaches.
 func (v *Verifier) backtraceUnjustified(sys *constraint.System) (circuit.NetID, int, bool) {
-	for _, n := range v.order {
+	for _, n := range v.levels.Order {
 		val, ok := v.unjustified(sys, n)
 		if !ok {
 			continue

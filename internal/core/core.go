@@ -160,7 +160,7 @@ type Verifier struct {
 	prep     *Prepared // shared precompute; nil on cone sub-verifiers
 	analysis *delay.Analysis
 	cc       *scoap.Controllability
-	order    []circuit.NetID // dom.LevelOrder of c, shared via Prepared
+	levels   *dom.Levels // dom.NewLevels of c, shared via Prepared
 
 	// The on-demand analyses of the shared precompute, each built by
 	// the first check on the circuit (or cone) that reads it.
@@ -263,8 +263,8 @@ func (v *Verifier) evaluate(rs *runState, sys *constraint.System, sink circuit.N
 			}
 		}
 		if v.opts.UseDominators {
-			ws.dom.Carriers(sys, sink, delta)
-			doms := ws.dom.Dominators(v.order)
+			ws.dom.Carriers(sys, v.levels, sink, delta)
+			doms := ws.dom.Dominators(v.levels)
 			if rep.Dominators == 0 {
 				rep.Dominators = len(doms.Nets)
 				rep.DominatorSet = rs.keepDominators(doms)
@@ -297,7 +297,11 @@ func (v *Verifier) evaluate(rs *runState, sys *constraint.System, sink circuit.N
 // the carrier paths without ever carrying the late transition
 // themselves (the e3-style conflicts of Figure 1, distributed over
 // reconvergent branches, are only refutable this way). The widening is
-// sound (each branch evaluation is) and only costs extra splits.
+// sound (each branch evaluation is) and only costs extra splits. The
+// system is consistent whenever the stage reaches a stem, so the
+// checked output is itself a carrier, and every carrier lies in its
+// fan-in cone: the stems whose transitive fanout reaches a carrier are
+// exactly the stems of the output's fan-in cone, for the whole stage.
 func (v *Verifier) stemCorrelation(rs *runState, sys *constraint.System, sink circuit.NetID, delta waveform.Time, rep *Report) Result {
 	// The first stage on the circuit (or cone) that reads the stems
 	// builds them; the build cannot be interrupted, so the deadline is
@@ -310,8 +314,8 @@ func (v *Verifier) stemCorrelation(rs *runState, sys *constraint.System, sink ci
 		return PossibleViolation
 	}
 	ws := rs.workspace()
-	carrier, _ := ws.dom.Carriers(sys, sink, delta)
-	influence := ws.influenceMask(v.c, carrier)
+	carrier, _ := ws.dom.Carriers(sys, v.levels, sink, delta)
+	fanin := ws.faninMask(v.c, v.levels, sink)
 	// Order: carrier stems first (the paper's criterion), then
 	// side-condition stems; deepest first within each group. A budget
 	// caps the splits so wide circuits stay tractable.
@@ -331,7 +335,7 @@ func (v *Verifier) stemCorrelation(rs *runState, sys *constraint.System, sink ci
 	})
 	splits := 0
 	for _, stem := range stems {
-		if !influence[stem] {
+		if !fanin[stem] {
 			continue
 		}
 		if rs.maxSplits > 0 && splits >= rs.maxSplits {
@@ -393,9 +397,6 @@ func (v *Verifier) stemCorrelation(rs *runState, sys *constraint.System, sink ci
 		case NoViolation, Cancelled, Abandoned:
 			return res
 		}
-		// Refresh carrier information for subsequent stems.
-		carrier, _ = ws.dom.Carriers(sys, sink, delta)
-		influence = ws.influenceMask(v.c, carrier)
 	}
 	return PossibleViolation
 }
@@ -436,22 +437,20 @@ func (ws *workspace) unionBranch(sys *constraint.System) {
 	ws.touched, ws.branch = ws.touched[:k], ws.branch[:k]
 }
 
-// influenceMask marks nets whose transitive fanout (including the net
-// itself) contains a carrier net, into the workspace's influence
-// buffer.
-func (ws *workspace) influenceMask(c *circuit.Circuit, carrier []bool) []bool {
-	inf := slices.Grow(ws.influence[:0], len(carrier))[:len(carrier)]
-	ws.influence = inf
-	copy(inf, carrier)
-	topo := c.TopoGates()
-	for i := len(topo) - 1; i >= 0; i-- {
-		g := c.Gate(topo[i])
-		if !inf[g.Output] {
-			continue
-		}
-		for _, in := range g.Inputs {
-			inf[in] = true
+// faninMask marks the nets of sink's transitive fan-in (sink
+// included) into the workspace's fanin buffer.
+func (ws *workspace) faninMask(c *circuit.Circuit, lv *dom.Levels, sink circuit.NetID) []bool {
+	in := slices.Grow(ws.fanin[:0], c.NumNets())[:c.NumNets()]
+	ws.fanin = in
+	clear(in)
+	in[sink] = true
+	// Level order reaches every net after the nets its fanout drives.
+	for _, x := range lv.Order {
+		if in[x] {
+			for _, y := range lv.Inputs(x) {
+				in[y] = true
+			}
 		}
 	}
-	return inf
+	return in
 }

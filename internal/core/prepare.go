@@ -30,7 +30,7 @@ type Prepared struct {
 	c        *circuit.Circuit
 	analysis *delay.Analysis
 	cc       *scoap.Controllability
-	order    []circuit.NetID // dom.LevelOrder of c
+	levels   *dom.Levels // dom.NewLevels of c
 
 	learn func() *learn.Table    // built by the first stage-2 check with learning
 	stems func() []circuit.NetID // built by the first stem-correlation or case-analysis stage
@@ -60,7 +60,7 @@ func Prepare(c *circuit.Circuit) *Prepared {
 		c:        c,
 		analysis: delay.New(c),
 		cc:       scoap.Compute(c),
-		order:    dom.LevelOrder(c),
+		levels:   dom.NewLevels(c),
 		learn:    sync.OnceValue(func() *learn.Table { return precomputeLearning(c) }),
 		stems:    sync.OnceValue(func() []circuit.NetID { return reconvergentStems(c) }),
 		cones:    make(map[circuit.NetID]*conePrep),
@@ -83,7 +83,7 @@ func (p *Prepared) LearnTable() *learn.Table { return p.learn() }
 // stems are built by the first check that reads them.
 func (p *Prepared) NewVerifier(opts Options) *Verifier {
 	return &Verifier{c: p.c, opts: opts, prep: p,
-		analysis: p.analysis, cc: p.cc, order: p.order,
+		analysis: p.analysis, cc: p.cc, levels: p.levels,
 		learnTable: p.learn, stems: p.stems}
 }
 
@@ -102,7 +102,7 @@ type conePrep struct {
 
 	analysis *delay.Analysis
 	cc       *scoap.Controllability
-	order    []circuit.NetID // dom.LevelOrder of cone
+	levels   *dom.Levels // dom.NewLevels of cone
 
 	learnTable func() *learn.Table    // the parent's table projected on first use
 	stems      func() []circuit.NetID // the parent's stems restricted on first use
@@ -144,7 +144,7 @@ func (cp *conePrep) build(p *Prepared, sink circuit.NetID) {
 	}
 	cp.cone, cp.cm = cone, cm
 	cp.analysis = delay.New(cone)
-	cp.order = dom.LevelOrder(cone)
+	cp.levels = dom.NewLevels(cone)
 	// Arrival times and SCOAP controllabilities are functions of each
 	// net's fan-in alone, which the slice preserves, so the projection
 	// is identical to recomputing on the cone.
@@ -209,7 +209,7 @@ func (cv *coneVerifier) init(v *Verifier, sink circuit.NetID) {
 	subOpts := v.opts
 	subOpts.UseConeSlicing = false
 	sub := &Verifier{c: cp.cone, opts: subOpts,
-		analysis: cp.analysis, cc: cp.cc, order: cp.order,
+		analysis: cp.analysis, cc: cp.cc, levels: cp.levels,
 		learnTable: cp.learnTable, stems: cp.stems}
 	cv.sub, cv.cm = sub, cp.cm
 	cv.nPIs = len(v.c.PrimaryInputs())

@@ -314,7 +314,7 @@ func (v *Verifier) run(ctx context.Context, req Request) *Report {
 		sys.Narrow(req.Sink, waveform.CheckOutput(req.Delta))
 		sys.ScheduleAll()
 		if v.opts.UseStaticDominators {
-			doms := rs.workspace().dom.Static(v.c, v.order, v.analysis, req.Sink, req.Delta)
+			doms := rs.workspace().dom.Static(v.c, v.levels, v.analysis, req.Sink, req.Delta)
 			dom.NarrowDominators(sys, doms, req.Delta)
 		}
 	}

@@ -9,7 +9,7 @@ import (
 
 // workspace is the reusable scratch storage of pipeline stages 2–4:
 // the incremental carrier and dominator state, the learning cursor,
-// stem correlation's influence mask and branch domains, and case
+// stem correlation's fan-in mask and branch domains, and case
 // analysis's decision stack and objective lists. It lives on the run
 // state, so one workspace serves a whole check; a ReportArena keeps it
 // across the checks of serial sweeps, cone slices of different sizes
@@ -19,7 +19,7 @@ type workspace struct {
 	dom   dom.Workspace
 	learn learn.Cursor
 
-	influence []bool
+	fanin     []bool
 	stemOrder []circuit.NetID
 	// A stem split's surviving domains: the trailed nets in increasing
 	// id order and their domains; touched1 is the second branch's trail.

@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"slices"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/constraint"
+	"repro/internal/delay"
 	"repro/internal/gen"
 	"repro/internal/waveform"
 )
@@ -192,5 +195,71 @@ func BenchmarkStemCorrelation(b *testing.B) {
 		if res := v.stemCorrelation(rs, sys, sink, delta, &rep); res != PossibleViolation || rep.Stats.StemSplits != 64 {
 			b.Fatalf("got %s after %d splits, want P after 64", res, rep.Stats.StemSplits)
 		}
+	}
+}
+
+// TestStemFaninIsCarrierInfluence backs stem correlation's selection:
+// while the checked output's domain is non-empty, the nets whose
+// transitive fanout holds a dynamic carrier are exactly the output's
+// fan-in cone. One workspace follows random narrowings, fixpoints,
+// marks and undos on whole gen.Random circuits (where, unlike on a
+// cone, many nets lie outside the fan-in) for random sinks at random
+// δ, and after every step faninMask must equal the set computed from
+// the carriers; the test also requires the carriers to be a strict
+// subset of the fan-in often, so the equality is not trivial.
+func TestStemFaninIsCarrierInfluence(t *testing.T) {
+	ws := new(workspace) // shared across circuits, as an arena keeps it
+	checked, strict := 0, 0
+	for seed := int64(1); seed <= 8; seed++ {
+		c := gen.Random(seed, 6, 80, 10)
+		lv := Prepare(c).levels
+		fanout := make([][]bool, c.NumNets())
+		for n := range fanout {
+			fanout[n] = c.TransitiveFanout(circuit.NetID(n))
+		}
+		r := rand.New(rand.NewSource(seed))
+		for range 4 {
+			sink := circuit.NetID(c.NumNets() - 1 - r.Intn(c.NumNets()/2))
+			top := int64(delay.New(c).Arrival(sink))
+			delta := waveform.Time(top - r.Int63n(top/2+1))
+			sys := constraint.New(c)
+			sys.Narrow(sink, waveform.CheckOutput(delta))
+			sys.ScheduleAll()
+			sys.Fixpoint()
+			for step := 0; step < 100; step++ {
+				switch op := r.Intn(4); {
+				case op < 2:
+					pis := c.PrimaryInputs()
+					sys.Mark()
+					sys.Narrow(pis[r.Intn(len(pis))], waveform.SettledTo(r.Intn(2)))
+					sys.Fixpoint()
+				case op < 3:
+					sys.Undo()
+				default:
+					sys.Narrow(circuit.NetID(r.Intn(c.NumNets())), waveform.CheckOutput(waveform.Time(r.Int63n(top+1))))
+				}
+				if sys.Domain(sink).IsEmpty() {
+					continue
+				}
+				carrier, _ := ws.dom.Carriers(sys, lv, sink, delta)
+				got := ws.faninMask(c, lv, sink)
+				for n := range got {
+					want := false
+					for m, in := range fanout[n] {
+						want = want || in && carrier[m]
+					}
+					if got[n] != want {
+						t.Fatalf("seed %d sink %d step %d: fan-in[%d] = %v, carrier influence %v", seed, sink, step, n, got[n], want)
+					}
+				}
+				checked++
+				if !slices.Equal(got, carrier) {
+					strict++
+				}
+			}
+		}
+	}
+	if checked < 1000 || strict < checked/2 {
+		t.Fatalf("%d steps checked, %d with carriers short of the fan-in; the test must exercise both", checked, strict)
 	}
 }

@@ -52,6 +52,37 @@ func LevelOrder(c *circuit.Circuit) []circuit.NetID {
 	return order
 }
 
+// Levels is the per-circuit input of the Workspace calls: the level
+// order of the nets and, by net, the range of its driver's inputs in
+// the circuit layout's Pins. It depends on the circuit alone: build it
+// once per circuit with NewLevels and pass it to every Workspace call
+// on that circuit.
+type Levels struct {
+	Order []circuit.NetID // LevelOrder of the circuit
+
+	pins  []circuit.NetID // the layout's Pins
+	input []pinRange      // by net; empty for a primary input
+}
+
+// pinRange is a net's driver inputs, pins[lo:hi].
+type pinRange struct{ lo, hi int32 }
+
+// NewLevels builds the Levels of c.
+func NewLevels(c *circuit.Circuit) *Levels {
+	l := c.Layout()
+	input := make([]pinRange, c.NumNets())
+	for g, y := range l.Out {
+		input[y] = pinRange{l.PinStart[g], l.PinStart[g+1]}
+	}
+	return &Levels{Order: LevelOrder(c), pins: l.Pins, input: input}
+}
+
+// Inputs returns net x's driver inputs: none for a primary input.
+func (lv *Levels) Inputs(x circuit.NetID) []circuit.NetID {
+	p := lv.input[x]
+	return lv.pins[p.lo:p.hi]
+}
+
 // Workspace owns every buffer of carrier and dominator computation, so
 // a caller that asks for carriers and dominators repeatedly — the
 // evaluate loop after every fixpoint, case analysis at every decision —
@@ -65,10 +96,7 @@ type Workspace struct {
 	mask []bool          // dynamic carrier mask, by net
 	dist []waveform.Time // dynamic distances, by net
 
-	ord    []int32         // position in verts of each carrier net
-	idom   []int32         // immediate dominator by verts position; T last
-	verts  []circuit.NetID // carrier nets in level order
-	tPreds []int32         // verts positions feeding T
+	in []int32 // FromCarriers' cut edges into each net; all zero between calls
 
 	nets  []circuit.NetID // result: dominator nets, source first
 	dists []waveform.Time // result: their distance bounds
@@ -144,7 +172,7 @@ func (w *Workspace) sweep(sys *constraint.System, sink circuit.NetID, delta wave
 			if dist[x] >= kp {
 				continue
 			}
-			if sys.Domain(x).HasTransitionAtOrAfter(delta.Sub(kp)) {
+			if sys.HasTransitionAtOrAfter(x, delta.Sub(kp)) {
 				mask[x] = true
 				dist[x] = kp
 			}
@@ -169,14 +197,15 @@ func (w *Workspace) sweep(sys *constraint.System, sink circuit.NetID, delta wave
 // call for a system generation or check, when the sink's domain is
 // empty or was, and when more than a quarter of the circuit's nets
 // changed, where one sweep replaces re-deriving them one by one. The
-// returned slices alias the workspace.
-func (w *Workspace) Carriers(sys *constraint.System, sink circuit.NetID, delta waveform.Time) (mask []bool, dist []waveform.Time) {
+// returned slices alias the workspace. lv is the Levels of sys's
+// circuit.
+func (w *Workspace) Carriers(sys *constraint.System, lv *Levels, sink circuit.NetID, delta waveform.Time) (mask []bool, dist []waveform.Time) {
 	if gen := sys.Generation(); w.sys != sys || w.gen != gen {
 		w.sys, w.gen, w.sub, w.live = sys, gen, sys.Subscribe(), false
 	}
 	w.changes = sys.Changes(w.sub, w.changes[:0])
 	if w.live && w.sink == sink && w.delta == delta && (len(w.changes) == 0 ||
-		w.mask[sink] && !sys.Domain(sink).IsEmpty() && w.update(sys)) {
+		w.mask[sink] && !sys.Domain(sink).IsEmpty() && w.update(sys, lv)) {
 		return w.mask, w.dist
 	}
 	w.sink, w.delta, w.live = sink, delta, true
@@ -210,7 +239,7 @@ func (w *Workspace) growQueue(c *circuit.Circuit) {
 // update brings mask and dist up to date with the changed nets in
 // w.changes, or reports false — touching nothing — when they are more
 // than a quarter of the circuit's nets.
-func (w *Workspace) update(sys *constraint.System) bool {
+func (w *Workspace) update(sys *constraint.System, lv *Levels) bool {
 	c := sys.Circuit()
 	w.growQueue(c)
 	w.epoch++
@@ -241,11 +270,9 @@ func (w *Workspace) update(sys *constraint.System) bool {
 			if !w.refresh(lay, sys, x) {
 				continue
 			}
-			if d := lay.Driver(x); d != circuit.InvalidGate {
-				for _, in := range lay.Inputs(d) {
-					if w.queued[in] != w.epoch {
-						w.enqueue(c, in)
-					}
+			for _, in := range lv.Inputs(x) {
+				if w.queued[in] != w.epoch {
+					w.enqueue(c, in)
 				}
 			}
 		}
@@ -275,7 +302,7 @@ func (w *Workspace) refresh(l *circuit.Layout, sys *constraint.System, x circuit
 			k = max(k, w.dist[y].Add(waveform.Time(l.Delay[g])))
 		}
 	}
-	carrier := k != waveform.NegInf && sys.Domain(x).HasTransitionAtOrAfter(w.delta.Sub(k))
+	carrier := k != waveform.NegInf && sys.HasTransitionAtOrAfter(x, w.delta.Sub(k))
 	if !carrier {
 		k = waveform.NegInf
 	}
@@ -290,15 +317,14 @@ func (w *Workspace) refresh(l *circuit.Layout, sys *constraint.System, x circuit
 }
 
 // Dominators returns the timing dominators of the carriers the last
-// Carriers call returned — FromCarriers on them. The dominator tree
-// depends on the carrier mask alone, so it is rebuilt only when a
-// carrier bit flipped since the last build; otherwise the same
-// dominator nets are returned with their distances re-read. order is
-// LevelOrder of the system's circuit. The result aliases the
-// workspace.
-func (w *Workspace) Dominators(order []circuit.NetID) Dominators {
+// Carriers call returned — FromCarriers on them. The dominators depend
+// on the carrier mask alone, so they are recomputed only when a carrier
+// bit flipped since the last computation; otherwise the same dominator
+// nets are returned with their distances re-read. lv is the Levels of
+// the system's circuit. The result aliases the workspace.
+func (w *Workspace) Dominators(lv *Levels) Dominators {
 	if !w.domsLive {
-		w.doms = w.FromCarriers(w.sys.Circuit(), order, w.mask, w.dist, w.sink)
+		w.doms = w.FromCarriers(w.sys.Circuit(), lv, w.mask, w.dist, w.sink)
 		w.domsLive = true
 		return w.doms
 	}
@@ -313,103 +339,75 @@ func (w *Workspace) Dominators(order []circuit.NetID) Dominators {
 // other, e.g. the static carriers): the dominators of the terminal
 // vertex T in the carrier DAG Ψ′ (Definition 6). Vertices are the
 // carrier nets plus T, edges run from each gate output to its carrier
-// inputs, and every carrier with no carrier predecessor (primary inputs
-// of Ψ) feeds T. The result is the idom chain of T excluding T itself —
-// the nets on every path from the source (the checked output) to T —
-// ordered from the source down, each with dist as its bound. order is
-// LevelOrder(c).
-func (w *Workspace) FromCarriers(c *circuit.Circuit, order []circuit.NetID, mask []bool, dist []waveform.Time, sink circuit.NetID) Dominators {
+// inputs, and every carrier with no carrier input (primary inputs of
+// Ψ) feeds T. The result is the nets on every path from the source (the
+// checked output) to T, ordered from the source down, each with dist
+// as its bound; it is empty when the sink is not a carrier or a carrier
+// precedes it in lv.Order. lv is the Levels of c.
+//
+// One sweep down lv.Order finds them. Before carrier x is reached, the
+// edges from the carriers already swept that the source reaches form a
+// cut: every source→T path crosses it exactly once, since the path's
+// nets come in order and T comes last. in[x] counts the cut edges
+// ending at x and cut counts them all, so x lies on every path exactly
+// when in[x] == cut: if some cut edge ends elsewhere, following it and
+// then any path to T (every reached carrier has one) avoids x. A T-edge
+// never leaves the cut, so no net after the first T-edge is a
+// dominator and the sweep stops there.
+func (w *Workspace) FromCarriers(c *circuit.Circuit, lv *Levels, mask []bool, dist []waveform.Time, sink circuit.NetID) Dominators {
 	w.domsLive = false // the result storage is about to be overwritten
 	if !mask[sink] {
 		return Dominators{}
 	}
-	// Filtering the level order by the mask orders Ψ′ topologically:
-	// the sink first and every edge y→x forward.
-	verts := w.verts[:0]
-	for _, n := range order {
-		if mask[n] {
-			verts = append(verts, n)
-		}
+	order := lv.Order
+	i := 0
+	for !mask[order[i]] {
+		i++
 	}
-	w.verts = verts
-	if verts[0] != sink {
+	if order[i] != sink {
 		// The sink must be the unique source of Ψ′; carriers outside
 		// its fan-in cone would violate the construction.
 		return Dominators{}
 	}
-	const unset = -1
-	ord := slices.Grow(w.ord[:0], c.NumNets())[:c.NumNets()]
-	w.ord = ord
-	for i, v := range verts {
-		ord[v] = int32(i)
+	if len(w.in) < c.NumNets() {
+		w.in = make([]int32, c.NumNets())
 	}
-	nT := len(verts) // T's position
-	idom := slices.Grow(w.idom[:0], nT+1)[:nT+1]
-	w.idom = idom
-	for i := range idom {
-		idom[i] = unset
-	}
-	idom[0] = 0 // source's idom is itself
-
-	// Predecessors in Ψ′ of a carrier net x: the carrier outputs of the
-	// gates x feeds.
-	l := c.Layout()
-	for i := 1; i < nT; i++ {
-		best := int32(unset)
-		for _, g := range l.Fanout(verts[i]) {
-			y := l.Out[g]
-			if !mask[y] {
-				continue
-			}
-			p := ord[y]
-			if idom[p] == unset && p != 0 {
-				continue // unreachable from the source; skip
-			}
-			if best == unset {
-				best = p
-			} else {
-				best = intersect(idom, best, p)
-			}
+	in := w.in
+	nets := w.nets[:0]
+	in[sink] = 1 // a virtual edge into the source
+	cut := int32(1)
+	for ; i < len(order); i++ {
+		x := order[i]
+		k := in[x]
+		if k == 0 {
+			continue // not a carrier, or not reached from the source
 		}
-		idom[i] = best
-	}
-	// Predecessors of T: carriers with no carrier gate-input (primary
-	// inputs of Ψ and conservative dead ends).
-	tPreds := w.tPreds[:0]
-	for i, x := range verts {
-		hasCarrierInput := false
-		if d := l.Driver(x); d != circuit.InvalidGate {
-			for _, in := range l.Inputs(d) {
-				if mask[in] {
-					hasCarrierInput = true
-					break
-				}
-			}
+		in[x] = 0
+		if k == cut {
+			nets = append(nets, x)
 		}
-		if !hasCarrierInput && (i == 0 || idom[i] != unset) {
-			tPreds = append(tPreds, int32(i))
+		cut -= k
+		before := cut
+		for _, y := range lv.Inputs(x) {
+			b := int32(0)
+			if mask[y] {
+				b = 1
+			}
+			in[y] += b
+			cut += b
+		}
+		if cut == before {
+			break // no carrier inputs: x feeds T
 		}
 	}
-	w.tPreds = tPreds
-	if len(tPreds) == 0 {
-		return Dominators{}
+	// Zero the counters of the nets the sweep did not reach: they hold
+	// the cut.
+	for i++; cut > 0; i++ {
+		x := order[i]
+		cut -= in[x]
+		in[x] = 0
 	}
-	best := tPreds[0]
-	for _, p := range tPreds[1:] {
-		best = intersect(idom, best, p)
-	}
-	idom[nT] = best
-
-	// Walk T's idom chain up to the source, then reverse to source-first
-	// order.
-	nets, dists := w.nets[:0], w.dists[:0]
-	for v := idom[nT]; ; v = idom[v] {
-		nets = append(nets, verts[v])
-		if v == 0 {
-			break
-		}
-	}
-	slices.Reverse(nets)
+	dists := w.dists[:0]
 	for _, n := range nets {
 		dists = append(dists, dist[n])
 	}
@@ -417,31 +415,16 @@ func (w *Workspace) FromCarriers(c *circuit.Circuit, order []circuit.NetID, mask
 	return Dominators{Nets: nets, Dist: dists}
 }
 
-// intersect is the Cooper–Harvey–Kennedy two-finger walk: the nearest
-// common dominator of verts positions a and b, positions being a
-// topological order so idom always points backwards.
-func intersect(idom []int32, a, b int32) int32 {
-	for a != b {
-		for a > b {
-			a = idom[a]
-		}
-		for b > a {
-			b = idom[b]
-		}
-	}
-	return a
-}
-
 // Static computes the static timing dominators of the check
 // (c, sink, δ) with the Lemma-3 distance bound top_{d→s}.
 func Static(c *circuit.Circuit, a *delay.Analysis, sink circuit.NetID, delta waveform.Time) Dominators {
-	return new(Workspace).Static(c, LevelOrder(c), a, sink, delta)
+	return new(Workspace).Static(c, NewLevels(c), a, sink, delta)
 }
 
-// Static is the package-level Static on the workspace. order is
-// LevelOrder(c).
-func (w *Workspace) Static(c *circuit.Circuit, order []circuit.NetID, a *delay.Analysis, sink circuit.NetID, delta waveform.Time) Dominators {
-	return w.FromCarriers(c, order, delay.StaticCarrierMask(c, a, sink, delta), delay.ToNet(c, sink), sink)
+// Static is the package-level Static on the workspace. lv is the
+// Levels of c.
+func (w *Workspace) Static(c *circuit.Circuit, lv *Levels, a *delay.Analysis, sink circuit.NetID, delta waveform.Time) Dominators {
+	return w.FromCarriers(c, lv, delay.StaticCarrierMask(c, a, sink, delta), delay.ToNet(c, sink), sink)
 }
 
 // StaticCarriers exposes the static carrier mask (Definition 4) for
@@ -463,13 +446,13 @@ func DynamicCarriers(sys *constraint.System, sink circuit.NetID, delta waveform.
 func Dynamic(sys *constraint.System, sink circuit.NetID, delta waveform.Time) Dominators {
 	w := new(Workspace)
 	mask, dist := w.DynamicCarriers(sys, sink, delta)
-	return w.FromCarriers(sys.Circuit(), LevelOrder(sys.Circuit()), mask, dist, sink)
+	return w.FromCarriers(sys.Circuit(), NewLevels(sys.Circuit()), mask, dist, sink)
 }
 
 // FromCarriers is Workspace.FromCarriers on a fresh workspace: a
 // one-off call that owns its result.
 func FromCarriers(c *circuit.Circuit, mask []bool, dist []waveform.Time, sink circuit.NetID) Dominators {
-	return new(Workspace).FromCarriers(c, LevelOrder(c), mask, dist, sink)
+	return new(Workspace).FromCarriers(c, NewLevels(c), mask, dist, sink)
 }
 
 // NarrowDominators applies Corollary 1: for every dominator d at

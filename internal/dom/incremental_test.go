@@ -51,7 +51,7 @@ func TestCarriersIncrementalMatchSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sink, order := cm.Sink, LevelOrder(cone)
+			sink, lv := cm.Sink, NewLevels(cone)
 			top := int64(a.Arrival(po))
 			delta := waveform.Time(top - r.Int63n(top/3+1))
 			sys := constraint.New(cone)
@@ -77,7 +77,7 @@ func TestCarriersIncrementalMatchSweep(t *testing.T) {
 					sys.Reset()
 					start()
 				}
-				mask, dist := w.Carriers(sys, sink, delta)
+				mask, dist := w.Carriers(sys, lv, sink, delta)
 				if k := len(w.changes); k > 0 && 4*k <= cone.NumNets() {
 					incremental++
 				}
@@ -85,7 +85,7 @@ func TestCarriersIncrementalMatchSweep(t *testing.T) {
 				if !slices.Equal(mask, wantMask) || !slices.Equal(dist, wantDist) {
 					t.Fatalf("seed %d sink %d step %d: incremental carriers differ from the full sweep", seed, po, step)
 				}
-				got := w.Dominators(order)
+				got := w.Dominators(lv)
 				if want := FromCarriers(cone, wantMask, wantDist, sink); !sameDominators(got, want) {
 					t.Fatalf("seed %d sink %d step %d: dominators %v %v, full computation %v %v",
 						seed, po, step, got.Nets, got.Dist, want.Nets, want.Dist)
@@ -105,7 +105,7 @@ func TestCarriersIncrementalMatchSweep(t *testing.T) {
 func TestCarriersResyncAfterOtherCalls(t *testing.T) {
 	c := gen.Random(7, 8, 120, 10)
 	a := delay.New(c)
-	order := LevelOrder(c)
+	lv := NewLevels(c)
 	po := c.PrimaryOutputs()[0]
 	other := c.PrimaryOutputs()[1]
 	delta := a.Arrival(po)
@@ -116,21 +116,21 @@ func TestCarriersResyncAfterOtherCalls(t *testing.T) {
 	var w Workspace
 	check := func(what string) {
 		t.Helper()
-		mask, dist := w.Carriers(sys, po, delta)
+		mask, dist := w.Carriers(sys, lv, po, delta)
 		wantMask, wantDist := DynamicCarriers(sys, po, delta)
 		if !slices.Equal(mask, wantMask) || !slices.Equal(dist, wantDist) {
 			t.Fatalf("after %s: carriers differ from the full sweep", what)
 		}
-		if got, want := w.Dominators(order), FromCarriers(c, wantMask, wantDist, po); !sameDominators(got, want) {
+		if got, want := w.Dominators(lv), FromCarriers(c, wantMask, wantDist, po); !sameDominators(got, want) {
 			t.Fatalf("after %s: dominators %v, want %v", what, got.Nets, want.Nets)
 		}
 	}
 	check("the first round")
-	w.Static(c, order, a, other, a.Arrival(other))
+	w.Static(c, lv, a, other, a.Arrival(other))
 	check("Static")
 	w.DynamicCarriers(sys, other, a.Arrival(other))
 	check("DynamicCarriers on another sink")
-	w.Carriers(sys, other, a.Arrival(other))
+	w.Carriers(sys, lv, other, a.Arrival(other))
 	check("Carriers on another sink")
 	sys.Narrow(c.PrimaryInputs()[0], waveform.SettledTo(1))
 	check("a narrowing")

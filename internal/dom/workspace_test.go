@@ -11,63 +11,6 @@ import (
 	"repro/internal/waveform"
 )
 
-// refDominators is an independent oracle for FromCarriers: build Ψ′
-// explicitly (edges from each carrier gate output to its carrier
-// inputs, carriers without a carrier input feeding T) and call a net a
-// dominator when deleting it disconnects the sink from T. The chain is
-// returned source first, i.e. in level order.
-func refDominators(c *circuit.Circuit, mask []bool, dist []waveform.Time, sink circuit.NetID) Dominators {
-	if !mask[sink] {
-		return Dominators{}
-	}
-	for n := range mask {
-		id := circuit.NetID(n)
-		if mask[n] && id != sink && (c.Level(id) > c.Level(sink) || (c.Level(id) == c.Level(sink) && id < sink)) {
-			return Dominators{} // the sink is not Ψ′'s source
-		}
-	}
-	reachesT := func(skip circuit.NetID) bool {
-		if skip == sink {
-			return false
-		}
-		seen := make([]bool, len(mask))
-		stack := []circuit.NetID{sink}
-		seen[sink] = true
-		for len(stack) > 0 {
-			y := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			leaf := true
-			if d := c.Net(y).Driver; d != circuit.InvalidGate {
-				for _, x := range c.Gate(d).Inputs {
-					if !mask[x] {
-						continue
-					}
-					leaf = false
-					if x != skip && !seen[x] {
-						seen[x] = true
-						stack = append(stack, x)
-					}
-				}
-			}
-			if leaf {
-				return true
-			}
-		}
-		return false
-	}
-	if !reachesT(circuit.InvalidNet) {
-		return Dominators{}
-	}
-	var d Dominators
-	for _, n := range LevelOrder(c) {
-		if mask[n] && !reachesT(n) {
-			d.Nets = append(d.Nets, n)
-			d.Dist = append(d.Dist, dist[n])
-		}
-	}
-	return d
-}
-
 func sameDominators(a, b Dominators) bool {
 	return slices.Equal(a.Nets, b.Nets) && slices.Equal(a.Dist, b.Dist)
 }
@@ -99,7 +42,7 @@ func TestLevelOrder(t *testing.T) {
 // TestWorkspaceReuseMatchesFresh drives one Workspace across circuits
 // that shrink and grow, several sinks each and several δ, and requires
 // every result to equal a fresh computation and the independent
-// oracle. Stale ord/idom/mask entries from a larger earlier circuit
+// oracle. Stale counter or mask entries from a larger earlier circuit
 // would show up as a mismatch.
 func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 	var w Workspace
@@ -107,7 +50,7 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 	checked := 0
 	for i, sz := range sizes {
 		c := randomCircuit(t, int64(300+i), sz[0], sz[1])
-		order := LevelOrder(c)
+		lv := NewLevels(c)
 		a := delay.New(c)
 		sinks := []circuit.NetID{c.PrimaryOutputs()[0], circuit.NetID(c.NumNets() / 2), circuit.NetID(c.NumNets() - 2)}
 		for _, sink := range sinks {
@@ -127,7 +70,7 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 				if !slices.Equal(mask, freshMask) || !slices.Equal(dist, freshDist) {
 					t.Fatalf("circuit %d sink %d δ=%s: reused carriers differ from fresh", i, sink, delta)
 				}
-				got := w.FromCarriers(c, order, mask, dist, sink)
+				got := w.FromCarriers(c, lv, mask, dist, sink)
 				if fresh := FromCarriers(c, freshMask, freshDist, sink); !sameDominators(got, fresh) {
 					t.Fatalf("circuit %d sink %d δ=%s: reused dominators %v, fresh %v", i, sink, delta, got, fresh)
 				}
@@ -137,7 +80,7 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 				if fresh := Dynamic(sys, sink, delta); !sameDominators(got, fresh) {
 					t.Fatalf("circuit %d sink %d δ=%s: Dynamic %v, workspace %v", i, sink, delta, fresh, got)
 				}
-				static := w.Static(c, order, a, sink, delta)
+				static := w.Static(c, lv, a, sink, delta)
 				if fresh := Static(c, a, sink, delta); !sameDominators(static, fresh) {
 					t.Fatalf("circuit %d sink %d δ=%s: reused static dominators %v, fresh %v", i, sink, delta, static, fresh)
 				}
@@ -160,14 +103,14 @@ func TestWorkspaceResultsAliasUntilNextCall(t *testing.T) {
 	c := mustBuild(t, chain, 10)
 	z := id(t, c, "z")
 	a := delay.New(c)
-	order := LevelOrder(c)
+	lv := NewLevels(c)
 	var w Workspace
-	first := w.Static(c, order, a, z, 30)
+	first := w.Static(c, lv, a, z, 30)
 	if len(first.Nets) != 4 {
 		t.Fatalf("chain dominators = %v", names(c, first.Nets))
 	}
 	owned := Static(c, a, z, 30)
-	w.Static(c, order, a, id(t, c, "n2"), 20)
+	w.Static(c, lv, a, id(t, c, "n2"), 20)
 	if slices.Equal(first.Nets, owned.Nets) {
 		t.Fatal("the next call must reuse the workspace's result storage")
 	}
@@ -209,13 +152,13 @@ func BenchmarkDynamicDominators(b *testing.B) {
 			if !sys.Fixpoint() {
 				b.Fatal("δ = D must leave the cone consistent")
 			}
-			order := LevelOrder(cone)
+			lv := NewLevels(cone)
 			var w Workspace
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				mask, dist := w.DynamicCarriers(sys, cm.Sink, tc.delta)
-				if len(w.FromCarriers(cone, order, mask, dist, cm.Sink).Nets) == 0 {
+				if len(w.FromCarriers(cone, lv, mask, dist, cm.Sink).Nets) == 0 {
 					b.Fatal("expected dominators")
 				}
 			}

@@ -415,11 +415,11 @@ func estimateCircuitBytes(c *circuit.Circuit, netlistLen int) int64 {
 }
 
 // estimatePreparedBytes estimates core.Prepare's output: arrival
-// analysis, SCOAP, the dominator level order (one net id per net), plus
-// headroom for the stems, learning table and per-sink cone slices that
-// are built on first use inside the Prepared.
+// analysis, SCOAP, the dominator levels (per net a level-order slot and
+// a driver-pin range), plus headroom for the stems, learning table and
+// per-sink cone slices that are built on first use inside the Prepared.
 func estimatePreparedBytes(c *circuit.Circuit) int64 {
 	st := c.Stats()
-	const levelOrder = 4 // bytes per net: one circuit.NetID
-	return int64(st.Nets)*(256+levelOrder) + int64(st.Gates)*128 + 8192
+	const levels = 4 + 8 // bytes per net: a level-order slot and a driver-pin range
+	return int64(st.Nets)*(256+levels) + int64(st.Gates)*128 + 8192
 }

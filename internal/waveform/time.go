@@ -30,20 +30,10 @@ func (t Time) IsInf() bool { return t <= NegInf || t >= PosInf }
 // Add returns t+d saturating at the infinities: adding any finite
 // offset to an infinity leaves it unchanged.
 func (t Time) Add(d Time) Time {
-	if t <= NegInf {
-		return NegInf
+	if t > NegInf && t < PosInf {
+		t += d
 	}
-	if t >= PosInf {
-		return PosInf
-	}
-	s := t + d
-	if s <= NegInf {
-		return NegInf
-	}
-	if s >= PosInf {
-		return PosInf
-	}
-	return s
+	return min(max(t, NegInf), PosInf)
 }
 
 // Sub returns t−d with the same saturation rules as Add.

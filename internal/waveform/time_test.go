@@ -26,6 +26,52 @@ func TestTimeAddSaturates(t *testing.T) {
 	}
 }
 
+// refAdd is the branchy definition Time.Add replaced, kept as the
+// reference: clamp an infinite (or beyond) t, else add and clamp.
+func refAdd(t, d Time) Time {
+	if t <= NegInf {
+		return NegInf
+	}
+	if t >= PosInf {
+		return PosInf
+	}
+	s := t + d
+	if s <= NegInf {
+		return NegInf
+	}
+	if s >= PosInf {
+		return PosInf
+	}
+	return s
+}
+
+// TestTimeAddMatchesReference runs Add against refAdd on every pair of
+// a boundary table: the infinities and values beyond them, the values
+// next to each sentinel, zero, small offsets and offsets large enough
+// to cross from one sentinel to the other.
+func TestTimeAddMatchesReference(t *testing.T) {
+	vals := []Time{
+		NegInf - 1, NegInf, NegInf + 1, NegInf + 2,
+		PosInf - 2, PosInf - 1, PosInf, PosInf + 1,
+		-1000, -1, 0, 1, 1000,
+		PosInf - NegInf, NegInf - PosInf, PosInf / 2, NegInf / 2,
+	}
+	for _, a := range vals {
+		for _, d := range vals {
+			if got, want := a.Add(d), refAdd(a, d); got != want {
+				t.Errorf("(%d).Add(%d) = %d, reference %d", a, d, got, want)
+			}
+			if got, want := a.Sub(d), refAdd(a, -d); got != want {
+				t.Errorf("(%d).Sub(%d) = %d, reference %d", a, d, got, want)
+			}
+		}
+	}
+	if err := quick.CheckEqual(func(a, d int64) Time { return Time(a).Add(Time(d) / 4) },
+		func(a, d int64) Time { return refAdd(Time(a), Time(d)/4) }, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTimeSub(t *testing.T) {
 	if got := Time(10).Sub(3); got != 7 {
 		t.Fatalf("10-3 = %s", got)
