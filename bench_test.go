@@ -362,9 +362,8 @@ func BenchmarkFixpointCarrySkip16(b *testing.B) {
 	}
 }
 
-// Scheduler-discipline comparison: FIFO (the paper's event queue) vs
-// alternating topological sweeps, on the NOR-mapped multiplier.
-func benchScheduler(b *testing.B, mode constraint.ScheduleMode) {
+// The paper's FIFO event queue on the NOR-mapped multiplier.
+func benchScheduler(b *testing.B) {
 	c, err := circuit.MapToNOR(gen.ArrayMultiplier(6, 1), 10)
 	if err != nil {
 		b.Fatal(err)
@@ -373,7 +372,6 @@ func benchScheduler(b *testing.B, mode constraint.ScheduleMode) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys := constraint.New(c)
-		sys.SetScheduleMode(mode)
 		sys.Narrow(po, waveform.CheckOutput(300))
 		sys.ScheduleAll()
 		sys.Fixpoint()
@@ -381,8 +379,7 @@ func benchScheduler(b *testing.B, mode constraint.ScheduleMode) {
 	}
 }
 
-func BenchmarkSchedulerFIFO(b *testing.B)  { benchScheduler(b, constraint.FIFO) }
-func BenchmarkSchedulerSweep(b *testing.B) { benchScheduler(b, constraint.Sweep) }
+func BenchmarkSchedulerFIFO(b *testing.B) { benchScheduler(b) }
 
 func BenchmarkNORMapping(b *testing.B) {
 	c := gen.ArrayMultiplier(8, 1)

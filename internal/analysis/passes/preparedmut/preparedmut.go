@@ -9,6 +9,11 @@
 // slice or map, or through the struct to the shared netlist — is a
 // data race waiting for the right interleaving.
 //
+// circuit.Layout is the only store of a built circuit's gates and
+// connectivity, read by every verifier on the circuit; only the
+// builder (builder.go), the file that declares it and Circuit.SetDelay
+// there write it.
+//
 // registry.entry extends the same ownership to the content-addressed
 // circuit registry: the entry caches a *core.Prepared shared across
 // every batch pinned on it, and all entry bookkeeping (refcounts,
@@ -28,7 +33,7 @@ import (
 // Analyzer implements the check; see the package documentation.
 var Analyzer = &analysis.Analyzer{
 	Name: "preparedmut",
-	Doc: `flags writes to core.Prepared / conePrep / circuit.ConeMap outside their constructor files
+	Doc: `flags writes to core.Prepared / conePrep / circuit.ConeMap / circuit.Layout outside their constructor files
 
 The protected types and the files allowed to mutate them are
 configurable (-types, -constructors); the file that declares a
@@ -43,8 +48,8 @@ var (
 )
 
 func init() {
-	Analyzer.Flags.StringVar(&typesFlag, "types", "core.Prepared,core.conePrep,circuit.ConeMap,registry.entry", "comma-separated pkg.Type list of protected types")
-	Analyzer.Flags.StringVar(&constructorsFlag, "constructors", "prepare.go,transform.go,registry.go", "comma-separated file basenames allowed to mutate protected types")
+	Analyzer.Flags.StringVar(&typesFlag, "types", "core.Prepared,core.conePrep,circuit.ConeMap,circuit.Layout,registry.entry", "comma-separated pkg.Type list of protected types")
+	Analyzer.Flags.StringVar(&constructorsFlag, "constructors", "prepare.go,transform.go,builder.go,registry.go", "comma-separated file basenames allowed to mutate protected types")
 	analysis.Register(Analyzer)
 }
 

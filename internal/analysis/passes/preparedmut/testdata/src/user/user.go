@@ -10,5 +10,10 @@ func Remap(cm *circuit.ConeMap) {
 	cm.FromCone = nil // want `assignment mutates shared circuit\.ConeMap`
 }
 
+// Retime writes a shared circuit's delays past SetDelay.
+func Retime(l *circuit.Layout) {
+	l.Delay[0] = 5 // want `assignment mutates shared circuit\.Layout`
+}
+
 // Read only observes and stays silent.
 func Read(cm *circuit.ConeMap) int { return cm.ToCone[0] }

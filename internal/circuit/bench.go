@@ -5,7 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -167,10 +167,7 @@ func BenchString(c *Circuit) string {
 // SortedNetNames returns all net names in lexicographic order (handy
 // for deterministic reports and tests).
 func (c *Circuit) SortedNetNames() []string {
-	names := make([]string, len(c.nets))
-	for i := range c.nets {
-		names[i] = c.nets[i].Name
-	}
-	sort.Strings(names)
+	names := slices.Clone(c.names)
+	slices.Sort(names)
 	return names
 }

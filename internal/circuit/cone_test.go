@@ -52,7 +52,7 @@ func TestExtractConeMapped(t *testing.T) {
 	// Split d_min from d_max on every gate so the DMin carry-over is
 	// actually exercised (Builder.Gate defaults DMin to the delay arg).
 	for i := 0; i < c.NumGates(); i++ {
-		c.Gate(GateID(i)).DMin = int64(3 + i)
+		c.SetDelay(GateID(i), c.Gate(GateID(i)).Delay, int64(3+i))
 	}
 	g22, _ := c.NetByName("G22")
 	cone, cm, err := ExtractConeMapped(c, g22)

@@ -1,12 +1,11 @@
 package circuit
 
-// Layout is the flat gate layout Build fills once per circuit: every
-// gate input in one CSR array, each net's driver followed by its fanout
-// in another, and one array per gate attribute an evaluation kernel
-// reads on every gate application. Gate.Inputs and Net.Fanout are
-// sub-slices of Pins and NetGates, so nothing is stored twice. The
-// layout lives and dies with its circuit. It is read-only: change a
-// gate's delay with Circuit.SetDelay, which keeps Delay in step.
+// Layout is the flat gate layout, the only store of a circuit's gates
+// and connectivity: every gate input in one CSR array, each net's
+// driver followed by its fanout in another, and one array per gate
+// attribute. The builder appends the gates and Build fills the rest
+// once per circuit. The layout lives and dies with its circuit. It is
+// read-only: change a gate's delays with Circuit.SetDelay.
 type Layout struct {
 	// Pins holds every gate's input nets, gate by gate: gate g's are
 	// Pins[PinStart[g]:PinStart[g+1]].
@@ -14,15 +13,18 @@ type Layout struct {
 	PinStart []int32
 
 	// NetGates holds, net by net, the net's driver (when it has one)
-	// and then its fanout gates in Net.Fanout order: net n's gates are
+	// and then its fanout gates in id order: net n's gates are
 	// NetGates[NetStart[n]:NetStart[n+1]]. The driver is the one gate
 	// there whose output is n, since no gate feeds its own output.
 	NetGates []GateID
 	NetStart []int32
 
-	// Out, Delay and Op hold each gate's output net, d_max and opcode.
+	// Out, Type, Delay, DMin and Op hold each gate's output net, type,
+	// d_max, d_min and opcode.
 	Out   []NetID
+	Type  []GateType
 	Delay []int64
+	DMin  []int64
 	Op    []Op
 }
 
@@ -74,11 +76,17 @@ func opOf(t GateType, k int) Op {
 }
 
 // Inputs returns gate g's input nets.
-func (l *Layout) Inputs(g GateID) []NetID { return l.Pins[l.PinStart[g]:l.PinStart[g+1]] }
+func (l *Layout) Inputs(g GateID) []NetID {
+	lo, hi := l.PinStart[g], l.PinStart[g+1]
+	return l.Pins[lo:hi:hi]
+}
 
 // Gates returns the gates on net n: its driver first, when it has one,
 // then its fanout gates.
-func (l *Layout) Gates(n NetID) []GateID { return l.NetGates[l.NetStart[n]:l.NetStart[n+1]] }
+func (l *Layout) Gates(n NetID) []GateID {
+	lo, hi := l.NetStart[n], l.NetStart[n+1]
+	return l.NetGates[lo:hi:hi]
+}
 
 // Fanout returns the gates net n feeds.
 func (l *Layout) Fanout(n NetID) []GateID {
@@ -104,35 +112,28 @@ func (c *Circuit) Layout() *Layout { return &c.layout }
 // NumPins returns the number of gate inputs in the circuit.
 func (c *Circuit) NumPins() int { return len(c.layout.Pins) }
 
-// SetDelay sets gate g's delay bounds (d_max, d_min), keeping the
-// layout's delay array in step with Gate.Delay. Back-annotation after
-// Build must go through it.
+// SetDelay sets gate g's delay bounds (d_max, d_min). Back-annotation
+// after Build must go through it.
 func (c *Circuit) SetDelay(g GateID, dmax, dmin int64) {
-	c.gates[g].Delay = dmax
-	c.gates[g].DMin = dmin
-	c.layout.Delay[g] = dmax
+	c.layout.Delay[g], c.layout.DMin[g] = dmax, dmin
 }
 
-// lay fills the flat layout from the gates the builder added, whose
-// inputs are already in Pins, and points Gate.Inputs and Net.Fanout
-// into it. The fanout of a net lists its gates in increasing id order,
-// a gate once per input pin it has on the net.
+// lay completes the flat layout from the gates the builder appended:
+// it derives the opcodes and each net's driver and fanout. The fanout
+// of a net lists its gates in increasing id order, a gate once per
+// input pin it has on the net.
 func (c *Circuit) lay() {
 	l := &c.layout
-	ng, nn := len(c.gates), len(c.nets)
+	ng, nn := len(l.Out), len(c.names)
 	l.PinStart = append(l.PinStart[:ng], int32(len(l.Pins)))
-	l.Out = make([]NetID, ng)
-	l.Delay = make([]int64, ng)
 	l.Op = make([]Op, ng)
 	l.NetStart = make([]int32, nn+1)
-	for i := range c.gates {
-		g := &c.gates[i]
-		lo, hi := l.PinStart[i], l.PinStart[i+1]
-		g.Inputs = l.Pins[lo:hi:hi]
-		l.Out[i], l.Delay[i], l.Op[i] = g.Output, g.Delay, opOf(g.Type, len(g.Inputs))
-		l.NetStart[g.Output+1]++
-		for _, in := range g.Inputs {
-			l.NetStart[in+1]++
+	for g, out := range l.Out {
+		in := l.Inputs(GateID(g))
+		l.Op[g] = opOf(l.Type[g], len(in))
+		l.NetStart[out+1]++
+		for _, n := range in {
+			l.NetStart[n+1]++
 		}
 	}
 	for n := 0; n < nn; n++ {
@@ -142,23 +143,16 @@ func (c *Circuit) lay() {
 	// drivers first, which leaves NetStart[n] at the next net's start;
 	// then shift the offsets back.
 	l.NetGates = make([]GateID, l.NetStart[nn])
-	for i := range c.gates {
-		out := c.gates[i].Output
-		l.NetGates[l.NetStart[out]] = GateID(i)
+	for g, out := range l.Out {
+		l.NetGates[l.NetStart[out]] = GateID(g)
 		l.NetStart[out]++
 	}
-	for i := range c.gates {
-		for _, in := range c.gates[i].Inputs {
-			l.NetGates[l.NetStart[in]] = GateID(i)
-			l.NetStart[in]++
+	for g := range l.Out {
+		for _, n := range l.Inputs(GateID(g)) {
+			l.NetGates[l.NetStart[n]] = GateID(g)
+			l.NetStart[n]++
 		}
 	}
 	copy(l.NetStart[1:], l.NetStart[:nn])
 	l.NetStart[0] = 0
-	for n := range c.nets {
-		c.nets[n].Fanout = nil
-		if fo := l.Fanout(NetID(n)); len(fo) > 0 {
-			c.nets[n].Fanout = fo[:len(fo):len(fo)]
-		}
-	}
 }

@@ -9,58 +9,9 @@ import (
 	"repro/internal/gen"
 )
 
-// checkLayout verifies that c's flat layout describes exactly its gates
-// and nets, and that Gate.Inputs and Net.Fanout are sub-slices of it.
-func checkLayout(t *testing.T, c *circuit.Circuit) {
-	t.Helper()
-	l := c.Layout()
-	pins := 0
-	for g := 0; g < c.NumGates(); g++ {
-		gid := circuit.GateID(g)
-		gate := c.Gate(gid)
-		in := l.Inputs(gid)
-		if !slices.Equal(in, gate.Inputs) || &in[0] != &gate.Inputs[0] {
-			t.Fatalf("%s gate %d: layout inputs %v are not Gate.Inputs %v", c.Name, g, in, gate.Inputs)
-		}
-		if cap(gate.Inputs) != len(gate.Inputs) {
-			t.Fatalf("%s gate %d: Gate.Inputs can grow into the next gate's pins", c.Name, g)
-		}
-		if l.Out[g] != gate.Output || l.Delay[g] != gate.Delay {
-			t.Fatalf("%s gate %d: layout out/delay %d/%d, gate %d/%d", c.Name, g, l.Out[g], l.Delay[g], gate.Output, gate.Delay)
-		}
-		pins += len(in)
-	}
-	if pins != c.NumPins() {
-		t.Fatalf("%s: %d pins over the gates, NumPins %d", c.Name, pins, c.NumPins())
-	}
-	for n := 0; n < c.NumNets(); n++ {
-		nid := circuit.NetID(n)
-		net := c.Net(nid)
-		if l.Driver(nid) != net.Driver {
-			t.Fatalf("%s net %d: layout driver %d, net %d", c.Name, n, l.Driver(nid), net.Driver)
-		}
-		if !slices.Equal(l.Fanout(nid), net.Fanout) {
-			t.Fatalf("%s net %d: layout fanout %v, net %v", c.Name, n, l.Fanout(nid), net.Fanout)
-		}
-		var want []circuit.GateID
-		if net.Driver != circuit.InvalidGate {
-			want = append(want, net.Driver)
-		}
-		for g := 0; g < c.NumGates(); g++ {
-			for _, in := range c.Gate(circuit.GateID(g)).Inputs {
-				if in == nid {
-					want = append(want, circuit.GateID(g))
-				}
-			}
-		}
-		if !slices.Equal(l.Gates(nid), want) {
-			t.Fatalf("%s net %d: layout gates %v, want driver then fanout %v", c.Name, n, l.Gates(nid), want)
-		}
-	}
-}
-
-// TestLayout checks the flat layout of built circuits and of cones cut
-// from them.
+// TestLayout checks every view, Layout array and SetDelay effect of
+// circuits rebuilt from generated ones, and of cones cut from them,
+// against the recording of the builder calls that made them.
 func TestLayout(t *testing.T) {
 	cs := []*circuit.Circuit{gen.Hrapcenko(10), gen.C17(10), gen.Industrial(1, 100, 10)}
 	for seed := int64(1); seed <= 5; seed++ {
@@ -70,13 +21,8 @@ func TestLayout(t *testing.T) {
 		cs = append(cs, e.Circuit)
 	}
 	for _, c := range cs {
-		checkLayout(t, c)
-		for _, po := range c.PrimaryOutputs()[:min(3, len(c.PrimaryOutputs()))] {
-			cone, err := circuit.ExtractCone(c, po)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkLayout(t, cone)
+		if d := circuit.StoreDiff(c); d != "" {
+			t.Fatal(d)
 		}
 	}
 }
@@ -153,13 +99,20 @@ func TestLayoutOpcodes(t *testing.T) {
 	}
 }
 
-// TestSetDelay checks that SetDelay keeps the layout's delays in step
-// with the gates'.
+// TestSetDelay checks that SetDelay writes both bounds of one gate and
+// nothing else.
 func TestSetDelay(t *testing.T) {
 	c := gen.C17(10)
 	c.SetDelay(2, 17, 4)
-	if g := c.Gate(2); g.Delay != 17 || g.DMin != 4 || c.Layout().Delay[2] != 17 {
-		t.Fatalf("after SetDelay(2, 17, 4): gate %d/%d, layout %d", g.Delay, g.DMin, c.Layout().Delay[2])
+	l := c.Layout()
+	for g := 0; g < c.NumGates(); g++ {
+		dmax, dmin := int64(10), int64(10)
+		if g == 2 {
+			dmax, dmin = 17, 4
+		}
+		if v := c.Gate(circuit.GateID(g)); v.Delay != dmax || v.DMin != dmin || l.Delay[g] != dmax || l.DMin[g] != dmin {
+			t.Fatalf("gate %d after SetDelay(2, 17, 4): view [%d,%d], layout [%d,%d], want [%d,%d]",
+				g, v.DMin, v.Delay, l.DMin[g], l.Delay[g], dmin, dmax)
+		}
 	}
-	checkLayout(t, c)
 }

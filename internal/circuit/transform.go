@@ -139,68 +139,50 @@ type ConeMap struct {
 // delay bounds (d_max and d_min), primary-input status, topological
 // gate order, and the relative order of net ids.
 func ExtractConeMapped(c *Circuit, sink NetID) (*Circuit, *ConeMap, error) {
+	l := &c.layout
 	mask := c.TransitiveFanin(sink)
-	b := NewBuilder(c.Name + "_cone_" + c.Net(sink).Name)
+	b := NewBuilder(c.Name + "_cone_" + c.names[sink])
+	cm := &ConeMap{ToCone: make([]NetID, len(mask))}
 	// Declare every cone net in increasing original-id order before any
 	// gate mentions it, so cone ids are assigned in that same order.
-	for i := range mask {
-		if !mask[i] {
-			continue
-		}
-		n := c.Net(NetID(i))
-		if n.IsPI {
-			b.Input(n.Name)
-		} else {
-			b.Net(n.Name)
+	for i, in := range mask {
+		switch {
+		case !in:
+			cm.ToCone[i] = InvalidNet
+		case l.Driver(NetID(i)) == InvalidGate:
+			cm.ToCone[i] = b.Input(c.names[i])
+		default:
+			cm.ToCone[i] = b.Net(c.names[i])
 		}
 	}
-	for _, gid := range c.TopoGates() {
-		g := c.Gate(gid)
-		if !mask[g.Output] {
-			continue
+	// Cone gate ids follow insertion order: the masked original
+	// topological order.
+	var ins []NetID
+	for _, g := range c.topoGates {
+		if out := l.Out[g]; mask[out] {
+			ins = ins[:0]
+			for _, n := range l.Inputs(g) {
+				ins = append(ins, cm.ToCone[n])
+			}
+			b.GateIDs(l.Type[g], l.Delay[g], cm.ToCone[out], ins...)
 		}
-		in := make([]string, len(g.Inputs))
-		for i, n := range g.Inputs {
-			in[i] = c.Net(n).Name
-		}
-		b.Gate(g.Type, g.Delay, c.Net(g.Output).Name, in...)
 	}
-	b.Output(c.Net(sink).Name)
+	b.Output(c.names[sink])
 	cone, err := b.Build()
 	if err != nil {
 		return nil, nil, err
 	}
-	// Builder.Gate defaults d_min to the d_max argument; carry over the
-	// original bounds (SDF back-annotation can set them apart). Cone
-	// gate ids follow insertion order, which is the masked original
-	// topological order above.
-	j := GateID(0)
-	for _, gid := range c.TopoGates() {
-		g := c.Gate(gid)
-		if !mask[g.Output] {
-			continue
+	cm.FromCone = make([]NetID, cone.NumNets())
+	for i, id := range cm.ToCone {
+		if id != InvalidNet {
+			cm.FromCone[id] = NetID(i)
 		}
-		cone.Gate(j).DMin = g.DMin
-		j++
 	}
-	cm := &ConeMap{
-		ToCone:   make([]NetID, c.NumNets()),
-		FromCone: make([]NetID, cone.NumNets()),
-	}
-	for i := range cm.ToCone {
-		cm.ToCone[i] = InvalidNet
-	}
-	for i := range mask {
-		if !mask[i] {
-			continue
-		}
-		id, ok := cone.NetByName(c.Net(NetID(i)).Name)
-		if !ok {
-			return nil, nil, fmt.Errorf("ExtractConeMapped: cone of %q lost net %q",
-				c.Net(sink).Name, c.Net(NetID(i)).Name)
-		}
-		cm.ToCone[i] = id
-		cm.FromCone[id] = NetID(i)
+	// The builder sets d_min to d_max; carry over the original bounds
+	// (SDF back-annotation can set them apart).
+	for j, out := range cone.layout.Out {
+		g := l.Driver(cm.FromCone[out])
+		cone.SetDelay(GateID(j), l.Delay[g], l.DMin[g])
 	}
 	origPIPos := make(map[NetID]int, len(c.PrimaryInputs()))
 	for i, pi := range c.PrimaryInputs() {

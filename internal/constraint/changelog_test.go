@@ -205,25 +205,3 @@ func TestChangeLogSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("cycle with the change log on allocates %.1f objects/run, want 0", allocs)
 	}
 }
-
-// TestSweepFixpointSteadyStateAllocs: the Sweep discipline keeps its
-// per-pass gate batch on the System and sorts it without reflection,
-// so a warmed Sweep-mode mark/narrow/fixpoint/undo cycle allocates
-// nothing, as the FIFO one does.
-func TestSweepFixpointSteadyStateAllocs(t *testing.T) {
-	c := randomCircuit(t, 42, 6, 200)
-	po := c.PrimaryOutputs()[0]
-	s := New(c)
-	s.SetScheduleMode(Sweep)
-	cycle := func() {
-		s.Mark()
-		s.Narrow(po, waveform.CheckOutput(5))
-		s.ScheduleAll()
-		s.Fixpoint()
-		s.Undo()
-	}
-	cycle()
-	if allocs := testing.AllocsPerRun(50, cycle); allocs > 0 {
-		t.Fatalf("steady-state Sweep-mode cycle allocates %.1f objects/run, want 0", allocs)
-	}
-}

@@ -14,7 +14,7 @@ import (
 // refKernel is the gate-application kernel System ran before the flat
 // circuit layout, kept verbatim as the reference the compiled kernel
 // must reproduce: Narrow builds and meets Signal values, ScheduleNet
-// goes through *Net, and every AND/NAND/OR/NOR goes through the generic
+// goes through the Net view, and every AND/NAND/OR/NOR goes through the generic
 // projectSymmetric with its scratch buffers. It drives the System it
 // wraps — domains, trail, worklist, change log, counters — through the
 // same internals the kernel uses.
@@ -45,7 +45,7 @@ func newRefKernel(c *circuit.Circuit, selfSkip bool) *refKernel {
 
 // self returns the gate the narrowings of g's application must not
 // schedule: g under selfSkip, none otherwise.
-func (s *refKernel) self(g *circuit.Gate) circuit.GateID {
+func (s *refKernel) self(g circuit.Gate) circuit.GateID {
 	if s.selfSkip {
 		return g.ID
 	}
@@ -102,9 +102,6 @@ func (s *refKernel) Fixpoint() bool {
 	if r.stopped {
 		return !r.inconsistent
 	}
-	if r.mode == Sweep {
-		return s.fixpointSweep()
-	}
 	for r.pending() > 0 && !r.inconsistent {
 		if r.stopFn != nil && r.pollStop() {
 			break
@@ -113,39 +110,6 @@ func (s *refKernel) Fixpoint() bool {
 		r.inQueue[g] = false
 		r.Propagations++
 		s.applyGate(g)
-	}
-	return r.finishFixpoint()
-}
-
-// fixpointSweep is the parent System.fixpointSweep.
-func (s *refKernel) fixpointSweep() bool {
-	r := s.sys
-	if r.topoPos == nil {
-		r.topoPos = make([]int32, r.c.NumGates())
-		for i, g := range r.c.TopoGates() {
-			r.topoPos[g] = int32(i)
-		}
-	}
-	forward := true
-	for r.pending() > 0 && !r.inconsistent {
-		r.batch = append(r.batch[:0], r.queue[r.qhead:]...)
-		batch := r.batch
-		r.queue, r.qhead = r.queue[:0], 0
-		for _, g := range batch {
-			r.inQueue[g] = false
-		}
-		sortGatesBy(batch, r.topoPos, !forward)
-		forward = !forward
-		for _, g := range batch {
-			if r.inconsistent {
-				break
-			}
-			if r.stopFn != nil && r.pollStop() {
-				return r.finishFixpoint()
-			}
-			r.Propagations++
-			s.applyGate(g)
-		}
 	}
 	return r.finishFixpoint()
 }
@@ -169,7 +133,7 @@ func (s *refKernel) applyGate(gid circuit.GateID) {
 
 // projectUnate handles NOT/BUFFER/DELAY: the output is the (possibly
 // inverted) input shifted by d, in both directions, exactly.
-func (s *refKernel) projectUnate(g *circuit.Gate) {
+func (s *refKernel) projectUnate(g circuit.Gate) {
 	d := waveform.Time(g.Delay)
 	in := s.sig(g.Inputs[0])
 	out := s.sig(g.Output)
@@ -201,7 +165,7 @@ func (s *refKernel) projectUnate(g *circuit.Gate) {
 // on interval boxes; the union over the combination family F ⊆ C ⊆ A
 // (F = inputs that can only settle controlling, A = inputs that can
 // settle controlling at all) collapses to O(k) aggregates.
-func (s *refKernel) projectSymmetric(g *circuit.Gate, ctrl int) {
+func (s *refKernel) projectSymmetric(g circuit.Gate, ctrl int) {
 	d := waveform.Time(g.Delay)
 	k := len(g.Inputs)
 	non := 1 - ctrl
@@ -410,7 +374,7 @@ func (s *refKernel) projectSymmetric(g *circuit.Gate, ctrl int) {
 
 // projectParity handles XOR/XNOR by enumerating input-class
 // combinations (parity gates in practice have small fan-in).
-func (s *refKernel) projectParity(g *circuit.Gate) {
+func (s *refKernel) projectParity(g circuit.Gate) {
 	d := waveform.Time(g.Delay)
 	k := len(g.Inputs)
 	if k > 16 {
@@ -736,13 +700,9 @@ func (kr *kernelRun) step() (op string) {
 			}
 		}
 	case 15:
-		switch b := kr.next(); b % 6 {
-		default:
-			op = "SetScheduleMode"
-			mode := ScheduleMode(b / 6 % 2)
-			k.SetScheduleMode(mode)
-			r.sys.SetScheduleMode(mode)
-		case 0:
+		op = "Nop"
+		// One draw in six installs a stop function.
+		if b := kr.next(); b%6 == 0 {
 			op = "SetStopFunc"
 			// Stop after the same number of polls on both sides.
 			kp, rp := b, b

@@ -6,9 +6,7 @@
 package constraint
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/waveform"
@@ -44,9 +42,6 @@ type System struct {
 	queue   []circuit.GateID
 	qhead   int
 	inQueue []bool
-	mode    ScheduleMode
-	topoPos []int32
-	batch   []circuit.GateID // Sweep mode's per-pass gate batch
 
 	// scratch buffers reused across applications of the generic
 	// projectSymmetric and projectParity (the system is
@@ -328,23 +323,6 @@ func meet(lo, hi int64, w waveform.Wave) (nlo, nhi int64, changed bool) {
 	return nlo, nhi, nlo != lo || nhi != hi
 }
 
-// ScheduleMode selects the worklist discipline of the fixpoint solver.
-type ScheduleMode int
-
-const (
-	// FIFO processes gate constraints in arrival order — the paper's
-	// event-driven scheduler. Default.
-	FIFO ScheduleMode = iota
-	// Sweep drains the worklist in alternating topological passes
-	// (forward, then backward), which matches how narrowing information
-	// actually flows and can reach the fixpoint in fewer applications
-	// on deep circuits. Same fixpoint either way (it is unique).
-	Sweep
-)
-
-// SetScheduleMode selects the worklist discipline (before solving).
-func (s *System) SetScheduleMode(m ScheduleMode) { s.mode = m }
-
 // Fixpoint applies pending gate constraints until quiescence or
 // inconsistency (the reach_fixpoint procedure of Figure 4). It returns
 // true when the system is still consistent. The fixpoint is the
@@ -354,9 +332,6 @@ func (s *System) SetScheduleMode(m ScheduleMode) { s.mode = m }
 func (s *System) Fixpoint() bool {
 	if s.stopped {
 		return !s.inconsistent
-	}
-	if s.mode == Sweep {
-		return s.fixpointSweep()
 	}
 	for s.pending() > 0 && !s.inconsistent {
 		if s.stopFn != nil && s.pollStop() {
@@ -384,38 +359,6 @@ func (s *System) pollStop() bool {
 	return s.stopped
 }
 
-// fixpointSweep drains the worklist in alternating topological sweeps.
-func (s *System) fixpointSweep() bool {
-	if s.topoPos == nil {
-		s.topoPos = make([]int32, s.c.NumGates())
-		for i, g := range s.c.TopoGates() {
-			s.topoPos[g] = int32(i)
-		}
-	}
-	forward := true
-	for s.pending() > 0 && !s.inconsistent {
-		s.batch = append(s.batch[:0], s.queue[s.qhead:]...)
-		batch := s.batch
-		s.queue, s.qhead = s.queue[:0], 0
-		for _, g := range batch {
-			s.inQueue[g] = false
-		}
-		sortGatesBy(batch, s.topoPos, !forward)
-		forward = !forward
-		for _, g := range batch {
-			if s.inconsistent {
-				break
-			}
-			if s.stopFn != nil && s.pollStop() {
-				return s.finishFixpoint()
-			}
-			s.Propagations++
-			s.applyGate(g)
-		}
-	}
-	return s.finishFixpoint()
-}
-
 func (s *System) finishFixpoint() bool {
 	if s.inconsistent {
 		// Drain so a later resume starts clean.
@@ -426,17 +369,6 @@ func (s *System) finishFixpoint() bool {
 		return false
 	}
 	return true
-}
-
-// sortGatesBy orders gates by topological position, descending when
-// desc. Positions are unique, so the order is total.
-func sortGatesBy(gs []circuit.GateID, pos []int32, desc bool) {
-	slices.SortFunc(gs, func(a, b circuit.GateID) int {
-		if desc {
-			return cmp.Compare(pos[b], pos[a])
-		}
-		return cmp.Compare(pos[a], pos[b])
-	})
 }
 
 // logMark is the change log's state when a trail mark was opened: its

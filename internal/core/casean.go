@@ -254,40 +254,41 @@ func (v *Verifier) backtraceUnjustified(sys *constraint.System) (circuit.NetID, 
 // producing v, or every input is pinned non-controlling and v is the
 // resulting value (with the parity/unate analogues).
 func (v *Verifier) unjustified(sys *constraint.System, n circuit.NetID) (int, bool) {
-	drv := v.c.Net(n).Driver
+	l := v.c.Layout()
+	drv := l.Driver(n)
 	if drv == circuit.InvalidGate {
 		return 0, false
 	}
 	val, known := sys.Domain(n).KnownValue()
-	if !known || v.justified(sys, v.c.Gate(drv), val) {
+	if !known || justified(sys, l.Type[drv], l.Inputs(drv), val) {
 		return 0, false
 	}
 	return val, true
 }
 
-// justified reports whether the decided output class of gate g is
-// already forced by its inputs' decided classes.
-func (v *Verifier) justified(sys *constraint.System, g *circuit.Gate, val int) bool {
+// justified reports whether the decided output class val of a gate of
+// type t is already forced by its inputs' decided classes.
+func justified(sys *constraint.System, t circuit.GateType, ins []circuit.NetID, val int) bool {
 	switch {
-	case g.Type.Unate():
-		_, known := sys.Domain(g.Inputs[0]).KnownValue()
+	case t.Unate():
+		_, known := sys.Domain(ins[0]).KnownValue()
 		return known
-	case g.Type.Parity():
-		for _, x := range g.Inputs {
+	case t.Parity():
+		for _, x := range ins {
 			if _, known := sys.Domain(x).KnownValue(); !known {
 				return false
 			}
 		}
 		return true
 	default:
-		ctrl, _ := g.Type.HasControlling()
+		ctrl, _ := t.HasControlling()
 		controlled := ctrl
-		if g.Type.Inverting() {
+		if t.Inverting() {
 			controlled = 1 - ctrl
 		}
 		if val == controlled {
 			// Justified iff some input is pinned controlling.
-			for _, x := range g.Inputs {
+			for _, x := range ins {
 				if xv, known := sys.Domain(x).KnownValue(); known && xv == ctrl {
 					return true
 				}
@@ -296,7 +297,7 @@ func (v *Verifier) justified(sys *constraint.System, g *circuit.Gate, val int) b
 		}
 		// Non-controlled output: justified iff all inputs pinned
 		// non-controlling.
-		for _, x := range g.Inputs {
+		for _, x := range ins {
 			if xv, known := sys.Domain(x).KnownValue(); !known || xv == ctrl {
 				return false
 			}
@@ -327,6 +328,7 @@ func (v *Verifier) initialObjectives(ws *workspace, sys *constraint.System, carr
 		}
 		return 0
 	}
+	l := v.c.Layout()
 	objs := ws.objs[:0]
 	ws.newEpoch(v.c.NumNets())
 	for n := 0; n < v.c.NumNets(); n++ {
@@ -334,16 +336,15 @@ func (v *Verifier) initialObjectives(ws *workspace, sys *constraint.System, carr
 			continue
 		}
 		y := circuit.NetID(n)
-		drv := v.c.Net(y).Driver
+		drv := l.Driver(y)
 		if drv == circuit.InvalidGate {
 			continue
 		}
-		g := v.c.Gate(drv)
-		ctrl, has := g.Type.HasControlling()
+		ctrl, has := l.Type[drv].HasControlling()
 		if !has {
 			continue // parity gates have no sensitising side value
 		}
-		for _, x := range g.Inputs {
+		for _, x := range l.Inputs(drv) {
 			if carrier[x] || ws.seen[x] == ws.epoch {
 				continue
 			}
@@ -381,6 +382,7 @@ func (v *Verifier) initialObjectives(ws *workspace, sys *constraint.System, carr
 // It reports ok = false when the chain dead-ends in already-decided
 // nets.
 func (v *Verifier) backtrace(sys *constraint.System, net circuit.NetID, val int) (circuit.NetID, int, bool) {
+	l := v.c.Layout()
 	for hop := 0; hop < v.c.NumNets()+1; hop++ {
 		d := sys.Domain(net)
 		if _, known := d.KnownValue(); known {
@@ -389,26 +391,27 @@ func (v *Verifier) backtrace(sys *constraint.System, net circuit.NetID, val int)
 		if d.Wave(val).IsEmpty() {
 			return circuit.InvalidNet, 0, false // objective unreachable
 		}
-		if v.c.Net(net).Driver == circuit.InvalidGate || v.c.IsStem(net) {
+		drv := l.Driver(net)
+		if drv == circuit.InvalidGate || v.c.IsStem(net) {
 			return net, val, true
 		}
-		g := v.c.Gate(v.c.Net(net).Driver)
+		t, ins := l.Type[drv], l.Inputs(drv)
 		switch {
-		case g.Type.Unate():
-			if g.Type == circuit.NOT {
+		case t.Unate():
+			if t == circuit.NOT {
 				val = 1 - val
 			}
-			net = g.Inputs[0]
-		case g.Type.Parity():
+			net = ins[0]
+		case t.Parity():
 			// Choose the first undecided input; the needed value is the
 			// parity residue assuming the others settle as decided (or
 			// 0 when unknown).
 			residue := val
-			if g.Type == circuit.XNOR {
+			if t == circuit.XNOR {
 				residue ^= 1
 			}
 			var pick circuit.NetID = circuit.InvalidNet
-			for _, x := range g.Inputs {
+			for _, x := range ins {
 				if xv, known := sys.Domain(x).KnownValue(); known {
 					residue ^= xv
 				} else if pick == circuit.InvalidNet {
@@ -420,9 +423,9 @@ func (v *Verifier) backtrace(sys *constraint.System, net circuit.NetID, val int)
 			}
 			net, val = pick, residue
 		default:
-			ctrl, _ := g.Type.HasControlling()
+			ctrl, _ := t.HasControlling()
 			want := val
-			if g.Type.Inverting() {
+			if t.Inverting() {
 				want = 1 - val
 			}
 			// want == ctrl needs ONE controlling input (easiest);
@@ -436,7 +439,7 @@ func (v *Verifier) backtrace(sys *constraint.System, net circuit.NetID, val int)
 			}
 			var pick circuit.NetID = circuit.InvalidNet
 			var best int64
-			for _, x := range g.Inputs {
+			for _, x := range ins {
 				if _, known := sys.Domain(x).KnownValue(); known {
 					continue
 				}

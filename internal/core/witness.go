@@ -18,23 +18,23 @@ func (v *Verifier) WitnessPath(sink circuit.NetID, vec sim.Vector) ([]circuit.Ne
 	if err != nil {
 		return nil, err
 	}
+	l := v.c.Layout()
 	path := []circuit.NetID{sink}
 	n := sink
 	for {
-		drv := v.c.Net(n).Driver
+		drv := l.Driver(n)
 		if drv == circuit.InvalidGate {
 			break
 		}
-		g := v.c.Gate(drv)
-		d := waveform.Time(g.Delay)
-		want := r.Settle[n].Sub(d)
-		ctrl, hasCtrl := g.Type.HasControlling()
+		ins := l.Inputs(drv)
+		want := r.Settle[n].Sub(waveform.Time(l.Delay[drv]))
+		ctrl, hasCtrl := l.Type[drv].HasControlling()
 		var pick circuit.NetID = circuit.InvalidNet
 		// Prefer a controlling-final input that locks the gate at
 		// exactly the settle time; otherwise any input whose settle
 		// realises the max rule.
 		if hasCtrl {
-			for _, x := range g.Inputs {
+			for _, x := range ins {
 				if r.Value[x] == ctrl && r.Settle[x] == want {
 					pick = x
 					break
@@ -42,7 +42,7 @@ func (v *Verifier) WitnessPath(sink circuit.NetID, vec sim.Vector) ([]circuit.Ne
 			}
 		}
 		if pick == circuit.InvalidNet {
-			for _, x := range g.Inputs {
+			for _, x := range ins {
 				if r.Settle[x] == want {
 					pick = x
 					break
@@ -52,8 +52,8 @@ func (v *Verifier) WitnessPath(sink circuit.NetID, vec sim.Vector) ([]circuit.Ne
 		if pick == circuit.InvalidNet {
 			// Defensive: the settle recursion guarantees a justifying
 			// input; fall back to the slowest.
-			pick = g.Inputs[0]
-			for _, x := range g.Inputs {
+			pick = ins[0]
+			for _, x := range ins {
 				if r.Settle[x] > r.Settle[pick] {
 					pick = x
 				}

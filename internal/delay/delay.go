@@ -21,17 +21,17 @@ type Analysis struct {
 // New computes the topological arrival times of every net.
 func New(c *circuit.Circuit) *Analysis {
 	a := &Analysis{c: c, arrival: make([]waveform.Time, c.NumNets())}
-	for _, gid := range c.TopoGates() {
-		g := c.Gate(gid)
+	l := c.Layout()
+	for _, g := range c.TopoGates() {
 		worst := waveform.Time(0)
-		for _, in := range g.Inputs {
+		for _, in := range l.Inputs(g) {
 			if a.arrival[in] > worst {
 				worst = a.arrival[in]
 			}
 		}
-		t := worst.Add(waveform.Time(g.Delay))
-		if t > a.arrival[g.Output] {
-			a.arrival[g.Output] = t
+		t := worst.Add(waveform.Time(l.Delay[g]))
+		if out := l.Out[g]; t > a.arrival[out] {
+			a.arrival[out] = t
 		}
 	}
 	return a
@@ -62,15 +62,16 @@ func ToNet(c *circuit.Circuit, sink circuit.NetID) []waveform.Time {
 		dist[i] = waveform.NegInf
 	}
 	dist[sink] = 0
+	l := c.Layout()
 	topo := c.TopoGates()
 	for i := len(topo) - 1; i >= 0; i-- {
-		g := c.Gate(topo[i])
-		d := dist[g.Output]
+		g := topo[i]
+		d := dist[l.Out[g]]
 		if d == waveform.NegInf {
 			continue
 		}
-		t := d.Add(waveform.Time(g.Delay))
-		for _, in := range g.Inputs {
+		t := d.Add(waveform.Time(l.Delay[g]))
+		for _, in := range l.Inputs(g) {
 			if t > dist[in] {
 				dist[in] = t
 			}

@@ -27,17 +27,17 @@ func NewEarly(c *circuit.Circuit) *Early {
 	for _, pi := range c.PrimaryInputs() {
 		e.earliest[pi] = 0
 	}
-	for _, gid := range c.TopoGates() {
-		g := c.Gate(gid)
+	l := c.Layout()
+	for _, g := range c.TopoGates() {
 		best := waveform.PosInf
-		for _, in := range g.Inputs {
+		for _, in := range l.Inputs(g) {
 			if e.earliest[in] < best {
 				best = e.earliest[in]
 			}
 		}
-		t := best.Add(waveform.Time(g.DMin))
-		if t < e.earliest[g.Output] {
-			e.earliest[g.Output] = t
+		t := best.Add(waveform.Time(l.DMin[g]))
+		if out := l.Out[g]; t < e.earliest[out] {
+			e.earliest[out] = t
 		}
 	}
 	return e

@@ -42,8 +42,8 @@ func TestEarliestWithUnequalDMin(t *testing.T) {
 	// Backannotate distinct DMin values.
 	x, _ := c.NetByName("x")
 	z, _ := c.NetByName("z")
-	c.Gate(c.Net(x).Driver).DMin = 4
-	c.Gate(c.Net(z).Driver).DMin = 7
+	c.SetDelay(c.Net(x).Driver, 10, 4)
+	c.SetDelay(c.Net(z).Driver, 10, 7)
 	e := NewEarly(c)
 	if got := e.Earliest(x); got != 4 {
 		t.Fatalf("earliest(x) = %s, want 4", got)

@@ -387,11 +387,7 @@ func (p *prop) assign(n circuit.NetID, v int8) bool {
 }
 
 func (p *prop) scheduleNet(n circuit.NetID) {
-	if d := p.c.Net(n).Driver; d != circuit.InvalidGate && !p.inQ[d] {
-		p.inQ[d] = true
-		p.dirty = append(p.dirty, d)
-	}
-	for _, g := range p.c.Net(n).Fanout {
+	for _, g := range p.c.Layout().Gates(n) {
 		if !p.inQ[g] {
 			p.inQ[g] = true
 			p.dirty = append(p.dirty, g)
@@ -400,31 +396,32 @@ func (p *prop) scheduleNet(n circuit.NetID) {
 }
 
 // applyGate runs the direct-implication rules of one gate.
-func (p *prop) applyGate(gid circuit.GateID) bool {
-	g := p.c.Gate(gid)
-	out := p.val[g.Output]
-	switch g.Type {
+func (p *prop) applyGate(g circuit.GateID) bool {
+	l := p.c.Layout()
+	t, ins, o := l.Type[g], l.Inputs(g), l.Out[g]
+	out := p.val[o]
+	switch t {
 	case circuit.NOT:
-		in := p.val[g.Inputs[0]]
-		if in != -1 && !p.assign(g.Output, 1-in) {
+		in := p.val[ins[0]]
+		if in != -1 && !p.assign(o, 1-in) {
 			return false
 		}
-		if out != -1 && !p.assign(g.Inputs[0], 1-out) {
+		if out != -1 && !p.assign(ins[0], 1-out) {
 			return false
 		}
 	case circuit.BUFFER, circuit.DELAY:
-		in := p.val[g.Inputs[0]]
-		if in != -1 && !p.assign(g.Output, in) {
+		in := p.val[ins[0]]
+		if in != -1 && !p.assign(o, in) {
 			return false
 		}
-		if out != -1 && !p.assign(g.Inputs[0], out) {
+		if out != -1 && !p.assign(ins[0], out) {
 			return false
 		}
 	case circuit.AND, circuit.NAND, circuit.OR, circuit.NOR:
-		ctrl, _ := g.Type.HasControlling()
+		ctrl, _ := t.HasControlling()
 		cv := int8(ctrl)
 		controlled := cv
-		if g.Type.Inverting() {
+		if t.Inverting() {
 			controlled = 1 - cv
 		}
 		nonControlled := 1 - controlled
@@ -432,7 +429,7 @@ func (p *prop) applyGate(gid circuit.GateID) bool {
 		known := 0
 		anyCtrl := false
 		var lastUnknown circuit.NetID = circuit.InvalidNet
-		for _, x := range g.Inputs {
+		for _, x := range ins {
 			switch p.val[x] {
 			case cv:
 				anyCtrl = true
@@ -444,36 +441,36 @@ func (p *prop) applyGate(gid circuit.GateID) bool {
 			}
 		}
 		if anyCtrl {
-			if !p.assign(g.Output, controlled) {
+			if !p.assign(o, controlled) {
 				return false
 			}
-		} else if known == len(g.Inputs) {
-			if !p.assign(g.Output, nonControlled) {
+		} else if known == len(ins) {
+			if !p.assign(o, nonControlled) {
 				return false
 			}
 		}
 		// Backward.
 		if out == nonControlled {
-			for _, x := range g.Inputs {
+			for _, x := range ins {
 				if !p.assign(x, 1-cv) {
 					return false
 				}
 			}
 		}
-		if out == controlled && !anyCtrl && known == len(g.Inputs)-1 && lastUnknown != circuit.InvalidNet {
+		if out == controlled && !anyCtrl && known == len(ins)-1 && lastUnknown != circuit.InvalidNet {
 			if !p.assign(lastUnknown, cv) {
 				return false
 			}
 		}
 	case circuit.XOR, circuit.XNOR:
 		parity := int8(0)
-		if g.Type == circuit.XNOR {
+		if t == circuit.XNOR {
 			parity = 1
 		}
 		unknown := 0
 		var lastUnknown circuit.NetID = circuit.InvalidNet
 		acc := parity
-		for _, x := range g.Inputs {
+		for _, x := range ins {
 			if p.val[x] == -1 {
 				unknown++
 				lastUnknown = x
@@ -483,7 +480,7 @@ func (p *prop) applyGate(gid circuit.GateID) bool {
 		}
 		switch {
 		case unknown == 0:
-			if !p.assign(g.Output, acc) {
+			if !p.assign(o, acc) {
 				return false
 			}
 		case unknown == 1 && out != -1:

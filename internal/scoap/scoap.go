@@ -32,11 +32,10 @@ func Compute(c *circuit.Circuit) *Controllability {
 		cc.CC0[pi] = 1
 		cc.CC1[pi] = 1
 	}
-	for _, gid := range c.TopoGates() {
-		g := c.Gate(gid)
-		c0, c1 := gateControllability(g, cc)
-		cc.CC0[g.Output] = c0
-		cc.CC1[g.Output] = c1
+	l := c.Layout()
+	for _, g := range c.TopoGates() {
+		out := l.Out[g]
+		cc.CC0[out], cc.CC1[out] = gateControllability(l.Type[g], l.Inputs(g), cc)
 	}
 	return cc
 }
@@ -75,52 +74,52 @@ func addSat(a, b int64) int64 {
 	return s
 }
 
-func gateControllability(g *circuit.Gate, cc *Controllability) (c0, c1 int64) {
-	switch g.Type {
+func gateControllability(t circuit.GateType, ins []circuit.NetID, cc *Controllability) (c0, c1 int64) {
+	switch t {
 	case circuit.AND, circuit.NAND:
 		// AND=1 needs all inputs 1; AND=0 needs the cheapest input 0.
 		all1 := int64(1)
 		min0 := Infinity
-		for _, x := range g.Inputs {
+		for _, x := range ins {
 			all1 = addSat(all1, cc.CC1[x])
 			if cc.CC0[x] < min0 {
 				min0 = cc.CC0[x]
 			}
 		}
 		min0 = addSat(min0, 1)
-		if g.Type == circuit.AND {
+		if t == circuit.AND {
 			return min0, all1
 		}
 		return all1, min0
 	case circuit.OR, circuit.NOR:
 		all0 := int64(1)
 		min1 := Infinity
-		for _, x := range g.Inputs {
+		for _, x := range ins {
 			all0 = addSat(all0, cc.CC0[x])
 			if cc.CC1[x] < min1 {
 				min1 = cc.CC1[x]
 			}
 		}
 		min1 = addSat(min1, 1)
-		if g.Type == circuit.OR {
+		if t == circuit.OR {
 			return all0, min1
 		}
 		return min1, all0
 	case circuit.NOT:
-		return addSat(cc.CC1[g.Inputs[0]], 1), addSat(cc.CC0[g.Inputs[0]], 1)
+		return addSat(cc.CC1[ins[0]], 1), addSat(cc.CC0[ins[0]], 1)
 	case circuit.BUFFER, circuit.DELAY:
-		return addSat(cc.CC0[g.Inputs[0]], 1), addSat(cc.CC1[g.Inputs[0]], 1)
+		return addSat(cc.CC0[ins[0]], 1), addSat(cc.CC1[ins[0]], 1)
 	case circuit.XOR, circuit.XNOR:
 		// Dynamic programming over the inputs: cost of achieving each
 		// running parity.
 		even, odd := int64(0), Infinity
-		for _, x := range g.Inputs {
+		for _, x := range ins {
 			e2 := minI64(addSat(even, cc.CC0[x]), addSat(odd, cc.CC1[x]))
 			o2 := minI64(addSat(even, cc.CC1[x]), addSat(odd, cc.CC0[x]))
 			even, odd = e2, o2
 		}
 		even, odd = addSat(even, 1), addSat(odd, 1)
-		if g.Type == circuit.XOR {
+		if t == circuit.XOR {
 			return even, odd
 		}
 		return odd, even
@@ -155,24 +154,26 @@ func ComputeObservability(c *circuit.Circuit, cc *Controllability) *Observabilit
 	for _, po := range c.PrimaryOutputs() {
 		ob.CO[po] = 0
 	}
+	l := c.Layout()
 	topo := c.TopoGates()
 	for i := len(topo) - 1; i >= 0; i-- {
-		g := c.Gate(topo[i])
-		out := ob.CO[g.Output]
+		g := topo[i]
+		out := ob.CO[l.Out[g]]
 		if out >= Infinity {
 			continue
 		}
-		for _, x := range g.Inputs {
+		ins := l.Inputs(g)
+		for _, x := range ins {
 			cost := addSat(out, 1)
-			switch g.Type {
+			switch l.Type[g] {
 			case circuit.AND, circuit.NAND:
-				for _, y := range g.Inputs {
+				for _, y := range ins {
 					if y != x {
 						cost = addSat(cost, cc.CC1[y])
 					}
 				}
 			case circuit.OR, circuit.NOR:
-				for _, y := range g.Inputs {
+				for _, y := range ins {
 					if y != x {
 						cost = addSat(cost, cc.CC0[y])
 					}
@@ -180,7 +181,7 @@ func ComputeObservability(c *circuit.Circuit, cc *Controllability) *Observabilit
 			case circuit.XOR, circuit.XNOR:
 				// Any side assignment propagates; charge the cheapest
 				// per side input.
-				for _, y := range g.Inputs {
+				for _, y := range ins {
 					if y != x {
 						cost = addSat(cost, minI64(cc.CC0[y], cc.CC1[y]))
 					}

@@ -12,7 +12,9 @@
 // drive). Each IOPATH value is an rtriple min:typ:max or a single
 // number; the gate's d_max becomes the largest max over its IOPATHs and
 // d_min the smallest min. Values are scaled by TIMESCALE into integer
-// picoseconds. Unsupported constructs are skipped, not rejected.
+// picoseconds. A value that is negative, not finite, has its min above
+// its max, or scales to waveform.PosInf or beyond is an error.
+// Unsupported constructs are skipped, not rejected.
 package sdf
 
 import (
@@ -23,6 +25,7 @@ import (
 	"strings"
 
 	"repro/internal/circuit"
+	"repro/internal/waveform"
 )
 
 // Annotation is the outcome of applying an SDF file.
@@ -99,6 +102,10 @@ func applyCell(c *circuit.Circuit, cell *node, an *Annotation) error {
 						lo, hi, err := parseTriple(val)
 						if err != nil {
 							return err
+						}
+						// Also false for NaN and infinite bounds.
+						if !(0 <= lo && lo <= hi && hi*an.TimescalePS < float64(waveform.PosInf)) {
+							return fmt.Errorf("sdf: delay %q is not 0 <= min <= max < %d ps", val.raw, waveform.PosInf)
 						}
 						if hi > dmax {
 							dmax = hi

@@ -43,7 +43,7 @@ const testSDF = `
 )
 `
 
-func gateOf(t testing.TB, c *circuit.Circuit, net string) *circuit.Gate {
+func gateOf(t testing.TB, c *circuit.Circuit, net string) circuit.Gate {
 	t.Helper()
 	id, ok := c.NetByName(net)
 	if !ok {
@@ -154,5 +154,46 @@ func TestUnsupportedConstructsIgnored(t *testing.T) {
 	}
 	if g := gateOf(t, c, "x"); g.Delay != 7 {
 		t.Fatalf("x delay = %d, want 7", g.Delay)
+	}
+}
+
+// TestDelayBounds: a delay that is negative, not finite, has its min
+// above its max, or reaches waveform.PosInf once scaled is an error and
+// stores nothing; values at the edge of the range apply.
+func TestDelayBounds(t *testing.T) {
+	cases := []struct {
+		timescale, value string
+		dmin, dmax       int64 // -1: rejected
+	}{
+		{"1ns", "(1e30)", -1, -1},
+		{"1ns", "(Inf)", -1, -1},
+		{"1ns", "(-Inf)", -1, -1},
+		{"1ns", "(NaN)", -1, -1},
+		{"1ns", "(0:1:Inf)", -1, -1},
+		{"1ns", "(-5:1:2)", -1, -1},
+		{"1ns", "(-5)", -1, -1},
+		{"1ns", "(9:0:1)", -1, -1},
+		{"1ns", "(2305843009213694)", -1, -1},
+		{"1ps", "(2305843009213693952)", -1, -1},
+		{"1ps", "(2305843009213693000)", 2305843009213692928, 2305843009213692928},
+		{"1ns", "(0)", 0, 0},
+		{"1ns", "(1:1:1)", 1000, 1000},
+		{"1ns", "(1:5:9)", 1000, 9000},
+	}
+	for _, tc := range cases {
+		c := mustBuild(t, testCkt)
+		src := "(DELAYFILE (TIMESCALE " + tc.timescale + ") (CELL (INSTANCE x) (DELAY (ABSOLUTE (IOPATH a y " + tc.value + ")))))"
+		_, err := ApplyString(c, src)
+		g := gateOf(t, c, "x")
+		switch {
+		case tc.dmax < 0 && err == nil:
+			t.Errorf("%s at %s: applied [%d,%d], want an error", tc.value, tc.timescale, g.DMin, g.Delay)
+		case tc.dmax < 0 && (g.Delay != 10 || g.DMin != 10):
+			t.Errorf("%s at %s: rejected but stored [%d,%d]", tc.value, tc.timescale, g.DMin, g.Delay)
+		case tc.dmax >= 0 && err != nil:
+			t.Errorf("%s at %s: %v", tc.value, tc.timescale, err)
+		case tc.dmax >= 0 && (g.Delay != tc.dmax || g.DMin != tc.dmin):
+			t.Errorf("%s at %s: stored [%d,%d], want [%d,%d]", tc.value, tc.timescale, g.DMin, g.Delay, tc.dmin, tc.dmax)
+		}
 	}
 }

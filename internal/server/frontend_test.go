@@ -88,6 +88,9 @@ func TestFrontEndContract(t *testing.T) {
 	tooMany, _ := json.Marshal(api.Request{Netlist: bench, Sweep: sweep})
 	oversized, _ := json.Marshal(api.Request{Netlist: bench + strings.Repeat("# pad\n", maxBody), Sweep: sweep})
 	upload, _ := json.Marshal(api.UploadRequest{Netlist: bench})
+	// A delay far past waveform.PosInf once scaled to picoseconds.
+	badSDF, _ := json.Marshal(api.UploadRequest{Netlist: bench,
+		SDF: "(DELAYFILE (CELL (INSTANCE G10) (DELAY (ABSOLUTE (IOPATH a y (1e30))))))"})
 	check, _ := json.Marshal(api.Request{Netlist: bench, Sweep: &api.SweepSpec{Deltas: []int64{50}}})
 
 	cases := []struct {
@@ -106,6 +109,8 @@ func TestFrontEndContract(t *testing.T) {
 			contractReply{status: http.StatusNotFound, code: "unknown_hash", hash: unknown}},
 		{"too many checks", http.MethodPost, "/v1/check", string(tooMany),
 			contractReply{status: http.StatusBadRequest, code: "too_many_checks"}},
+		{"bad sdf", http.MethodPut, "/v1/circuits", string(badSDF),
+			contractReply{status: http.StatusBadRequest, code: "bad_sdf"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

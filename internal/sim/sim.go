@@ -68,14 +68,15 @@ func Run(c *circuit.Circuit, v Vector) (*Result, error) {
 		r.Value[pi] = v[i]
 		r.Settle[pi] = 0
 	}
+	l := c.Layout()
 	in := make([]int, 0, 16)
-	for _, gid := range c.TopoGates() {
-		g := c.Gate(gid)
+	for _, g := range c.TopoGates() {
+		t := l.Type[g]
 		in = in[:0]
 		maxAll := waveform.Time(0)
 		minCtrl := waveform.PosInf
-		ctrl, hasCtrl := g.Type.HasControlling()
-		for _, x := range g.Inputs {
+		ctrl, hasCtrl := t.HasControlling()
+		for _, x := range l.Inputs(g) {
 			in = append(in, r.Value[x])
 			st := r.Settle[x]
 			if st > maxAll {
@@ -85,12 +86,13 @@ func Run(c *circuit.Circuit, v Vector) (*Result, error) {
 				minCtrl = st
 			}
 		}
-		r.Value[g.Output] = g.Type.Eval(in)
+		out := l.Out[g]
+		r.Value[out] = t.Eval(in)
 		st := maxAll
 		if minCtrl < st {
 			st = minCtrl
 		}
-		r.Settle[g.Output] = st.Add(waveform.Time(g.Delay))
+		r.Settle[out] = st.Add(waveform.Time(l.Delay[g]))
 	}
 	return r, nil
 }
