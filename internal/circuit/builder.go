@@ -125,6 +125,8 @@ func (b *Builder) MUX(d int64, out, sel, a0, a1 string) NetID {
 // nets, so it needs no primary-input flag.
 func (b *Builder) Build() (*Circuit, error) {
 	c := b.c
+	c.names, c.isPO = exact(c.names), exact(c.isPO)
+	c.pis, c.pos = exact(c.pis), exact(c.pos)
 	c.lay()
 	errs := b.errs
 	for n, name := range c.names {

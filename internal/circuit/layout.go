@@ -119,13 +119,17 @@ func (c *Circuit) SetDelay(g GateID, dmax, dmin int64) {
 }
 
 // lay completes the flat layout from the gates the builder appended:
-// it derives the opcodes and each net's driver and fanout. The fanout
-// of a net lists its gates in increasing id order, a gate once per
-// input pin it has on the net.
+// it moves the appended arrays to arrays of exactly their length,
+// dropping the spare capacity append growth left, and derives the
+// opcodes and each net's driver and fanout. The fanout of a net lists
+// its gates in increasing id order, a gate once per input pin it has
+// on the net.
 func (c *Circuit) lay() {
 	l := &c.layout
 	ng, nn := len(l.Out), len(c.names)
-	l.PinStart = append(l.PinStart[:ng], int32(len(l.Pins)))
+	l.PinStart = exact(append(l.PinStart[:ng], int32(len(l.Pins))))
+	l.Pins, l.Out, l.Type = exact(l.Pins), exact(l.Out), exact(l.Type)
+	l.Delay, l.DMin = exact(l.Delay), exact(l.DMin)
 	l.Op = make([]Op, ng)
 	l.NetStart = make([]int32, nn+1)
 	for g, out := range l.Out {
@@ -155,4 +159,15 @@ func (c *Circuit) lay() {
 	}
 	copy(l.NetStart[1:], l.NetStart[:nn])
 	l.NetStart[0] = 0
+}
+
+// exact returns s in an array of exactly its length: s itself when it
+// has no spare capacity, a copy otherwise.
+func exact[S ~[]E, E any](s S) S {
+	if cap(s) == len(s) {
+		return s
+	}
+	t := make(S, len(s))
+	copy(t, s)
+	return t
 }

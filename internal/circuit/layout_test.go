@@ -3,6 +3,7 @@ package circuit_test
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/circuit"
@@ -23,6 +24,30 @@ func TestLayout(t *testing.T) {
 	for _, c := range cs {
 		if d := circuit.StoreDiff(c); d != "" {
 			t.Fatal(d)
+		}
+	}
+}
+
+// TestBuildLeavesNoSpareCapacity: a built circuit keeps no capacity
+// beyond the length of any netlist array, however its builder grew
+// them: parsed from .bench, built by the generators, or cut as a cone.
+func TestBuildLeavesNoSpareCapacity(t *testing.T) {
+	ind := gen.Industrial(1, 200, 10)
+	var src strings.Builder
+	if err := circuit.WriteBench(&src, ind); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := circuit.ParseBenchString(src.String(), circuit.BenchOptions{DefaultDelay: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cone, _, err := circuit.ExtractConeMapped(ind, ind.PrimaryOutputs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*circuit.Circuit{parsed, ind, cone, gen.Random(3, 6, 80, 10)} {
+		if spare := circuit.SpareCapacity(c); spare != "" {
+			t.Fatalf("%s keeps spare capacity (len/cap): %s", c.Name, spare)
 		}
 	}
 }

@@ -640,3 +640,29 @@ func StoreDiff(c *Circuit) string {
 	}
 	return ""
 }
+
+// SpareCapacity names every array of c's netlist store whose capacity
+// exceeds its length, for the external tests ("" when there is none).
+func SpareCapacity(c *Circuit) string {
+	l := &c.layout
+	var spare []string
+	check := func(name string, n, capacity int) {
+		if capacity != n {
+			spare = append(spare, fmt.Sprintf("%s %d/%d", name, n, capacity))
+		}
+	}
+	check("names", len(c.names), cap(c.names))
+	check("isPO", len(c.isPO), cap(c.isPO))
+	check("pis", len(c.pis), cap(c.pis))
+	check("pos", len(c.pos), cap(c.pos))
+	check("Pins", len(l.Pins), cap(l.Pins))
+	check("PinStart", len(l.PinStart), cap(l.PinStart))
+	check("Out", len(l.Out), cap(l.Out))
+	check("Type", len(l.Type), cap(l.Type))
+	check("Delay", len(l.Delay), cap(l.Delay))
+	check("DMin", len(l.DMin), cap(l.DMin))
+	check("Op", len(l.Op), cap(l.Op))
+	check("NetStart", len(l.NetStart), cap(l.NetStart))
+	check("NetGates", len(l.NetGates), cap(l.NetGates))
+	return strings.Join(spare, ", ")
+}

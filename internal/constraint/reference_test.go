@@ -526,10 +526,26 @@ type kernelRun struct {
 	// agree; everDiv that the runs have differed since the last Reset
 	// or common Restore, so Changes are compared for coverage only.
 	// snapDiv records div when the snapshots were taken, kLast and
-	// rLast each subscriber's view: the lanes at its last read.
+	// rLast each subscriber's view.
 	div, flagOK, everDiv, snapDiv bool
 	divLevel                      int
-	kLast, rLast                  [][]int64
+	kLast, rLast                  []*lastRead
+}
+
+// lastRead is a subscriber's view for the Changes coverage check: the
+// lanes at its last read. As the subscription's Restorer it saves the
+// view at every Mark and puts it back at the matching Undo, which
+// rewinds the consumer's reads to the mark.
+type lastRead struct {
+	lanes []int64
+	saved [][]int64
+}
+
+func (v *lastRead) OnMark(*System) { v.saved = append(v.saved, slices.Clone(v.lanes)) }
+
+func (v *lastRead) OnUndo(*System) {
+	v.lanes = v.saved[len(v.saved)-1]
+	v.saved = v.saved[:len(v.saved)-1]
 }
 
 func newKernelRun(tb testing.TB, c *circuit.Circuit, script []byte, strict bool) *kernelRun {
@@ -673,21 +689,26 @@ func (kr *kernelRun) step() (op string) {
 		kr.kLast, kr.rLast = kr.kLast[:0], kr.rLast[:0]
 		kr.hook()
 	case 14:
-		if len(kr.kSubs) == 0 || kr.next()%3 == 0 {
+		switch {
+		case k.Levels() == 0 && (len(kr.kSubs) == 0 || kr.next()%3 == 0):
+			// Subscribe is only legal with no level open.
 			op = "Subscribe"
-			kr.kSubs = append(kr.kSubs, k.Subscribe())
-			kr.rSubs = append(kr.rSubs, r.sys.Subscribe())
-			kr.kLast = append(kr.kLast, k.Snapshot(nil))
-			kr.rLast = append(kr.rLast, r.sys.Snapshot(nil))
-		} else {
+			kv := &lastRead{lanes: k.Snapshot(nil)}
+			rv := &lastRead{lanes: r.sys.Snapshot(nil)}
+			kr.kSubs = append(kr.kSubs, k.Subscribe(kv))
+			kr.rSubs = append(kr.rSubs, r.sys.Subscribe(rv))
+			kr.kLast, kr.rLast = append(kr.kLast, kv), append(kr.rLast, rv)
+		case len(kr.kSubs) == 0:
+			op = "Nop"
+		default:
 			op = "Changes"
 			i := kr.next() % len(kr.kSubs)
 			kr.kCh = k.Changes(kr.kSubs[i], kr.kCh[:0])
 			kr.rCh = r.sys.Changes(kr.rSubs[i], kr.rCh[:0])
-			kr.covers("kernel", k, kr.kCh, kr.kLast[i])
-			kr.covers("reference", r.sys, kr.rCh, kr.rLast[i])
-			kr.kLast[i] = k.Snapshot(kr.kLast[i])
-			kr.rLast[i] = r.sys.Snapshot(kr.rLast[i])
+			kr.covers("kernel", k, kr.kCh, kr.kLast[i].lanes)
+			kr.covers("reference", r.sys, kr.rCh, kr.rLast[i].lanes)
+			kr.kLast[i].lanes = k.Snapshot(kr.kLast[i].lanes)
+			kr.rLast[i].lanes = r.sys.Snapshot(kr.rLast[i].lanes)
 			switch {
 			case kr.strict:
 				if !slices.Equal(kr.kCh, kr.rCh) {

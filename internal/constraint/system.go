@@ -63,16 +63,17 @@ type System struct {
 	trail trail
 
 	// The change log (see Subscribe): every net whose domain changed,
-	// in order, while logOn; cursors[i] is consumer i's read position.
-	// gen identifies the run the log belongs to. logMarks holds one
-	// entry per open trail mark, and logEpoch changes whenever the log
-	// is truncated or a consumer subscribes (see Undo).
-	log      []circuit.NetID
-	logOn    bool
-	cursors  []int
-	gen      uint64
-	logMarks []logMark
-	logEpoch uint64
+	// in order, while logOn; cursors[i] is consumer i's read position
+	// and hooks[i] its Restorer. gen identifies the run the log belongs
+	// to. logMarks holds the log's length at each open trail mark and
+	// markCursors every cursor at each, len(cursors) entries per mark.
+	log         []circuit.NetID
+	logOn       bool
+	cursors     []int
+	hooks       []Restorer
+	gen         uint64
+	logMarks    []int
+	markCursors []int
 
 	inconsistent bool
 	emptyNet     circuit.NetID
@@ -269,6 +270,14 @@ func (s *System) Narrow(n circuit.NetID, sig waveform.Signal) bool {
 	return s.narrow(n, sig.W0, sig.W1, circuit.InvalidGate)
 }
 
+// Narrows reports whether Narrow(n, sig) would change net n's domain.
+func (s *System) Narrows(n circuit.NetID, sig waveform.Signal) bool {
+	base := lanes * int(n)
+	_, _, ch0 := meet(s.dom[base], s.dom[base+1], sig.W0)
+	_, _, ch1 := meet(s.dom[base+2], s.dom[base+3], sig.W1)
+	return ch0 || ch1
+}
+
 // narrow is Narrow on the two class waves, made by the application of
 // gate self (InvalidGate for none), which is not re-scheduled. It meets
 // net n's four lanes with the waves' bounds and returns at once when
@@ -371,42 +380,39 @@ func (s *System) finishFixpoint() bool {
 	return true
 }
 
-// logMark is the change log's state when a trail mark was opened: its
-// length and epoch.
-type logMark struct {
-	pos   int
-	epoch uint64
-}
-
 // Mark opens a new decision level; Undo rewinds to the matching mark.
+// It records the change log's length and every subscriber's cursor,
+// and calls each subscriber's OnMark.
 func (s *System) Mark() {
 	s.trail.mark()
-	s.logMarks = append(s.logMarks, logMark{len(s.log), s.logEpoch})
+	s.logMarks = append(s.logMarks, len(s.log))
+	s.markCursors = append(s.markCursors, s.cursors...)
+	for _, h := range s.hooks {
+		h.OnMark(s)
+	}
 }
 
 // Undo rewinds domains to the most recent mark, clearing any
-// inconsistency and pending events. The change log is cut back to its
-// length at the mark when no consumer has read past that point, and
-// records every restored net otherwise.
+// inconsistency and pending events. It calls each subscriber's OnUndo,
+// cuts the change log back to its length at the mark and puts every
+// cursor back where it was then, so no restored net is ever logged.
 func (s *System) Undo() {
 	if n := len(s.trail.marks); n > 0 {
 		base := s.trail.marks[n-1]
 		s.trail.marks = s.trail.marks[:n-1]
-		logRestores := s.logOn && !s.rewindLog(s.logMarks[n-1])
-		s.logMarks = s.logMarks[:n-1]
-		last := circuit.InvalidNet
 		for i := len(s.trail.idx) - 1; i >= base; i-- {
-			lane := s.trail.idx[i]
-			s.dom[lane] = s.trail.old[i]
-			// A narrowing saves its lanes consecutively, so logging
-			// each run of one net once logs every restored net.
-			if net := circuit.NetID(lane / lanes); logRestores && net != last {
-				s.log = append(s.log, net)
-				last = net
-			}
+			s.dom[s.trail.idx[i]] = s.trail.old[i]
 		}
 		s.trail.idx = s.trail.idx[:base]
 		s.trail.old = s.trail.old[:base]
+		for _, h := range s.hooks {
+			h.OnUndo(s)
+		}
+		s.log = s.log[:s.logMarks[n-1]]
+		s.logMarks = s.logMarks[:n-1]
+		saved := len(s.markCursors) - len(s.cursors)
+		copy(s.cursors, s.markCursors[saved:])
+		s.markCursors = s.markCursors[:saved]
 	}
 	s.inconsistent = false
 	s.emptyNet = circuit.InvalidNet
@@ -414,26 +420,6 @@ func (s *System) Undo() {
 		s.inQueue[g] = false
 	}
 	s.queue, s.qhead = s.queue[:0], 0
-}
-
-// rewindLog cuts the change log back to its length at mark m and
-// reports true when that is exact: the log is the one m was taken on
-// (no truncation or Subscribe since) and no consumer has read past
-// m.pos. Every consumer then last saw domains no later than the mark's,
-// the entries before m.pos stay, and the domains Undo restores are the
-// mark's, so the log from each cursor still names every net whose
-// domain differs from what its consumer last read.
-func (s *System) rewindLog(m logMark) bool {
-	if m.epoch != s.logEpoch {
-		return false
-	}
-	for _, c := range s.cursors {
-		if c > m.pos {
-			return false
-		}
-	}
-	s.log = s.log[:m.pos]
-	return true
 }
 
 // Levels returns the number of open decision levels.
@@ -460,28 +446,48 @@ func (s *System) AppendTouched(dst []circuit.NetID) []circuit.NetID {
 // dominators, learning) revisit only the nets whose domains changed
 // since they last looked, instead of the whole circuit. It is off until
 // the first Subscribe of a run, so checks that never reach a consumer
-// pay nothing. While on, every effective Narrow appends its net. An Undo
-// whose mark no consumer has read past cuts the log back to the mark
-// (the narrowings since then are undone unseen); any other Undo appends
-// each net it restores. Reset and Restore turn the log off, drop every
-// subscription and start a new generation, so a consumer that finds
-// Generation changed starts over with a full computation and a fresh
-// Subscribe. Once every subscriber has read to the end, the log is
-// truncated, which keeps it bounded by the changes of one evaluate
-// round plus the restorations since.
+// pay nothing. While on, every effective Narrow appends its net. Each
+// consumer's state follows the trail through its Restorer: Mark saves
+// it with the consumer's cursor, and Undo restores both and cuts the
+// log back to the mark, so after an Undo every consumer is where it
+// was at the mark, with the same unread entries, and the restored
+// domains are the ones it then had or was yet to read. Reset and
+// Restore turn the log off, drop every subscription and start a new
+// generation, so a consumer that finds Generation changed starts over
+// with a full computation and a fresh Subscribe. Once every subscriber
+// has read to the end, the log is cut back to the innermost open
+// mark's length (to empty with no mark open): the entries below it
+// are the ones an Undo can hand back to a consumer that had not read
+// them at that mark. That keeps the log bounded by one evaluate round
+// plus what lagging consumers had left unread at the open marks.
+
+// A Restorer is the state a change-log consumer keeps beside its
+// cursor: Mark calls OnMark on every subscriber, which saves that state
+// for the new level, and Undo calls OnUndo, which puts back the state
+// saved for the level it closes. s is the calling system; a consumer
+// that has moved on to another system ignores it.
+type Restorer interface {
+	OnMark(s *System)
+	OnUndo(s *System)
+}
 
 // Generation identifies the system's current run: it changes on every
 // Reset and Restore, together with the change log's subscriptions.
 func (s *System) Generation() uint64 { return s.gen }
 
-// Subscribe turns the change log on and registers a consumer whose
-// cursor starts at the end of the log, so it sees every domain change
-// from now on. The returned id is valid for Changes until the
-// generation changes.
-func (s *System) Subscribe() int {
+// Subscribe turns the change log on and registers a consumer, with
+// the Restorer Mark and Undo call, whose cursor starts at the end of
+// the log, so it sees every domain change from now on. The returned id
+// is valid for Changes until the generation changes. A consumer must
+// subscribe with no decision level open: an Undo could not put back a
+// state it never saved, so Subscribe panics then.
+func (s *System) Subscribe(r Restorer) int {
+	if len(s.trail.marks) > 0 {
+		panic("constraint: Subscribe with a decision level open")
+	}
 	s.logOn = true
-	s.logEpoch++ // a mark taken before now may predate this consumer's view
 	s.cursors = append(s.cursors, len(s.log))
+	s.hooks = append(s.hooks, r)
 	return len(s.cursors) - 1
 }
 
@@ -496,9 +502,14 @@ func (s *System) Changes(id int, dst []circuit.NetID) []circuit.NetID {
 			return dst
 		}
 	}
-	s.log = s.log[:0]
-	s.logEpoch++
-	clear(s.cursors)
+	keep := 0
+	if n := len(s.logMarks); n > 0 {
+		keep = s.logMarks[n-1]
+	}
+	s.log = s.log[:keep]
+	for i := range s.cursors {
+		s.cursors[i] = keep
+	}
 	return dst
 }
 
@@ -546,11 +557,14 @@ func (s *System) resetRunState() {
 	s.log = s.log[:0]
 	s.logOn = false
 	s.cursors = s.cursors[:0]
+	clear(s.hooks)
+	s.hooks = s.hooks[:0]
 	s.gen++
 	s.trail.idx = s.trail.idx[:0]
 	s.trail.old = s.trail.old[:0]
 	s.trail.marks = s.trail.marks[:0]
 	s.logMarks = s.logMarks[:0]
+	s.markCursors = s.markCursors[:0]
 	for _, g := range s.queue[s.qhead:] {
 		s.inQueue[g] = false
 	}

@@ -383,16 +383,8 @@ func (v *Verifier) stemCorrelation(rs *runState, sys *constraint.System, sink ci
 		default:
 			ws.unionBranch(sys)
 		}
-		// Write the surviving domains back. A branch narrows only the
-		// nets on its trail; every other net keeps its pre-split
-		// domain, which the union with the other branch contains, so
-		// only trailed nets can narrow: those of the one consistent
-		// branch, or those on both trails for the union, in increasing
-		// id order as a scan of every net would meet them.
 		sys.Undo()
-		for i, n := range ws.touched {
-			sys.Narrow(n, ws.branch[i])
-		}
+		ws.writeBack(sys)
 		switch res := v.evaluate(rs, sys, sink, delta, rep); res {
 		case NoViolation, Cancelled, Abandoned:
 			return res
@@ -401,21 +393,17 @@ func (v *Verifier) stemCorrelation(rs *runState, sys *constraint.System, sink ci
 	return PossibleViolation
 }
 
-// trailed collects the nets whose domains changed at the open decision
-// level, in increasing id order without repeats, into buf.
-func trailed(sys *constraint.System, buf []circuit.NetID) []circuit.NetID {
-	buf = sys.AppendTouched(buf[:0])
-	slices.Sort(buf)
-	return slices.Compact(buf)
-}
-
-// keepBranch records the open branch's trailed nets and their current
-// domains in touched and branch.
+// keepBranch records the open branch's trailed nets, once each, with
+// their current domains.
 func (ws *workspace) keepBranch(sys *constraint.System) {
-	ws.touched = trailed(sys, ws.touched)
+	ws.trailed = sys.AppendTouched(ws.trailed[:0])
+	ws.newEpoch(sys.Circuit().NumNets())
 	ws.branch = ws.branch[:0]
-	for _, n := range ws.touched {
-		ws.branch = append(ws.branch, sys.Domain(n))
+	for _, n := range ws.trailed {
+		if ws.seen[n] != ws.epoch {
+			ws.seen[n] = ws.epoch
+			ws.branch = append(ws.branch, branchNet{n, sys.Domain(n)})
+		}
 	}
 }
 
@@ -423,18 +411,42 @@ func (ws *workspace) keepBranch(sys *constraint.System) {
 // open branch trailed too, each with the union of its two branch
 // domains.
 func (ws *workspace) unionBranch(sys *constraint.System) {
-	ws.touched1 = trailed(sys, ws.touched1)
-	k, j := 0, 0
-	for i, n := range ws.touched {
-		for j < len(ws.touched1) && ws.touched1[j] < n {
-			j++
-		}
-		if j < len(ws.touched1) && ws.touched1[j] == n {
-			ws.touched[k], ws.branch[k] = n, ws.branch[i].Union(sys.Domain(n))
+	ws.trailed = sys.AppendTouched(ws.trailed[:0])
+	ws.newEpoch(sys.Circuit().NumNets())
+	for _, n := range ws.trailed {
+		ws.seen[n] = ws.epoch
+	}
+	k := 0
+	for _, b := range ws.branch {
+		if ws.seen[b.net] == ws.epoch {
+			ws.branch[k] = branchNet{b.net, b.sig.Union(sys.Domain(b.net))}
 			k++
 		}
 	}
-	ws.touched, ws.branch = ws.touched[:k], ws.branch[:k]
+	ws.branch = ws.branch[:k]
+}
+
+// writeBack narrows the pre-split domains to the surviving ones. A
+// branch narrows only the nets on its trail; every other net keeps its
+// pre-split domain, which the union with the other branch contains, so
+// only recorded nets can narrow: those of the one consistent branch,
+// or those on both trails for the union. Each narrowing changes its own
+// net alone, so the ones that take effect are known before any is
+// made; only those are sorted, and they are made in increasing id
+// order, as a scan of every net would meet them.
+func (ws *workspace) writeBack(sys *constraint.System) {
+	k := 0
+	for _, b := range ws.branch {
+		if sys.Narrows(b.net, b.sig) {
+			ws.branch[k] = b
+			k++
+		}
+	}
+	narrow := ws.branch[:k]
+	slices.SortFunc(narrow, func(a, b branchNet) int { return cmp.Compare(a.net, b.net) })
+	for _, b := range narrow {
+		sys.Narrow(b.net, b.sig)
+	}
 }
 
 // faninMask marks the nets of sink's transitive fan-in (sink

@@ -21,16 +21,24 @@ type workspace struct {
 
 	fanin     []bool
 	stemOrder []circuit.NetID
-	// A stem split's surviving domains: the trailed nets in increasing
-	// id order and their domains; touched1 is the second branch's trail.
-	touched  []circuit.NetID
-	branch   []waveform.Signal
-	touched1 []circuit.NetID
+	// A stem split's surviving domains, one entry per net, and the
+	// read buffer of a branch's trail.
+	branch  []branchNet
+	trailed []circuit.NetID
 
 	stack []decision
 	objs  []objective
-	seen  []uint32 // seen[n] == epoch: n already has an objective
+	// An epoch-stamped net set, seen[n] == epoch for its members: the
+	// nets that already have an objective in case analysis, a branch's
+	// trailed nets in stem correlation.
+	seen  []uint32
 	epoch uint32
+}
+
+// branchNet is a net a stem branch narrowed and its domain there.
+type branchNet struct {
+	net circuit.NetID
+	sig waveform.Signal
 }
 
 // workspace returns the run's workspace, allocating it on first use so

@@ -166,14 +166,18 @@ func BenchmarkCaseAnalysis(b *testing.B) {
 	b.ReportMetric(float64(props)/float64(b.N), "props/op")
 }
 
-// BenchmarkStemCorrelation is the stems layer on its heaviest warm
-// check: c1355's z0 cone at δ = D = 330, whose stem correlation makes
-// 64 splits. Each iteration restores the system to the state stage 2
-// left and runs stem correlation alone through one reused workspace,
-// so the time and allocations are the stage's own, including the full
-// carrier sweep and learning scan it starts each check with.
-func BenchmarkStemCorrelation(b *testing.B) {
-	c := suiteCircuit(b, "c1355")
+// stemStage sets up the stems layer on its heaviest warm check:
+// c1355's z0 cone at δ = D = 330, whose stem correlation makes 64
+// splits. The returned run restores the state stage 2 left and replays
+// stage 2's evaluate on it, which narrows nothing but leaves the
+// learning cursor and the carrier workspace subscribed and current, as
+// a check hands them to the stage; then it runs stem correlation
+// through the same reused workspace. The time per run is therefore the
+// stage's plus one full learning scan, carrier sweep and dominator
+// computation. run reports the workspace's cut sweeps and carrier
+// refreshes (dom.Workspace.Counts) during the stage alone.
+func stemStage(tb testing.TB) (run func() (sweeps, refreshes int)) {
+	c := suiteCircuit(tb, "c1355")
 	z0, _ := c.NetByName("z0")
 	cv := NewVerifier(c, Default()).coneFor(z0)
 	v, sink, delta := cv.sub, cv.cm.Sink, waveform.Time(330)
@@ -184,17 +188,80 @@ func BenchmarkStemCorrelation(b *testing.B) {
 	sys.ScheduleAll()
 	var rep Report
 	if res := v.evaluate(rs, sys, sink, delta, &rep); res != PossibleViolation {
-		b.Fatalf("stage 2 answered %s, want P", res)
+		tb.Fatalf("stage 2 answered %s, want P", res)
 	}
 	snap := sys.Snapshot(nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	ws := rs.workspace()
+	return func() (int, int) {
 		sys.Restore(snap)
+		if res := v.evaluate(rs, sys, sink, delta, &rep); res != PossibleViolation {
+			tb.Fatalf("stage 2 replayed answered %s, want P", res)
+		}
+		sweeps0, refreshes0 := ws.dom.Counts()
 		rep.Stats.StemSplits = 0
 		if res := v.stemCorrelation(rs, sys, sink, delta, &rep); res != PossibleViolation || rep.Stats.StemSplits != 64 {
-			b.Fatalf("got %s after %d splits, want P after 64", res, rep.Stats.StemSplits)
+			tb.Fatalf("got %s after %d splits, want P after 64", res, rep.Stats.StemSplits)
 		}
+		sweeps, refreshes := ws.dom.Counts()
+		return sweeps - sweeps0, refreshes - refreshes0
+	}
+}
+
+// BenchmarkStemCorrelation times stemStage and reports its cut sweeps
+// and carrier refreshes per stage (sweeps/op, refreshes/op).
+func BenchmarkStemCorrelation(b *testing.B) {
+	run := stemStage(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sweeps, refreshes int
+	for i := 0; i < b.N; i++ {
+		s, r := run()
+		sweeps += s
+		refreshes += r
+	}
+	b.ReportMetric(float64(sweeps)/float64(b.N), "sweeps/op")
+	b.ReportMetric(float64(refreshes)/float64(b.N), "refreshes/op")
+}
+
+// TestStemCorrelationWork pins the work of stemStage: Mark and Undo
+// restore the carriers and dominators of the mark, so a stem branch's
+// Undo costs no carrier refresh and no dominator recomputation. Before
+// that the stage made 122 cut sweeps and 5320 refreshes.
+func TestStemCorrelationWork(t *testing.T) {
+	sweeps, refreshes := stemStage(t)()
+	if sweeps > 62 || refreshes > 3017 {
+		t.Fatalf("the stage made %d cut sweeps and %d carrier refreshes, want at most 62 and 3017", sweeps, refreshes)
+	}
+	t.Logf("%d cut sweeps, %d carrier refreshes", sweeps, refreshes)
+}
+
+// TestWriteBackNarrowsInIDOrder: stem correlation's write-back makes
+// exactly the narrowings that change a domain, in increasing net id
+// order, as a scan of every net would, whatever order the branch
+// recorded its nets in.
+func TestWriteBackNarrowsInIDOrder(t *testing.T) {
+	c := gen.Random(4, 6, 80, 10)
+	sys := constraint.New(c)
+	sys.ScheduleAll()
+	sys.Fixpoint()
+	r := rand.New(rand.NewSource(4))
+	ws := new(workspace)
+	var want []circuit.NetID
+	for _, n := range r.Perm(c.NumNets())[:40] {
+		sig := waveform.SettledTo(r.Intn(2))
+		if r.Intn(3) == 0 {
+			sig = sys.Domain(circuit.NetID(n)) // no change
+		} else {
+			want = append(want, circuit.NetID(n))
+		}
+		ws.branch = append(ws.branch, branchNet{circuit.NetID(n), sig})
+	}
+	slices.Sort(want)
+	var got []circuit.NetID
+	sys.SetTraceFunc(func(n circuit.NetID, _, _ waveform.Signal) { got = append(got, n) })
+	ws.writeBack(sys)
+	if !slices.Equal(got, want) {
+		t.Fatalf("write-back narrowed %v, want %v", got, want)
 	}
 }
 
@@ -226,6 +293,7 @@ func TestStemFaninIsCarrierInfluence(t *testing.T) {
 			sys.Narrow(sink, waveform.CheckOutput(delta))
 			sys.ScheduleAll()
 			sys.Fixpoint()
+			ws.dom.Carriers(sys, lv, sink, delta) // subscribe with no level open
 			for step := 0; step < 100; step++ {
 				switch op := r.Intn(4); {
 				case op < 2:

@@ -89,12 +89,15 @@ func (lv *Levels) Inputs(x circuit.NetID) []circuit.NetID {
 // allocates nothing once the buffers have grown to the largest circuit
 // seen. Results returned by a method (masks, distances, dominator
 // slices) alias the workspace and are valid only until the next call
-// on it; copy what must outlive that. One workspace may serve circuits
-// of any size in turn, but must not be used concurrently. The zero
-// value is ready to use.
+// on it or the next Undo of the system it follows; copy what must
+// outlive that. One workspace may serve circuits of any size in turn,
+// but must not be used concurrently. The zero value is ready to use.
 type Workspace struct {
 	mask []bool          // dynamic carrier mask, by net
 	dist []waveform.Time // dynamic distances, by net
+
+	sweepMask []bool          // the full sweep's result before it is
+	sweepDist []waveform.Time // moved into mask and dist
 
 	in []int32 // FromCarriers' cut edges into each net; all zero between calls
 
@@ -114,6 +117,14 @@ type Workspace struct {
 	doms     Dominators
 	domsLive bool
 
+	// The undo trail of that state (see OnMark): the old carrier bit
+	// and distance of every change made while a level of sys is open,
+	// and per open level the rest of the state, with the dominator nets
+	// of a live set copied to savedDoms.
+	trail     []carrierChange
+	levels    []savedLevel
+	savedDoms []circuit.NetID
+
 	changes []circuit.NetID // change-log read buffer
 
 	// The level-bucket queue of Carriers, laid out for circuit qc: the
@@ -127,6 +138,25 @@ type Workspace struct {
 	queued []uint32 // queued[n] == epoch: n was queued this update
 	epoch  uint32
 	lo, hi int // lowest and highest level queued
+
+	sweeps, refreshes int // work counters (see Counts)
+}
+
+// carrierChange is one trail entry: net's carrier bit and distance
+// before a change.
+type carrierChange struct {
+	net     circuit.NetID
+	carrier bool
+	dist    waveform.Time
+}
+
+// savedLevel is the incremental state at a mark: the trail's length,
+// where the dominator nets were copied to in savedDoms, and the flags.
+type savedLevel struct {
+	trail, doms    int
+	sink           circuit.NetID
+	delta          waveform.Time
+	live, domsLive bool
 }
 
 // DynamicCarriers computes the dynamic carriers of the check and their
@@ -134,51 +164,61 @@ type Workspace struct {
 // (Definitions 7–8): a net qualifies through gate g feeding carrier y
 // at distance k when its domain still contains waveforms with a
 // transition at or after δ − (k + d_max(g)); its dynamic distance is
-// the largest such k′. This is the full sweep over every gate; Carriers
-// is its incremental front end. The returned slices alias the
-// workspace.
-func (w *Workspace) DynamicCarriers(sys *constraint.System, sink circuit.NetID, delta waveform.Time) (mask []bool, dist []waveform.Time) {
-	w.live = false // mask and dist no longer follow Carriers' check
-	return w.sweep(sys, sink, delta)
+// the largest such k′. This is the full sweep on a fresh workspace, so
+// the caller owns the result; Workspace.Carriers is its incremental
+// form.
+func DynamicCarriers(sys *constraint.System, sink circuit.NetID, delta waveform.Time) (mask []bool, dist []waveform.Time) {
+	w := &Workspace{sink: sink, delta: delta}
+	w.sweep(sys)
+	return w.mask, w.dist
 }
 
-// sweep is the full carrier sweep: every gate in reverse topological
-// order, so each net's fanout outputs are final when it is reached.
-func (w *Workspace) sweep(sys *constraint.System, sink circuit.NetID, delta waveform.Time) (mask []bool, dist []waveform.Time) {
+// sweep is the full carrier sweep of the check (w.sink, w.delta):
+// every gate in reverse topological order, so each net's fanout
+// outputs are final when it is reached, pushes its carrier output's
+// distance plus d_max to the inputs that still transition late
+// enough. It sweeps into the scratch arrays, which then trade places
+// with mask and dist; while a level is open it moves only the nets
+// whose value changed, through set, which trails them.
+func (w *Workspace) sweep(sys *constraint.System) {
 	c := sys.Circuit()
-	mask = slices.Grow(w.mask[:0], c.NumNets())[:c.NumNets()]
-	dist = slices.Grow(w.dist[:0], c.NumNets())[:c.NumNets()]
-	w.mask, w.dist = mask, dist
-	w.domsLive = false
+	n := c.NumNets()
+	mask := slices.Grow(w.sweepMask[:0], n)[:n]
+	dist := slices.Grow(w.sweepDist[:0], n)[:n]
+	w.sweepMask, w.sweepDist = mask, dist
 	clear(mask)
 	for i := range dist {
 		dist[i] = waveform.NegInf
 	}
-	if sys.Domain(sink).IsEmpty() {
-		return mask, dist
-	}
-	mask[sink] = true
-	dist[sink] = 0
-	l := c.Layout()
-	topo := c.TopoGates()
-	for i := len(topo) - 1; i >= 0; i-- {
-		g := topo[i]
-		y := l.Out[g]
-		if !mask[y] {
-			continue
-		}
-		kp := dist[y].Add(waveform.Time(l.Delay[g]))
-		for _, x := range l.Inputs(g) {
-			if dist[x] >= kp {
+	if !sys.Domain(w.sink).IsEmpty() {
+		mask[w.sink], dist[w.sink] = true, 0
+		l := c.Layout()
+		topo := c.TopoGates()
+		for i := len(topo) - 1; i >= 0; i-- {
+			g := topo[i]
+			y := l.Out[g]
+			if !mask[y] {
 				continue
 			}
-			if sys.HasTransitionAtOrAfter(x, delta.Sub(kp)) {
-				mask[x] = true
-				dist[x] = kp
+			kp := dist[y].Add(waveform.Time(l.Delay[g]))
+			for _, x := range l.Inputs(g) {
+				if dist[x] < kp && sys.HasTransitionAtOrAfter(x, w.delta.Sub(kp)) {
+					mask[x], dist[x] = true, kp
+				}
 			}
 		}
 	}
-	return mask, dist
+	if len(w.levels) == 0 {
+		w.mask, w.sweepMask = mask, w.mask
+		w.dist, w.sweepDist = dist, w.dist
+		w.domsLive = false
+		return
+	}
+	for x := range mask {
+		if mask[x] != w.mask[x] || dist[x] != w.dist[x] {
+			w.set(circuit.NetID(x), mask[x], dist[x])
+		}
+	}
 }
 
 // Carriers returns the dynamic carriers and distances of the check
@@ -197,20 +237,73 @@ func (w *Workspace) sweep(sys *constraint.System, sink circuit.NetID, delta wave
 // call for a system generation or check, when the sink's domain is
 // empty or was, and when more than a quarter of the circuit's nets
 // changed, where one sweep replaces re-deriving them one by one. The
-// returned slices alias the workspace. lv is the Levels of sys's
-// circuit.
+// workspace subscribes to sys as a constraint.Restorer, so Mark and
+// Undo save and restore its state together with the domains: after an
+// Undo it holds the carriers and dominators of the mark without
+// recomputing them. The returned slices alias the workspace. lv is the
+// Levels of sys's circuit.
 func (w *Workspace) Carriers(sys *constraint.System, lv *Levels, sink circuit.NetID, delta waveform.Time) (mask []bool, dist []waveform.Time) {
 	if gen := sys.Generation(); w.sys != sys || w.gen != gen {
-		w.sys, w.gen, w.sub, w.live = sys, gen, sys.Subscribe(), false
+		w.sys, w.gen, w.live = sys, gen, false
+		w.trail, w.levels, w.savedDoms = w.trail[:0], w.levels[:0], w.savedDoms[:0]
+		w.sub = sys.Subscribe(w)
 	}
 	w.changes = sys.Changes(w.sub, w.changes[:0])
 	if w.live && w.sink == sink && w.delta == delta && (len(w.changes) == 0 ||
 		w.mask[sink] && !sys.Domain(sink).IsEmpty() && w.update(sys, lv)) {
 		return w.mask, w.dist
 	}
+	if !w.live || w.sink != sink || w.delta != delta {
+		w.domsLive = false // mask may hold another check's carriers
+	}
 	w.sink, w.delta, w.live = sink, delta, true
-	return w.sweep(sys, sink, delta)
+	w.sweep(sys)
+	return w.mask, w.dist
 }
+
+// OnMark saves the incremental state for a new decision level of the
+// system the workspace follows (constraint.Restorer).
+func (w *Workspace) OnMark(s *constraint.System) {
+	if s != w.sys {
+		return
+	}
+	w.levels = append(w.levels, savedLevel{
+		trail: len(w.trail), doms: len(w.savedDoms),
+		sink: w.sink, delta: w.delta, live: w.live, domsLive: w.domsLive,
+	})
+	if w.domsLive {
+		w.savedDoms = append(w.savedDoms, w.doms.Nets...)
+	}
+}
+
+// OnUndo puts back the state OnMark saved for the level being undone:
+// it replays the trail backwards and restores the dominator nets, whose
+// distances the next Dominators call re-reads (constraint.Restorer).
+func (w *Workspace) OnUndo(s *constraint.System) {
+	if s != w.sys {
+		return
+	}
+	lvl := w.levels[len(w.levels)-1]
+	w.levels = w.levels[:len(w.levels)-1]
+	for i := len(w.trail) - 1; i >= lvl.trail; i-- {
+		e := w.trail[i]
+		w.mask[e.net], w.dist[e.net] = e.carrier, e.dist
+	}
+	w.trail = w.trail[:lvl.trail]
+	w.sink, w.delta, w.live, w.domsLive = lvl.sink, lvl.delta, lvl.live, lvl.domsLive
+	if w.domsLive {
+		nets := w.savedDoms[lvl.doms:]
+		w.nets = append(w.nets[:0], nets...)
+		w.dists = slices.Grow(w.dists[:0], len(nets))[:len(nets)]
+		w.doms = Dominators{Nets: w.nets, Dist: w.dists}
+	}
+	w.savedDoms = w.savedDoms[:lvl.doms]
+}
+
+// Counts reports the work the workspace has done: cut sweeps
+// (FromCarriers) and incremental carrier refreshes. Tests and
+// benchmarks read them to pin how much work a stage takes.
+func (w *Workspace) Counts() (sweeps, refreshes int) { return w.sweeps, w.refreshes }
 
 // growQueue lays the level-bucket queue out for c.
 func (w *Workspace) growQueue(c *circuit.Circuit) {
@@ -267,6 +360,7 @@ func (w *Workspace) update(sys *constraint.System, lv *Levels) bool {
 	lay := c.Layout()
 	for l := w.hi; l >= w.lo; l-- {
 		for _, x := range w.slots[w.start[l] : w.start[l]+w.fill[l]] {
+			w.refreshes++
 			if !w.refresh(lay, sys, x) {
 				continue
 			}
@@ -291,10 +385,11 @@ func (w *Workspace) enqueue(c *circuit.Circuit, x circuit.NetID) {
 
 // refresh recomputes net x's carrier bit and distance from its domain
 // and its fanout outputs, the sweep's test, and reports whether either
-// changed.
+// changed. The sink stays a carrier at distance 0: refresh runs only
+// while its domain is non-empty.
 func (w *Workspace) refresh(l *circuit.Layout, sys *constraint.System, x circuit.NetID) bool {
 	if x == w.sink {
-		return false // a carrier at distance 0 while its domain is non-empty
+		return false
 	}
 	k := waveform.NegInf
 	for _, g := range l.Fanout(x) {
@@ -309,11 +404,20 @@ func (w *Workspace) refresh(l *circuit.Layout, sys *constraint.System, x circuit
 	if carrier == w.mask[x] && k == w.dist[x] {
 		return false
 	}
+	w.set(x, carrier, k)
+	return true
+}
+
+// set stores net x's carrier bit and distance, which differ from the
+// stored ones. While a level is open the old pair goes on the trail.
+func (w *Workspace) set(x circuit.NetID, carrier bool, k waveform.Time) {
+	if len(w.levels) > 0 {
+		w.trail = append(w.trail, carrierChange{x, w.mask[x], w.dist[x]})
+	}
 	if carrier != w.mask[x] {
 		w.domsLive = false // Ψ′ changed shape
 	}
 	w.mask[x], w.dist[x] = carrier, k
-	return true
 }
 
 // Dominators returns the timing dominators of the carriers the last
@@ -356,6 +460,7 @@ func (w *Workspace) Dominators(lv *Levels) Dominators {
 // dominator and the sweep stops there.
 func (w *Workspace) FromCarriers(c *circuit.Circuit, lv *Levels, mask []bool, dist []waveform.Time, sink circuit.NetID) Dominators {
 	w.domsLive = false // the result storage is about to be overwritten
+	w.sweeps++
 	if !mask[sink] {
 		return Dominators{}
 	}
@@ -433,20 +538,13 @@ func StaticCarriers(c *circuit.Circuit, a *delay.Analysis, sink circuit.NetID, d
 	return delay.StaticCarrierMask(c, a, sink, delta)
 }
 
-// DynamicCarriers is Workspace.DynamicCarriers into fresh slices the
-// caller owns.
-func DynamicCarriers(sys *constraint.System, sink circuit.NetID, delta waveform.Time) (mask []bool, dist []waveform.Time) {
-	return new(Workspace).DynamicCarriers(sys, sink, delta)
-}
-
 // Dynamic computes the dynamic timing dominators of the check under the
 // system's current domains, with the Theorem-3 distance bound (the
 // dynamic distance): DynamicCarriers then FromCarriers on a fresh
 // workspace, so the caller owns the result.
 func Dynamic(sys *constraint.System, sink circuit.NetID, delta waveform.Time) Dominators {
-	w := new(Workspace)
-	mask, dist := w.DynamicCarriers(sys, sink, delta)
-	return w.FromCarriers(sys.Circuit(), NewLevels(sys.Circuit()), mask, dist, sink)
+	mask, dist := DynamicCarriers(sys, sink, delta)
+	return FromCarriers(sys.Circuit(), mask, dist, sink)
 }
 
 // FromCarriers is Workspace.FromCarriers on a fresh workspace: a

@@ -66,7 +66,7 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 					continue
 				}
 				freshMask, freshDist := DynamicCarriers(sys, sink, delta)
-				mask, dist := w.DynamicCarriers(sys, sink, delta)
+				mask, dist := w.Carriers(sys, lv, sink, delta)
 				if !slices.Equal(mask, freshMask) || !slices.Equal(dist, freshDist) {
 					t.Fatalf("circuit %d sink %d δ=%s: reused carriers differ from fresh", i, sink, delta)
 				}
@@ -157,7 +157,9 @@ func BenchmarkDynamicDominators(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				mask, dist := w.DynamicCarriers(sys, cm.Sink, tc.delta)
+				// A new δ each call makes Carriers run the full sweep.
+				delta := tc.delta.Sub(waveform.Time(i % 2))
+				mask, dist := w.Carriers(sys, lv, cm.Sink, delta)
 				if len(w.FromCarriers(cone, lv, mask, dist, cm.Sink).Nets) == 0 {
 					b.Fatal("expected dominators")
 				}

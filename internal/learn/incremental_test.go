@@ -20,9 +20,9 @@ type narrowing struct {
 
 // twin drives two systems of one circuit through the same steps: inc
 // applies the table through one long-lived Cursor (the event-driven
-// pass after the first call), ref through a fresh Cursor every call,
-// which is always the first-call full scan. Every Apply must return
-// the same value and issue the same narrowings in the same order.
+// pass after the first call), ref by fullScan every call. Every Apply
+// must return the same value and issue the same narrowings in the same
+// order.
 type twin struct {
 	t        *testing.T
 	tab      *Table
@@ -47,7 +47,7 @@ func (tw *twin) apply(what string) bool {
 	tw.inc.SetTraceFunc(func(n circuit.NetID, o, nw waveform.Signal) { got = append(got, narrowing{n, o, nw}) })
 	tw.ref.SetTraceFunc(func(n circuit.NetID, o, nw waveform.Signal) { want = append(want, narrowing{n, o, nw}) })
 	g := tw.tab.Apply(tw.inc, &tw.cur)
-	w := tw.tab.Apply(tw.ref, new(Cursor))
+	w := fullScan(tw.tab, tw.ref)
 	tw.inc.SetTraceFunc(nil)
 	tw.ref.SetTraceFunc(nil)
 	tw.applies++
@@ -55,6 +55,24 @@ func (tw *twin) apply(what string) bool {
 		tw.t.Fatalf("%s: incremental Apply = %v with narrowings %v; full scan = %v with %v", what, g, got, w, want)
 	}
 	return g
+}
+
+// fullScan is what Apply's first call for a generation does, without
+// the subscription: assert the forced facts, then visit every net in
+// id order.
+func fullScan(t *Table, sys *constraint.System) bool {
+	changed := false
+	for _, f := range t.forced {
+		if !sys.Domain(f.Net).Wave(1-f.Val).IsEmpty() && sys.Narrow(f.Net, waveform.SettledTo(f.Val)) {
+			changed = true
+		}
+	}
+	for n := 0; n < t.c.NumNets(); n++ {
+		if t.visit(sys, circuit.NetID(n)) {
+			changed = true
+		}
+	}
+	return changed
 }
 
 // evaluate is core's evaluate loop without dominators: fixpoint, then
@@ -86,9 +104,9 @@ func (tw *twin) evaluate(what string) bool {
 // precomputed table and its projections onto output cones (which carry
 // forced facts), random search steps run on two systems: decisions
 // (Mark at a closed state, settle a net, evaluate), further narrowings
-// inside a level, undos, and resets. After every Undo — the
-// undo-after-settle case — Apply must find nothing to do, which is the
-// closure-at-mark invariant the cursor's exactness rests on.
+// inside a level, undos, and resets. Levels open at closed states, as
+// in the engine, so after every Undo — the undo-after-settle case —
+// Apply must find nothing to do.
 func TestApplyIncrementalMatchesFullScan(t *testing.T) {
 	applies, forced := 0, 0
 	for seed := int64(1); seed <= 12; seed++ {
@@ -203,5 +221,77 @@ z = OR(p, q)
 	}
 	if v, ok := tw.inc.Domain(a).KnownValue(); ok && v == 1 {
 		t.Fatal("z=0 does not imply a=1")
+	}
+}
+
+// cursorState is what a Cursor carries from one Apply call to the next,
+// for comparison: the nets left for the next call, the depth of its
+// saved levels, and whether any pending bit survived a call.
+type cursorState struct {
+	next           []circuit.NetID
+	saved, marks   int
+	pendingCleared bool
+}
+
+func (cur *Cursor) state() cursorState {
+	return cursorState{slices.Clone(cur.next), len(cur.saved), len(cur.marks), !slices.ContainsFunc(cur.pending, func(w uint64) bool { return w != 0 })}
+}
+
+func (a cursorState) equal(b cursorState) bool {
+	return slices.Equal(a.next, b.next) && a.saved == b.saved && a.marks == b.marks && a.pendingCleared && b.pendingCleared
+}
+
+// TestCursorUndoRestoresMark: the cursor is its subscription's
+// Restorer, so after every Undo its state equals its state at the
+// matching Mark, nested levels included. Levels open anywhere here,
+// also between a narrowing and the Apply that would close it, and
+// every Apply must still issue the full scan's narrowings: with the
+// cursor put back, an Undo needs no closed state at the mark.
+func TestCursorUndoRestoresMark(t *testing.T) {
+	undos, kept := 0, 0
+	for seed := int64(1); seed <= 8; seed++ {
+		c := gen.Random(seed, 8, 100, 10)
+		tw := newTwin(t, Precompute(c), c)
+		r := rand.New(rand.NewSource(seed))
+		delta := waveform.Time(10 * r.Int63n(4))
+		tw.both(func(s *constraint.System) {
+			s.Narrow(c.PrimaryOutputs()[0], waveform.CheckOutput(delta))
+			s.ScheduleAll()
+		})
+		if !tw.evaluate(fmt.Sprintf("seed %d start", seed)) {
+			continue
+		}
+		var atMark []cursorState
+		for step := 0; step < 200; step++ {
+			what := fmt.Sprintf("seed %d step %d", seed, step)
+			switch op := r.Intn(10); {
+			case op < 3:
+				atMark = append(atMark, tw.cur.state())
+				kept += len(tw.cur.next)
+				tw.both(func(s *constraint.System) { s.Mark() })
+			case op < 6:
+				n, v := circuit.NetID(r.Intn(c.NumNets())), r.Intn(2)
+				tw.both(func(s *constraint.System) { s.Narrow(n, waveform.SettledTo(v)) })
+				if r.Intn(2) == 0 {
+					tw.both(func(s *constraint.System) { s.Fixpoint() })
+				}
+			case op < 8:
+				tw.both(func(s *constraint.System) { s.Fixpoint() })
+				if !tw.inc.Inconsistent() {
+					tw.apply(what)
+				}
+			case len(atMark) > 0:
+				tw.both(func(s *constraint.System) { s.Undo() })
+				want := atMark[len(atMark)-1]
+				atMark = atMark[:len(atMark)-1]
+				if got := tw.cur.state(); !got.equal(want) {
+					t.Fatalf("%s: cursor after Undo %+v, at the mark %+v", what, got, want)
+				}
+				undos++
+			}
+		}
+	}
+	if undos < 200 || kept == 0 {
+		t.Fatalf("%d undos compared, %d nets left for the next call at a mark: the test must exercise both", undos, kept)
 	}
 }

@@ -136,6 +136,35 @@ type Cursor struct {
 	pending []uint64        // nets to visit in this pass, one bit per net id
 	next    []circuit.NetID // settled during a pass at or below its position
 	changes []circuit.NetID // change-log read buffer
+
+	// next at each open decision level of sys: level i's copy starts
+	// at saved[marks[i]] (see OnMark).
+	saved []circuit.NetID
+	marks []int
+}
+
+// OnMark saves the nets left for the next call at a new decision level
+// of the system the cursor follows (constraint.Restorer). pending is
+// empty between calls, so next is the cursor's whole state beside its
+// change-log position.
+func (cur *Cursor) OnMark(s *constraint.System) {
+	if s != cur.sys {
+		return
+	}
+	cur.marks = append(cur.marks, len(cur.saved))
+	cur.saved = append(cur.saved, cur.next...)
+}
+
+// OnUndo puts back the nets OnMark saved for the level being undone
+// (constraint.Restorer).
+func (cur *Cursor) OnUndo(s *constraint.System) {
+	if s != cur.sys {
+		return
+	}
+	i := cur.marks[len(cur.marks)-1]
+	cur.marks = cur.marks[:len(cur.marks)-1]
+	cur.next = append(cur.next[:0], cur.saved[i:]...)
+	cur.saved = cur.saved[:i]
 }
 
 // Apply enforces the learned implications on the constraint system:
@@ -155,19 +184,19 @@ type Cursor struct {
 // id lies ahead of the pass position and in the next call otherwise —
 // exactly when the full scan would reach it. Every other net's visit
 // would be a no-op: its implications were imposed and, domains only
-// narrowing, still hold. Undo can widen domains again, so the argument
-// needs one invariant from the caller: a level is only ever opened
-// (Mark) at a closed state, one where Apply has just returned false
-// and nothing changed since. An Undo then returns every domain to such
-// a state, and the restored nets it logs are revisited as no-ops. The
-// engine opens levels only after evaluate returned PossibleViolation,
-// which is such a state. Under that invariant Apply issues exactly the
-// narrowings, in exactly the order, of scanning every net each call.
+// narrowing, still hold. Undo widens domains again, but it also puts
+// the cursor back (the cursor is the subscription's
+// constraint.Restorer): the domains, the nets left for the next call
+// and the unread change-log entries all return to their state at the
+// mark, as if the level had never been opened. So Apply issues exactly
+// the narrowings, in exactly the order, of scanning every net each
+// call. The first call must come with no decision level open, as
+// Subscribe requires.
 func (t *Table) Apply(sys *constraint.System, cur *Cursor) bool {
 	changed := false
 	if gen := sys.Generation(); cur.sys != sys || cur.gen != gen {
-		cur.sys, cur.gen, cur.sub = sys, gen, sys.Subscribe()
-		cur.next = cur.next[:0]
+		cur.sys, cur.gen, cur.sub = sys, gen, sys.Subscribe(cur)
+		cur.next, cur.saved, cur.marks = cur.next[:0], cur.saved[:0], cur.marks[:0]
 		if words := (t.c.NumNets() + 63) / 64; len(cur.pending) < words {
 			cur.pending = make([]uint64, words)
 		}
