@@ -263,33 +263,47 @@ func BenchmarkRunAllParallelC880(b *testing.B) {
 // identical by TestConeDifferentialParallelRunAll and friends). The
 // block's outputs see only a fraction of the netlist each, so the cone
 // configuration should win on both time and allocations. One warmup
-// sweep outside the timer pays the per-sink cone construction once —
-// steady state is what a delay search or repeated sweep observes:
-// warm-started (the default) and report-arena-backed, it runs
-// allocation-free.
+// sweep outside the timer pays the per-sink cone construction and
+// base snapshot once — steady state is what a delay search or repeated
+// sweep observes: report-arena-backed, it runs allocation-free. At
+// top+1 no output has a transition left in its base snapshot, so every
+// check is refuted without a fixpoint: the sweep times dispatch and
+// that refutation. BenchmarkIndustrialSweepConeSolve is its solving
+// twin at δ = top, where every check restores its cone's base into
+// the arena's system and propagates.
 
-func benchIndustrialSweep(b *testing.B, cone bool) {
+func benchIndustrialSweep(b *testing.B, cone bool, delta func(top waveform.Time) waveform.Time, want core.Result) {
 	c := gen.Industrial(7, 48, 10)
 	opts := core.Default()
 	opts.UseConeSlicing = cone
 	v := core.NewVerifier(c, opts)
-	delta := v.Topological().Add(1)
+	d := delta(v.Topological())
 	ctx := context.Background()
-	req := core.Request{Delta: delta, Workers: 1, Arena: new(core.ReportArena)}
-	if v.RunAll(ctx, req).Final != core.NoViolation {
-		b.Fatal("δ=top+1 must be refuted")
+	req := core.Request{Delta: d, Workers: 1, Arena: new(core.ReportArena)}
+	if got := v.RunAll(ctx, req).Final; got != want {
+		b.Fatalf("δ=%s: verdict %s, want %s", d, got, want)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if v.RunAll(ctx, req).Final != core.NoViolation {
-			b.Fatal("δ=top+1 must be refuted")
+		if v.RunAll(ctx, req).Final != want {
+			b.Fatalf("δ=%s: verdict changed", d)
 		}
 	}
 }
 
-func BenchmarkIndustrialSweepWhole(b *testing.B) { benchIndustrialSweep(b, false) }
-func BenchmarkIndustrialSweepCone(b *testing.B)  { benchIndustrialSweep(b, true) }
+func topPlus1(top waveform.Time) waveform.Time { return top.Add(1) }
+func atTop(top waveform.Time) waveform.Time    { return top }
+
+func BenchmarkIndustrialSweepWhole(b *testing.B) {
+	benchIndustrialSweep(b, false, topPlus1, core.NoViolation)
+}
+func BenchmarkIndustrialSweepCone(b *testing.B) {
+	benchIndustrialSweep(b, true, topPlus1, core.NoViolation)
+}
+func BenchmarkIndustrialSweepConeSolve(b *testing.B) {
+	benchIndustrialSweep(b, true, atTop, core.ViolationFound)
+}
 
 // flightBenchTracer reproduces the daemon's always-on emission path —
 // the shared obs.Tracer histograms plus one flight record and one
@@ -344,6 +358,40 @@ func BenchmarkIndustrialSweepConeFlight(b *testing.B) {
 		if v.RunAll(ctx, req).Final != core.NoViolation {
 			b.Fatal("δ=top+1 must be refuted")
 		}
+	}
+}
+
+// --- exact-delay search --------------------------------------------------
+//
+// CircuitFloatingDelayCtx, the binary δ search behind "ltta -exact",
+// on the Table-1 substitutes without c6288 plus four 200-block
+// industrial circuits. Each op starts from a fresh core.Prepare, so it
+// is one search on circuits the engine has never seen: every check of
+// the search, cone builds and on-demand analyses included, is timed.
+// It is an in-process benchmark; no bench/ workload runs the search.
+// Run it with -cpu 1 and -count ≥ 10 when comparing two commits.
+func BenchmarkExactDelaySearch(b *testing.B) {
+	var cs []*circuit.Circuit
+	for _, e := range gen.SubstituteSuite() {
+		if e.Name != "c6288" {
+			cs = append(cs, e.Circuit)
+		}
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		cs = append(cs, gen.Industrial(seed, 200, 10))
+	}
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		checks := 0
+		for _, c := range cs {
+			res, err := core.Prepare(c).NewVerifier(core.Default()).CircuitFloatingDelayCtx(ctx, core.Request{})
+			if err != nil || !res.Exact {
+				b.Fatalf("delay search: exact=%v err=%v", res != nil && res.Exact, err)
+			}
+			checks += res.Checks
+		}
+		b.ReportMetric(float64(checks), "checks/op")
 	}
 }
 

@@ -74,8 +74,6 @@ func main() {
 	noStem := flag.Bool("no-stems", false, "disable stem correlation")
 	cone := flag.Bool("cone", true, "solve each check on the sink's fan-in cone")
 	noCone := flag.Bool("no-cone", false, "solve every check on the whole circuit (overrides -cone)")
-	warm := flag.Bool("warm-start", true, "seed repeat checks of a sink from the previous fixpoint snapshot (verdicts unchanged)")
-	noWarm := flag.Bool("no-warm-start", false, "solve every check cold (overrides -warm-start)")
 	sdfFile := flag.String("sdf", "", "back-annotate gate delays from an SDF file")
 	trace := flag.Bool("trace", false, "stream engine trace events as text (plus the plain-fixpoint narrowing listing on single-output -delta checks)")
 	traceJSON := flag.Bool("trace-json", false, "stream engine trace events as JSON")
@@ -161,7 +159,6 @@ func main() {
 	opts.UseLearning = !*noLearn
 	opts.UseStemCorrelation = !*noStem
 	opts.UseConeSlicing = *cone && !*noCone
-	opts.UseWarmStart = *warm && !*noWarm
 	v := core.NewVerifier(c, opts)
 	fmt.Printf("topological delay: %s\n", v.Topological())
 

@@ -27,7 +27,6 @@ func main() {
 	stats := flag.Bool("stats", false, "print engine telemetry totals and latency/work distributions after the table")
 	pprofLabels := flag.Bool("pprof-labels", false, "tag parallel per-output checks with pprof labels")
 	noCone := flag.Bool("no-cone", false, "solve every check on the whole circuit instead of the sink's fan-in cone")
-	noWarm := flag.Bool("no-warm-start", false, "solve every check cold instead of warm-starting repeat checks of a sink")
 	flag.Parse()
 
 	entries := gen.SubstituteSuite()
@@ -61,9 +60,6 @@ func main() {
 	}
 	if *noCone {
 		opts = append(opts, harness.WithoutConeSlicing())
-	}
-	if *noWarm {
-		opts = append(opts, harness.WithoutWarmStart())
 	}
 	var rows []harness.Table1Row
 	for _, e := range entries {

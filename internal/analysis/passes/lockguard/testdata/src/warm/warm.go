@@ -1,8 +1,7 @@
-// Package warm mirrors internal/core/warm.go and the warm-start
-// block of run.go: the per-sink memo map under the verifier's
-// warmMu, per-memo state under its own mutex, the TryLock fast path
-// with a deferred unlock, and the "Caller holds w.mu" helper
-// convention.
+// Package warm is a per-sink memo in the shape of the engine's former
+// warm-start cache: the memo map under the verifier's warmMu,
+// per-memo state under its own mutex, the TryLock fast path with a
+// deferred unlock, and the "Caller holds w.mu" helper convention.
 package warm
 
 import "sync"

@@ -3,8 +3,9 @@
 //
 // constraint.System keeps every domain lane in one flat []int64 and
 // the backtracking trail in an (index, old value) arena; the zero
-// steady-state allocation guarantee and the Snapshot/Restore warm-start
-// contract both depend on those arrays never being aliased. A retained
+// steady-state allocation guarantee and the Snapshot/Restore contract
+// behind each check's base snapshot both depend on those arrays never
+// being aliased. A retained
 // sub-slice would observe (or corrupt) domains mid-solve, and a write
 // that bypasses the trail API would break Undo. The analyzer checks
 // two rules over the configured arrays:

@@ -89,11 +89,10 @@ type OptionsSpec struct {
 	NoLearning   bool `json:"noLearning,omitempty"`
 	NoStems      bool `json:"noStems,omitempty"`
 	NoCone       bool `json:"noCone,omitempty"`
-	// WarmStart opts a batch into warm-started δ-sweeps. Unlike the
-	// library, the server defaults warm-start OFF: its worker pool can
-	// run same-sink checks of one batch concurrently, making the work
-	// counters in responses depend on scheduling. Verdicts are
-	// warm-start-invariant, so opting in only perturbs the statistics.
+	// WarmStart is accepted and ignored. It used to opt a batch into
+	// warm-started δ-sweeps, which only ever changed work counters;
+	// every check now starts from its cone's base snapshot, whatever
+	// the batch asks.
 	WarmStart bool `json:"warmStart,omitempty"`
 	// MaxBacktracks bounds the case analysis (0 = the default 200000,
 	// negative = unlimited).

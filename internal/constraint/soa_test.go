@@ -153,7 +153,7 @@ func TestTrailBoundedAcrossLongSweep(t *testing.T) {
 }
 
 // TestSnapshotRestoreSteadyStateAllocs extends the zero-allocs
-// assertion to the warm-start cycle: restore a fixpoint snapshot,
+// assertion to the seeded-solve cycle: restore a fixpoint snapshot,
 // narrow, re-solve, snapshot again — all into caller-reused buffers —
 // without a single allocation.
 func TestSnapshotRestoreSteadyStateAllocs(t *testing.T) {

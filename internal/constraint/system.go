@@ -95,7 +95,12 @@ const stopPollInterval = 256
 // New builds the constraint system for the circuit with the paper's
 // initial domains: every net unconstrained, every primary input
 // restricted to floating-mode waveforms (stable after time 0).
-func New(c *circuit.Circuit) *System {
+func New(c *circuit.Circuit) *System { return NewFrom(c, nil) }
+
+// NewFrom builds the constraint system for the circuit with every
+// domain copied from snap, a Snapshot of a system of the same circuit,
+// in place of the initial domains; a nil snap gives New's.
+func NewFrom(c *circuit.Circuit, snap []int64) *System {
 	s := &System{
 		c:        c,
 		l:        *c.Layout(),
@@ -103,7 +108,11 @@ func New(c *circuit.Circuit) *System {
 		inQueue:  make([]bool, c.NumGates()),
 		emptyNet: circuit.InvalidNet,
 	}
-	s.initDomains()
+	if snap == nil {
+		s.initDomains()
+	} else {
+		s.Restore(snap)
+	}
 	return s
 }
 
@@ -519,12 +528,22 @@ func (s *System) logLen() int { return len(s.log) }
 
 // Snapshot appends a copy of every domain lane onto buf[:0] and
 // returns the filled buffer, so a caller-owned snapshot buffer is
-// reused across calls without allocating. Taken at a plain fixpoint,
-// the copy is exactly the seed a warm-started re-solve of the same
-// sink at a larger δ needs (see Restore and DESIGN.md §14). The
-// returned slice never aliases the system's own storage.
+// reused across calls without allocating. Taken at the fixpoint of the
+// initial domains, the copy is the base every check of the circuit
+// starts its stage-1 solve from (see Restore, NewFrom and DESIGN.md
+// §14). The returned slice never aliases the system's own storage.
 func (s *System) Snapshot(buf []int64) []int64 {
 	return append(buf[:0], s.dom...)
+}
+
+// SnapshotDomain returns net n's domain in snap, a Snapshot, without a
+// system to restore it into.
+func SnapshotDomain(snap []int64, n circuit.NetID) waveform.Signal {
+	base := lanes * int(n)
+	return waveform.Signal{
+		W0: waveform.Wave{Lmin: waveform.Time(snap[base]), Lmax: waveform.Time(snap[base+1])},
+		W1: waveform.Wave{Lmin: waveform.Time(snap[base+2]), Lmax: waveform.Time(snap[base+3])},
+	}
 }
 
 // Restore overwrites every domain lane from a snapshot taken on a

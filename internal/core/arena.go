@@ -1,13 +1,18 @@
 package core
 
-import "repro/internal/dom"
+import (
+	"repro/internal/circuit"
+	"repro/internal/constraint"
+	"repro/internal/dom"
+)
 
 // ReportArena is caller-owned backing storage for the reports of
 // serial checks and sweeps. With Request.Arena set, Run and a serial
 // RunAll (Workers == 1) take their Report, CircuitReport, PerOutput
-// slice, dominator sets, per-check bookkeeping, and the carrier,
-// dominator and case-analysis workspace from the arena instead of the
-// heap, so a steady-state δ-sweep loop — the warm-started delay
+// slice, dominator sets, per-check bookkeeping, the constraint system
+// of every circuit or cone slice it solves on, and the carrier,
+// dominator and case-analysis workspace (witnesses included) from the
+// arena instead of the heap, so a steady-state δ-sweep loop — a delay
 // search, a benchmark, a long harness run — performs zero allocations
 // per sweep once the arena has grown to the circuit's output count.
 //
@@ -29,6 +34,7 @@ type ReportArena struct {
 	perOut  []*Report // the aggregate's PerOutput backing
 	cr      CircuitReport
 	rs      runState
+	systems map[*circuit.Circuit]*constraint.System
 }
 
 // begin starts a new top-level call: every report slot becomes
@@ -46,4 +52,16 @@ func (a *ReportArena) report() (*Report, *dom.Dominators) {
 	a.used++
 	*r = Report{}
 	return r, d
+}
+
+// system returns the arena's constraint system for circuit c (a whole
+// circuit or a cone slice), allocating it for the first check on c.
+func (a *ReportArena) system(c *circuit.Circuit) *constraint.System {
+	if a.systems[c] == nil {
+		if a.systems == nil {
+			a.systems = make(map[*circuit.Circuit]*constraint.System)
+		}
+		a.systems[c] = constraint.New(c)
+	}
+	return a.systems[c]
 }

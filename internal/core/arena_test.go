@@ -9,27 +9,33 @@ import (
 
 // TestArenaSweepMatchesFresh pins the arena's transparency: an
 // arena-backed serial sweep must report exactly what freshly allocated
-// reports do, at every δ of a schedule, warm or cold.
+// reports do, at every δ of a schedule, seeded or cold.
 func TestArenaSweepMatchesFresh(t *testing.T) {
-	prep := Prepare(gen.Industrial(5, 32, 10))
-	ref := prep.NewVerifier(Default())
-	res, err := ref.CircuitFloatingDelayCtx(context.Background(), Request{})
+	c := gen.Industrial(5, 32, 10)
+	res, err := NewVerifier(c, Default()).CircuitFloatingDelayCtx(context.Background(), Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, warm := range []bool{true, false} {
-		opts := Default()
-		opts.UseWarmStart = warm
-		plain := prep.NewVerifier(opts)
-		arened := prep.NewVerifier(opts)
+	for _, seeded := range []bool{true, false} {
+		prep := Prepare(c)
+		plain := prep.NewVerifier(Default())
+		arened := prep.NewVerifier(Default())
 		arena := new(ReportArena)
 		for _, delta := range deltaSchedules(res.Delay)["gaps"] {
 			req := Request{Delta: delta, Workers: 1}
-			want := warmCanonicalCircuit(plain.RunAll(context.Background(), req))
-			req.Arena = arena
-			got := warmCanonicalCircuit(arened.RunAll(context.Background(), req))
+			var want, got string
+			run := func() {
+				want = searchCanonicalCircuit(plain.RunAll(context.Background(), req))
+				req.Arena = arena
+				got = searchCanonicalCircuit(arened.RunAll(context.Background(), req))
+			}
+			if seeded {
+				run()
+			} else {
+				solveCold(run)
+			}
 			if got != want {
-				t.Fatalf("warm=%v δ=%s arena sweep diverged:\nfresh: %s\narena: %s", warm, delta, want, got)
+				t.Fatalf("seeded=%v δ=%s arena sweep diverged:\nfresh: %s\narena: %s", seeded, delta, want, got)
 			}
 		}
 	}
@@ -63,10 +69,10 @@ func TestArenaParallelFallsBackToAllocation(t *testing.T) {
 	prep := Prepare(gen.Industrial(5, 32, 10))
 	v := prep.NewVerifier(Default())
 	delta := v.Topological().Add(1)
-	want := warmCanonicalCircuit(prep.NewVerifier(Default()).RunAll(context.Background(),
+	want := searchCanonicalCircuit(prep.NewVerifier(Default()).RunAll(context.Background(),
 		Request{Delta: delta, Workers: 4}))
 	arena := new(ReportArena)
-	got := warmCanonicalCircuit(v.RunAll(context.Background(),
+	got := searchCanonicalCircuit(v.RunAll(context.Background(),
 		Request{Delta: delta, Workers: 4, Arena: arena}))
 	if got != want {
 		t.Fatalf("parallel sweep with arena diverged:\nwant %s\ngot  %s", want, got)
@@ -77,8 +83,9 @@ func TestArenaParallelFallsBackToAllocation(t *testing.T) {
 }
 
 // TestArenaSweepSteadyStateAllocs extends the kernel's zero-allocs
-// guarantee to the whole sweep path: warm-started and arena-backed,
-// a repeated serial RunAll performs no allocations at all.
+// guarantee to the whole sweep path: arena-backed, a repeated serial
+// RunAll performs no allocations at all. At δ = top+1 every check is
+// refuted by its cone's base without a system.
 func TestArenaSweepSteadyStateAllocs(t *testing.T) {
 	c := gen.Industrial(5, 32, 10)
 	v := NewVerifier(c, Default())
@@ -94,5 +101,28 @@ func TestArenaSweepSteadyStateAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state arena sweep allocates %.1f times per run, want 0", avg)
+	}
+}
+
+// TestArenaSolveSweepSteadyStateAllocs is the same guarantee for a
+// sweep whose checks solve: at δ = top every check restores its cone's
+// base into the arena's system for that cone and runs the fixpoint.
+// It holds BenchmarkIndustrialSweepConeSolve's 0 allocs/op.
+func TestArenaSolveSweepSteadyStateAllocs(t *testing.T) {
+	c := gen.Industrial(7, 48, 10)
+	v := NewVerifier(c, Default())
+	req := Request{Delta: v.Topological(), Workers: 1, Arena: new(ReportArena)}
+	first := v.RunAll(context.Background(), req)
+	if first.Propagations == 0 {
+		t.Fatal("δ=top sweep did no propagations: it does not solve")
+	}
+	want := first.Final
+	avg := testing.AllocsPerRun(50, func() {
+		if v.RunAll(context.Background(), req).Final != want {
+			t.Fatal("verdict changed between sweeps")
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("steady-state solving sweep allocates %.1f times per run, want 0", avg)
 	}
 }

@@ -48,7 +48,7 @@ func (v *Verifier) caseAnalysis(rs *runState, sys *constraint.System, sink circu
 	// unwind closes every decision level still open. Exhausted searches
 	// unwind through backtrack() naturally, but witness/abandon/cancel
 	// exits used to return with the whole stack's marks open — a trail
-	// leak now that warm-start keeps the system alive across checks.
+	// leak in a system a ReportArena keeps alive across checks.
 	unwind := func() {
 		for range ws.stack {
 			sys.Undo()
@@ -104,11 +104,11 @@ func (v *Verifier) caseAnalysis(rs *runState, sys *constraint.System, sink circu
 		net, val, ok := v.pickDecision(ws, sys, sink, delta, stems)
 		if !ok {
 			// Every primary input is classed: candidate vector.
-			vec := v.extractVector(sys)
-			r, err := sim.Run(v.c, vec)
-			if err == nil && r.Settle[sink] >= delta {
-				rep.Witness = vec
-				rep.WitnessSettle = r.Settle[sink]
+			ws.vec = v.extractVector(sys, ws.vec)
+			err := sim.RunInto(&ws.sim, v.c, ws.vec)
+			if err == nil && ws.sim.Settle[sink] >= delta {
+				rep.Witness = ws.witness(v)
+				rep.WitnessSettle = ws.sim.Settle[sink]
 				unwind() // after extraction: the vector needs the decided domains
 				return ViolationFound
 			}
@@ -129,10 +129,11 @@ func (v *Verifier) caseAnalysis(rs *runState, sys *constraint.System, sink circu
 	}
 }
 
-// extractVector reads the decided class of every primary input.
-func (v *Verifier) extractVector(sys *constraint.System) sim.Vector {
+// extractVector reads the decided class of every primary input into
+// dst, grown as needed.
+func (v *Verifier) extractVector(sys *constraint.System, dst sim.Vector) sim.Vector {
 	pis := v.c.PrimaryInputs()
-	vec := make(sim.Vector, len(pis))
+	vec := slices.Grow(dst[:0], len(pis))[:len(pis)]
 	for i, pi := range pis {
 		if val, ok := sys.Domain(pi).KnownValue(); ok {
 			vec[i] = val

@@ -115,18 +115,9 @@ type Options struct {
 	// original-circuit ids. On by default in Default(); the front ends
 	// expose -no-cone as the escape hatch.
 	UseConeSlicing bool
-	// UseWarmStart seeds each check's stage-1 solve from the most
-	// recent plain fixpoint recorded for the same sink at a smaller or
-	// equal δ, instead of starting from ⊤. Sound because the check
-	// output constraint shrinks as δ grows, so the old fixpoint
-	// sandwiched with the new sink constraint still contains the new
-	// greatest fixpoint (DESIGN.md §14). The fixpoint reached is
-	// canonical, so verdicts, stages, and witnesses are bit-identical
-	// to a cold solve; only statistics (propagation counts, stage
-	// times) change. Falls back to a cold solve when no seed exists,
-	// δ decreased, UseStaticDominators is on, or another goroutine
-	// holds the sink's memo. On by default in Default(); the front
-	// ends expose -no-warm-start.
+	// UseWarmStart is accepted and ignored: every check starts stage 1
+	// from its cone's base snapshot (DESIGN.md §14), which replaced the
+	// per-sink warm-start seed this option used to turn on.
 	UseWarmStart bool
 	// MaxBacktracks bounds the case analysis; beyond it the check is
 	// Abandoned.
@@ -144,7 +135,6 @@ func Default() Options {
 		UseLearning:        true,
 		UseStemCorrelation: true,
 		UseConeSlicing:     true,
-		UseWarmStart:       true,
 		MaxBacktracks:      200000,
 		MaxStemSplits:      64,
 	}
@@ -166,12 +156,15 @@ type Verifier struct {
 	// the first check on the circuit (or cone) that reads it.
 	learnTable func() *learn.Table    // read by evaluate when UseLearning
 	stems      func() []circuit.NetID // reconvergent fanout stems
+	base       *base                  // the stage-1 seed of c, shared via Prepared
+
+	// On a cone sub-verifier, the map back to the parent circuit and its
+	// primary-input count, for witness expansion.
+	cm        *circuit.ConeMap
+	parentPIs int
 
 	coneMu sync.Mutex
 	cones  map[circuit.NetID]*coneVerifier // guarded by coneMu
-
-	warmMu sync.Mutex
-	warm   map[circuit.NetID]*warmState // per-sink warm-start memos; guarded by warmMu
 }
 
 // NewVerifier prepares a verifier for the circuit (computing arrival

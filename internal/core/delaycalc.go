@@ -62,7 +62,7 @@ func (v *Verifier) ExactFloatingDelayCtx(ctx context.Context, sink circuit.NetID
 		case ViolationFound:
 			cursor = mid
 			res.Lower = mid
-			res.Witness = rep.Witness
+			res.Witness = append(sim.Vector(nil), rep.Witness...) // an arena reuses rep
 		case NoViolation:
 			upper = mid.Sub(1)
 		case Cancelled:

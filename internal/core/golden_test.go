@@ -130,8 +130,7 @@ func goldenConfigs() []struct {
 
 // goldenLines runs every fingerprinted check and returns the lines in
 // a fixed order: per configuration, per circuit, a fresh verifier runs
-// the serial sweep at each δ in ascending order (so warm-start seeding
-// is exercised too).
+// the serial sweep at each δ in ascending order.
 func goldenLines(t *testing.T) []string {
 	type workload struct {
 		name   string

@@ -6,20 +6,20 @@ import (
 	"time"
 
 	"repro/internal/circuit"
+	"repro/internal/constraint"
 	"repro/internal/delay"
 	"repro/internal/dom"
 	"repro/internal/learn"
 	"repro/internal/scoap"
-	"repro/internal/sim"
 	"repro/internal/waveform"
 )
 
 // Prepared is the immutable per-circuit precompute shared by every
 // verifier on a circuit: arrival-time analysis, SCOAP
 // controllabilities and the level order of the dominator computation,
-// built by Prepare; the static learning table and the reconvergent
-// stems, built on first use; and the per-sink fan-in cone slices used
-// by cone-sliced solving. A sweep over many δ values or option sets
+// built by Prepare; the static learning table, the reconvergent stems
+// and stage 1's base snapshot, built on first use; and the per-sink
+// fan-in cone slices used by cone-sliced solving. A sweep over many δ values or option sets
 // pays for each analysis once — NewVerifier derives verifiers that all
 // point at the same Prepared. All methods are safe for concurrent use:
 // the on-demand analyses build once under sync.OnceValue (a build that
@@ -34,6 +34,7 @@ type Prepared struct {
 
 	learn func() *learn.Table    // built by the first stage-2 check with learning
 	stems func() []circuit.NetID // built by the first stem-correlation or case-analysis stage
+	base  base                   // built by the first whole-circuit check
 
 	coneMu sync.Mutex
 	cones  map[circuit.NetID]*conePrep // guarded by coneMu
@@ -44,7 +45,40 @@ var (
 	precomputeLearning = learn.Precompute
 	projectLearning    = (*learn.Table).Project
 	reconvergentStems  = (*circuit.Circuit).ReconvergentStems
+	buildBase          = unconstrainedFixpoint
 )
+
+// base is the base snapshot of a circuit or cone slice: its domains at
+// the greatest fixpoint of the initial domains with no sink narrowed,
+// where every check's stage 1 starts (DESIGN.md §14). Like the learning
+// table, its build cannot be interrupted and is charged to no check.
+type base struct {
+	once sync.Once
+	snap []int64 // nil when the fixpoint is inconsistent (or its build panicked): checks solve from ⊤
+}
+
+// get returns the base snapshot, building it on first use in *sys,
+// the calling check's own system (allocated when nil).
+func (b *base) get(c *circuit.Circuit, sys **constraint.System) []int64 {
+	b.once.Do(func() {
+		if *sys == nil {
+			*sys = constraint.New(c)
+		}
+		b.snap = buildBase(*sys)
+	})
+	return b.snap
+}
+
+// unconstrainedFixpoint snapshots the fixpoint of the initial domains
+// with every gate scheduled, or returns nil when it is inconsistent.
+func unconstrainedFixpoint(sys *constraint.System) []int64 {
+	sys.Reset()
+	sys.ScheduleAll()
+	if !sys.Fixpoint() {
+		return nil
+	}
+	return sys.Snapshot(nil)
+}
 
 // Prepare computes the shareable static analyses a check's first stage
 // reads — arrival times, SCOAP controllabilities, the dominator level
@@ -84,7 +118,7 @@ func (p *Prepared) LearnTable() *learn.Table { return p.learn() }
 func (p *Prepared) NewVerifier(opts Options) *Verifier {
 	return &Verifier{c: p.c, opts: opts, prep: p,
 		analysis: p.analysis, cc: p.cc, levels: p.levels,
-		learnTable: p.learn, stems: p.stems}
+		learnTable: p.learn, stems: p.stems, base: &p.base}
 }
 
 // conePrep is the option-independent slice of one sink's fan-in cone:
@@ -106,6 +140,7 @@ type conePrep struct {
 
 	learnTable func() *learn.Table    // the parent's table projected on first use
 	stems      func() []circuit.NetID // the parent's stems restricted on first use
+	base       base                   // built by the first check on the cone
 }
 
 // coneFor returns the cone precompute for sink, building it on first
@@ -176,8 +211,6 @@ func (cp *conePrep) build(p *Prepared, sink circuit.NetID) {
 type coneVerifier struct {
 	once sync.Once
 	sub  *Verifier
-	cm   *circuit.ConeMap
-	nPIs int // original primary-input count, for witness expansion
 }
 
 // coneFor returns the cached cone sub-verifier for sink, or nil when
@@ -210,39 +243,31 @@ func (cv *coneVerifier) init(v *Verifier, sink circuit.NetID) {
 	subOpts.UseConeSlicing = false
 	sub := &Verifier{c: cp.cone, opts: subOpts,
 		analysis: cp.analysis, cc: cp.cc, levels: cp.levels,
-		learnTable: cp.learnTable, stems: cp.stems}
-	cv.sub, cv.cm = sub, cp.cm
-	cv.nPIs = len(v.c.PrimaryInputs())
+		learnTable: cp.learnTable, stems: cp.stems, base: &cp.base,
+		cm: cp.cm, parentPIs: len(v.c.PrimaryInputs())}
+	cv.sub = sub
 }
 
 // runCone executes the check on the sink's fan-in cone slice and
-// translates the report back to original-circuit ids: the sink, the
-// witness vector, and the dominator nets (mapped in place: run already
-// copied the set out of the workspace into storage the report owns).
-// Primary inputs outside the cone cannot affect the sink, so the
-// expanded witness sets them to 0; its simulated settle time on the
-// original circuit equals the one certified on the cone. The caller's tracer sees original ids
+// translates the report back to original-circuit ids: the sink and the
+// dominator nets (mapped in place: run already copied the set out of
+// the workspace into storage the report owns). The witness arrives
+// expanded to the original primary inputs (see keepWitness). The
+// caller's tracer sees original ids
 // throughout: CheckStart/CheckDone fire here against the original
 // sink, and a translating wrapper renames the nets of inner events.
 func (v *Verifier) runCone(ctx context.Context, req Request, cv *coneVerifier) *Report {
 	outer := req.Tracer
 	sub := req
-	sub.Sink = cv.cm.Sink
+	sub.Sink = cv.sub.cm.Sink
 	if outer != nil {
 		outer.CheckStart(req.Sink, req.Delta)
-		sub.Tracer = &coneTracer{inner: outer, fromCone: cv.cm.FromCone}
+		sub.Tracer = &coneTracer{inner: outer, fromCone: cv.sub.cm.FromCone}
 	}
 	rep := cv.sub.run(ctx, sub)
 	rep.Sink = req.Sink
-	if len(rep.Witness) > 0 {
-		w := make(sim.Vector, cv.nPIs)
-		for i, val := range rep.Witness {
-			w[cv.cm.PIIndex[i]] = val
-		}
-		rep.Witness = w
-	}
 	for i, n := range rep.DominatorSet.Nets {
-		rep.DominatorSet.Nets[i] = cv.cm.FromCone[n]
+		rep.DominatorSet.Nets[i] = cv.sub.cm.FromCone[n]
 	}
 	if outer != nil {
 		outer.CheckDone(rep)

@@ -261,64 +261,6 @@ func (v *Verifier) run(ctx context.Context, req Request) *Report {
 		return finish(nil, Cancelled)
 	}
 
-	// Warm-start: try the sink's memo (see warm.go). Static dominators
-	// narrow δ-specific state before the fixpoint, which would poison a
-	// seed recorded for a different δ, so they force the cold path.
-	// TryLock keeps concurrent same-sink checks independent: the loser
-	// solves cold and leaves the memo alone.
-	// The memo consultation happens inside the TryLock branch so every
-	// guarded-field read is lexically under the lock (the deferred
-	// Unlock holds it for the rest of the check, covering the memo
-	// writes in stage 1 below).
-	var ws *warmState
-	var seedSnap []int64
-	warmRefuted, seeded := false, false
-	if v.opts.UseWarmStart && !v.opts.UseStaticDominators {
-		if w := v.warmFor(req.Sink); w.mu.TryLock() {
-			ws = w
-			defer w.mu.Unlock()
-			switch {
-			case w.inconsValid && req.Delta >= w.inconsDelta:
-				// A stage-1 refutation at a smaller δ refutes this δ
-				// outright.
-				warmRefuted = true
-			case w.snapValid && req.Delta >= w.snapDelta:
-				seedSnap = w.snap
-				seeded = true
-			}
-		}
-	}
-
-	var sys *constraint.System
-	switch {
-	case warmRefuted:
-	case seeded:
-		// Seed from the adjacent fixpoint: the snapshot is already a
-		// fixpoint, so narrowing the sink re-schedules only its
-		// adjacent constraints and propagation resumes from there.
-		sys = ws.system(v.c)
-		sys.Restore(seedSnap)
-		rs.attach(sys)
-		sys.Narrow(req.Sink, waveform.CheckOutput(req.Delta))
-	default:
-		// Cold solve (no seed, δ moved backwards, or warm-start off).
-		// A memo holder still reuses the memo's system — Reset keeps
-		// the arena allocations — so the sweep stays allocation-free.
-		if ws != nil {
-			sys = ws.system(v.c)
-			sys.Reset()
-		} else {
-			sys = constraint.New(v.c)
-		}
-		rs.attach(sys)
-		sys.Narrow(req.Sink, waveform.CheckOutput(req.Delta))
-		sys.ScheduleAll()
-		if v.opts.UseStaticDominators {
-			doms := rs.workspace().dom.Static(v.c, v.levels, v.analysis, req.Sink, req.Delta)
-			dom.NarrowDominators(sys, doms, req.Delta)
-		}
-	}
-
 	// stage brackets a pipeline stage with tracing and timing.
 	stage := func(st Stage, f func() Result) Result {
 		if rs.tracer != nil {
@@ -334,26 +276,12 @@ func (v *Verifier) run(ctx context.Context, req Request) *Report {
 		return res
 	}
 
-	// Stage 1: plain constraint evaluation. A completed fixpoint (or
-	// refutation) feeds the sink's memo for the next δ; an interrupted
-	// solve records nothing.
+	// Stage 1: plain constraint evaluation.
+	var sys *constraint.System
 	res := stage(StagePlain, func() Result {
-		if warmRefuted {
-			return NoViolation
-		}
-		if !sys.Fixpoint() {
-			if ws != nil {
-				ws.noteRefuted(req.Delta)
-			}
-			return NoViolation
-		}
-		if sys.Stopped() {
-			return rs.stopVerdict()
-		}
-		if ws != nil {
-			ws.noteFixpoint(sys, req.Delta)
-		}
-		return PossibleViolation
+		var res Result
+		sys, res = v.plain(rs, req.Arena, req.Sink, req.Delta)
+		return res
 	})
 	rep.BeforeGITD = res
 	if res != PossibleViolation {
@@ -402,6 +330,49 @@ func (v *Verifier) run(ctx context.Context, req Request) *Report {
 	res = stage(StageCase, func() Result { return v.caseAnalysis(rs, sys, req.Sink, req.Delta, rep) })
 	rep.CaseAnalysis = res
 	return finish(sys, res)
+}
+
+// plain is stage 1, the greatest fixpoint with the sink narrowed to
+// CheckOutput(δ), solved from the base snapshot (DESIGN.md §14): only
+// the sink narrowing and static dominators propagate. A sink whose base
+// domain has no transition at or after δ is refuted with no system
+// (nil). The first check builds the base in its own system, then polls
+// the deadline. Without a base the check solves from the initial
+// domains with every gate scheduled.
+func (v *Verifier) plain(rs *runState, a *ReportArena, sink circuit.NetID, delta waveform.Time) (*constraint.System, Result) {
+	var sys *constraint.System
+	if a != nil {
+		sys = a.system(v.c)
+	}
+	snap := v.base.get(v.c, &sys)
+	switch {
+	case rs.stoppedNow():
+		return nil, rs.stopVerdict()
+	case snap != nil && !constraint.SnapshotDomain(snap, sink).HasTransitionAtOrAfter(delta):
+		return nil, NoViolation
+	case sys == nil:
+		sys = constraint.NewFrom(v.c, snap)
+	case snap == nil:
+		sys.Reset()
+	default:
+		sys.Restore(snap)
+	}
+	rs.attach(sys)
+	sys.Narrow(sink, waveform.CheckOutput(delta))
+	if snap == nil {
+		sys.ScheduleAll()
+	}
+	if v.opts.UseStaticDominators {
+		doms := rs.workspace().dom.Static(v.c, v.levels, v.analysis, sink, delta)
+		dom.NarrowDominators(sys, doms, delta)
+	}
+	if !sys.Fixpoint() {
+		return sys, NoViolation
+	}
+	if sys.Stopped() {
+		return sys, rs.stopVerdict()
+	}
+	return sys, PossibleViolation
 }
 
 // RunAll runs the timing check (o, req.Delta) for every primary output

@@ -124,10 +124,9 @@ func TestRunBacktrackBudgetViaRequest(t *testing.T) {
 // TestRunMatchesCheck pins that a check's answer depends only on the
 // question: two fresh verifiers off one shared Prepared give identical
 // verdicts, counters, and witnesses on the Figure-1 circuit, and the
-// VerifyOnly request stops after the verify() stage. Each arm gets its
-// own verifier because the comparison includes work counters, which
-// warm-start memos (scoped per verifier) legitimately reduce on repeat
-// checks of the same sink.
+// VerifyOnly request stops after the verify() stage. The comparison
+// includes the work counters: the first check builds the base snapshot
+// both solve from, and the build is charged to neither.
 func TestRunMatchesCheck(t *testing.T) {
 	c := gen.Hrapcenko(10)
 	s, _ := c.NetByName("s")
@@ -189,9 +188,9 @@ func TestRunAllParallelIdenticalToSerial(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// Fresh verifier per sweep, sharing one Prepared: the
-			// canonical strings include work counters, which a reused
-			// verifier's warm-start memos legitimately shrink.
+			// Fresh verifier per sweep, sharing one Prepared: its
+			// cones and base snapshots are built by the serial sweep
+			// and charged to no check's work counters.
 			prep := Prepare(tc.c)
 			v := prep.NewVerifier(Default())
 			delta := tc.delta(v)
@@ -221,15 +220,15 @@ func suiteCircuit(t testing.TB, name string) *circuit.Circuit {
 
 // TestCircuitReportSumsWork pins the stats-merge fix: the aggregate
 // must sum propagations, dominators, and dominator rounds across the
-// kept per-output reports, serial and parallel alike.
+// kept per-output reports, serial and parallel alike. It checks at
+// δ = D (530), where the checks propagate; above every output's
+// topological arrival the base snapshot refutes them without work.
 func TestCircuitReportSumsWork(t *testing.T) {
 	c := suiteCircuit(t, "c432")
 	prep := Prepare(c)
 	for _, workers := range []int{1, 4} {
-		// Fresh verifier per sweep so the second isn't a warm-start
-		// no-op (the props>0 assertion needs real stage-1 work).
 		v := prep.NewVerifier(Default())
-		cr := v.RunAll(context.Background(), Request{Delta: v.Topological().Add(1), Workers: workers})
+		cr := v.RunAll(context.Background(), Request{Delta: 530, Workers: workers})
 		var props int64
 		var doms, rounds int
 		for _, r := range cr.PerOutput {

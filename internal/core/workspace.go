@@ -1,9 +1,12 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/circuit"
 	"repro/internal/dom"
 	"repro/internal/learn"
+	"repro/internal/sim"
 	"repro/internal/waveform"
 )
 
@@ -28,6 +31,11 @@ type workspace struct {
 
 	stack []decision
 	objs  []objective
+	// The candidate vector of a fully decided case, its simulation, and
+	// its expansion to a cone's parent circuit.
+	vec sim.Vector
+	sim sim.Result
+	wit sim.Vector
 	// An epoch-stamped net set, seen[n] == epoch for its members: the
 	// nets that already have an objective in case analysis, a branch's
 	// trailed nets in stem correlation.
@@ -64,6 +72,23 @@ func (rs *runState) keepDominators(d dom.Dominators) dom.Dominators {
 	buf.Nets = append(buf.Nets[:0], d.Nets...)
 	buf.Dist = append(buf.Dist[:0], d.Dist...)
 	return *buf
+}
+
+// witness returns the candidate vector as the report's witness,
+// expanded on a cone slice to the parent circuit's primary inputs with
+// those outside the cone at 0 (they cannot affect the sink). It lives
+// in the workspace: the check's own, or a ReportArena's under the
+// arena's ownership contract (a sweep stops at its first witness).
+func (ws *workspace) witness(v *Verifier) sim.Vector {
+	if v.cm == nil {
+		return ws.vec
+	}
+	ws.wit = slices.Grow(ws.wit[:0], v.parentPIs)[:v.parentPIs]
+	clear(ws.wit)
+	for i, val := range ws.vec {
+		ws.wit[v.cm.PIIndex[i]] = val
+	}
+	return ws.wit
 }
 
 // newEpoch starts an empty seen-set over n nets: stamps from earlier

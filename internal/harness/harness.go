@@ -81,14 +81,6 @@ func WithoutConeSlicing() RowOption {
 	return func(c *RowConfig) { c.Opts.UseConeSlicing = false }
 }
 
-// WithoutWarmStart solves every check cold instead of seeding repeat
-// checks of a sink from the previous fixpoint snapshot (the
-// -no-warm-start escape hatch; verdicts are identical either way, only
-// the work counters change).
-func WithoutWarmStart() RowOption {
-	return func(c *RowConfig) { c.Opts.UseWarmStart = false }
-}
-
 // CircuitRows computes the exact circuit floating delay and produces
 // the (δ+1, δ) row pair for one circuit, mirroring the paper's
 // protocol: the δ+1 check shows which stage refutes, the δ check shows

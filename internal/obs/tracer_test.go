@@ -45,8 +45,6 @@ func TestNilTracerVsTracerEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, delta := range []waveform.Time{res.Delay.Add(1), res.Delay} {
-			// Fresh verifier per arm: warm-start memos are per verifier
-			// and the comparison includes work counters.
 			plain := prep.NewVerifier(core.Default()).RunAll(context.Background(), core.Request{Delta: delta, Workers: 1})
 			tr := obs.NewTracer()
 			traced := prep.NewVerifier(core.Default()).RunAll(context.Background(), core.Request{Delta: delta, Workers: 1, Tracer: tr})
@@ -80,9 +78,9 @@ func TestNilTracerVsTracerEquivalence(t *testing.T) {
 // exactly once, no event lost or double-counted under concurrency.
 func TestTracerSharedAcrossWorkers(t *testing.T) {
 	c := gen.Industrial(7, 24, 10)
-	// Fresh verifier per sweep off one Prepared: the test compares
-	// exact propagation sums, which the second sweep's warm-start memos
-	// would otherwise legitimately shrink.
+	// Fresh verifier per sweep off one Prepared; the sweeps' exact
+	// propagation sums match because no check pays for the cones and
+	// base snapshots the first sweep builds.
 	prep := core.Prepare(c)
 	v := prep.NewVerifier(core.Default())
 	// δ = topological + 1: every output refutes, so neither sweep

@@ -31,6 +31,7 @@ import (
 	"container/list"
 	"context"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -417,9 +418,42 @@ func estimateCircuitBytes(c *circuit.Circuit, netlistLen int) int64 {
 // estimatePreparedBytes estimates core.Prepare's output: arrival
 // analysis, SCOAP, the dominator levels (per net a level-order slot and
 // a driver-pin range), plus headroom for the stems, learning table and
-// per-sink cone slices that are built on first use inside the Prepared.
+// per-sink cone slices that are built on first use inside the Prepared,
+// and the base snapshots the first checks build: four int64 lanes
+// (32 B) per net of the whole circuit and per net of every output's
+// cone.
 func estimatePreparedBytes(c *circuit.Circuit) int64 {
 	st := c.Stats()
 	const levels = 4 + 8 // bytes per net: a level-order slot and a driver-pin range
-	return int64(st.Nets)*(256+levels) + int64(st.Gates)*128 + 8192
+	const snapshot = 32  // bytes per net of a base snapshot
+	return int64(st.Nets)*(256+levels+snapshot) + int64(coneNets(c))*snapshot +
+		int64(st.Gates)*128 + 8192
+}
+
+// coneNets sums, over the primary outputs, the nets in each output's
+// transitive fan-in cone. It sweeps the gates backwards once per 64
+// outputs, carrying one bit per output of a chunk in a word per net.
+func coneNets(c *circuit.Circuit) int {
+	l := c.Layout()
+	pos, topo := c.PrimaryOutputs(), c.TopoGates()
+	reach := make([]uint64, c.NumNets())
+	total := 0
+	for lo := 0; lo < len(pos); lo += 64 {
+		clear(reach)
+		for i, po := range pos[lo:min(lo+64, len(pos))] {
+			reach[po] |= 1 << i
+		}
+		for i := len(topo) - 1; i >= 0; i-- {
+			g := topo[i]
+			if r := reach[l.Out[g]]; r != 0 {
+				for _, x := range l.Inputs(g) {
+					reach[x] |= r
+				}
+			}
+		}
+		for _, r := range reach {
+			total += bits.OnesCount64(r)
+		}
+	}
+	return total
 }

@@ -374,3 +374,45 @@ func TestPreparePanicIsolated(t *testing.T) {
 		t.Fatalf("retry after panic: prep=%v hit=%v err=%v, want cold success", prep, hit, err)
 	}
 }
+
+// TestConeNetsMatchesFanin pins the base-snapshot term of the
+// prepared-state estimate: coneNets is the sum of every output's
+// transitive fan-in size, across its 64-output chunks too.
+func TestConeNetsMatchesFanin(t *testing.T) {
+	// A NAND chain with an output after every gate: 70 outputs whose
+	// cones nest.
+	b := circuit.NewBuilder("chain70")
+	b.Input("a")
+	b.Input("b")
+	prev := "a"
+	for i := 0; i < 70; i++ {
+		out := fmt.Sprintf("n%d", i)
+		b.Gate(circuit.NAND, 10, out, prev, "b")
+		b.Output(out)
+		prev = out
+	}
+	chain, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := 0
+	for _, c := range []*circuit.Circuit{gen.C17(10), gen.Random(3, 10, 80, 10), gen.Industrial(2, 48, 10), chain} {
+		want := 0
+		for _, po := range c.PrimaryOutputs() {
+			for _, in := range c.TransitiveFanin(po) {
+				if in {
+					want++
+				}
+			}
+		}
+		if got := coneNets(c); got != want {
+			t.Fatalf("%s: coneNets = %d, want %d", c.Name, got, want)
+		}
+		if len(c.PrimaryOutputs()) > 64 {
+			wide++
+		}
+	}
+	if wide == 0 {
+		t.Fatal("no circuit has more than 64 outputs: the chunking is untested")
+	}
+}

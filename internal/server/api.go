@@ -189,13 +189,9 @@ func resolveChecks(c *circuit.Circuit, specs []CheckSpec) ([]resolvedCheck, *api
 // from the paper's defaults exactly like the harness does.
 func engineOptions(spec *OptionsSpec) core.Options {
 	opts := core.Default()
-	// Served batches default warm-start off so response work counters
-	// stay deterministic under the pool's scheduling (see OptionsSpec).
-	opts.UseWarmStart = false
 	if spec == nil {
 		return opts
 	}
-	opts.UseWarmStart = spec.WarmStart
 	if spec.NoDominators {
 		opts.UseDominators = false
 	}

@@ -155,9 +155,12 @@ func (b *batch) spanSummary(res *CheckResult) *api.SpanSummary {
 	if sh := b.req.Shard; sh != nil {
 		sum.Worker, sum.Attempt = sh.Worker, sh.Attempt
 	}
+	// A stage ran when its verdict column is not "-"; one that ran in
+	// under a microsecond still gets its (0 µs) span.
+	ran := [core.NumStages]string{res.BeforeGITD, res.AfterGITD, res.AfterStem, res.CaseAnalysis}
 	var off int64
 	for st, us := range res.StageUs {
-		if us <= 0 {
+		if st >= len(ran) || ran[st] == core.StageSkipped.String() {
 			continue
 		}
 		sum.Spans = append(sum.Spans, api.Span{Name: core.Stage(st).String(), StartUs: off, DurUs: us})

@@ -94,8 +94,8 @@ func (cfg CoordConfig) withDefaults() CoordConfig {
 // /v1/check, POST /v1/circuits/{hash}/check, NDJSON streaming) over
 // shard dispatch instead of a local pool. A batch is sharded by
 // (circuit-hash, sink) rendezvous hashing over the live workers — so
-// each worker's prepared-state LRU and warm-start memos stay hot for
-// its shard — and the per-shard result streams are merged back into
+// each worker's prepared-state LRU, cones and base snapshots stay hot
+// for its shard — and the per-shard result streams are merged back into
 // one client-facing stream with an exactly-once terminal result per
 // check: worker failures requeue the unfinished checks onto survivors,
 // stragglers are hedged, and duplicate results from the races that

@@ -30,12 +30,16 @@ func TestDrainMidFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	top := int64(delay.New(local).Topological())
-	// δ at and above the topological delay: refutations and witnesses,
-	// never budget exhaustion, and enough checks (len(deltas) × #POs)
-	// that the drain deadline lands mid-batch, leaving a cancelled tail.
-	deltas := []int64{top}
-	for d := top + 1; d <= top+63; d++ {
-		deltas = append(deltas, d)
+	// δ alternately above and at or below the topological delay:
+	// refutations and witnesses, never budget exhaustion, and enough
+	// checks (len(deltas) × #POs) that the drain deadline lands
+	// mid-batch, leaving a cancelled tail. Above the topological delay
+	// every check is refuted by its cone's base snapshot in well under
+	// a microsecond, so the witnesses below it are what keep the batch
+	// running when the drain lands.
+	var deltas []int64
+	for k := int64(1); k <= 32; k++ {
+		deltas = append(deltas, top+k, top+1-k)
 	}
 	wantChecks := len(deltas) * len(local.PrimaryOutputs())
 

@@ -107,11 +107,7 @@ func TestE2EDifferentialSuite(t *testing.T) {
 
 			// Sweeps (per-output verdicts, witnesses, statistics) against
 			// core.RunAll through the same conversion the server uses.
-			// The server defaults warm-start off (counter determinism
-			// under its pool); the reference must solve cold too.
-			opts := core.Default()
-			opts.UseWarmStart = false
-			v := core.NewVerifier(local, opts)
+			v := core.NewVerifier(local, core.Default())
 			res, err := v.CircuitFloatingDelayCtx(context.Background(), core.Request{Workers: workers})
 			if err != nil {
 				t.Fatalf("in-process delay search: %v", err)
@@ -217,11 +213,10 @@ func TestE2EExplicitBatch(t *testing.T) {
 		t.Fatalf("done reports %d checks, want %d", got.Done.ChecksRun, len(specs))
 	}
 
-	// Mirror the server's warm-start-off default: the comparison below
-	// includes exact work counters.
-	refOpts := core.Default()
-	refOpts.UseWarmStart = false
-	v := core.NewVerifier(local, refOpts)
+	// The comparison below includes exact work counters, which do not
+	// depend on which checks ran first: no check is charged for the
+	// base snapshots.
+	v := core.NewVerifier(local, core.Default())
 	for i, cs := range specs {
 		sink, _ := local.NetByName(cs.Sink)
 		rep := v.Run(context.Background(), core.Request{Sink: sink, Delta: waveform.Time(cs.Delta)})

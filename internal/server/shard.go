@@ -8,8 +8,8 @@ import (
 // ShardKey is the routing identity of one check in a sharded batch:
 // the circuit's content address plus the sink net's name. Every check
 // on one (circuit, sink) routes to the same worker, so that worker's
-// prepared-state LRU entry, cached sink cone, and warm-start memos
-// stay hot for the whole δ-schedule of that sink.
+// prepared-state LRU entry, cached sink cone, and the cone's base
+// snapshot stay hot for the whole δ-schedule of that sink.
 type ShardKey struct {
 	Hash string
 	Sink string

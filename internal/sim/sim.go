@@ -7,6 +7,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/waveform"
@@ -49,21 +50,31 @@ type Result struct {
 // because the output of a gate locks d after any input locks at a
 // controlling value, and at the latest d after all inputs lock.
 func Run(c *circuit.Circuit, v Vector) (*Result, error) {
+	r := new(Result)
+	if err := RunInto(r, c, v); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// RunInto is Run into r: it overwrites r with the simulation of v,
+// reusing r's arrays when they are large enough, so a caller that
+// simulates many vectors allocates once. On error r holds no result.
+func RunInto(r *Result, c *circuit.Circuit, v Vector) error {
 	pis := c.PrimaryInputs()
 	if len(v) != len(pis) {
-		return nil, fmt.Errorf("sim: vector has %d bits for %d primary inputs", len(v), len(pis))
+		return fmt.Errorf("sim: vector has %d bits for %d primary inputs", len(v), len(pis))
 	}
-	r := &Result{
-		c:      c,
-		Value:  make([]int, c.NumNets()),
-		Settle: make([]waveform.Time, c.NumNets()),
-	}
+	r.c = c
+	r.Value = slices.Grow(r.Value[:0], c.NumNets())[:c.NumNets()]
+	r.Settle = slices.Grow(r.Settle[:0], c.NumNets())[:c.NumNets()]
+	clear(r.Settle)
 	for i := range r.Value {
 		r.Value[i] = -1
 	}
 	for i, pi := range pis {
 		if v[i] != 0 && v[i] != 1 {
-			return nil, fmt.Errorf("sim: vector bit %d is %d, want 0 or 1", i, v[i])
+			return fmt.Errorf("sim: vector bit %d is %d, want 0 or 1", i, v[i])
 		}
 		r.Value[pi] = v[i]
 		r.Settle[pi] = 0
@@ -94,7 +105,7 @@ func Run(c *circuit.Circuit, v Vector) (*Result, error) {
 		}
 		r.Settle[out] = st.Add(waveform.Time(l.Delay[g]))
 	}
-	return r, nil
+	return nil
 }
 
 // OutputSettle returns the settle time of the given net (usually a
