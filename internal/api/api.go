@@ -188,8 +188,9 @@ type DelayAnnotation struct {
 	Net string `json:"net"`
 	// Delay is the gate's maximum delay d_max (must be > 0).
 	Delay int64 `json:"delay"`
-	// DMin optionally sets the minimum delay d_min (0 keeps the
-	// netlist's).
+	// DMin is the minimum delay d_min, in [0, Delay]. It is validated
+	// and hashed, so it is part of the content address, but it is not
+	// stored: floating mode reads only d_max.
 	DMin int64 `json:"dmin,omitempty"`
 }
 

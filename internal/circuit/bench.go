@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
 	"strings"
 )
@@ -162,12 +161,4 @@ func BenchString(c *Circuit) string {
 		panic(err)
 	}
 	return sb.String()
-}
-
-// SortedNetNames returns all net names in lexicographic order (handy
-// for deterministic reports and tests).
-func (c *Circuit) SortedNetNames() []string {
-	names := slices.Clone(c.names)
-	slices.Sort(names)
-	return names
 }

@@ -188,22 +188,3 @@ q = XNOR(a, b, c)
 		}
 	}
 }
-
-func TestWithUniformDelay(t *testing.T) {
-	c, err := ParseBenchString(c17Bench, BenchOptions{DefaultDelay: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := WithUniformDelay(c, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < u.NumGates(); i++ {
-		if u.Gate(GateID(i)).Delay != 25 {
-			t.Fatal("uniform delay not applied")
-		}
-	}
-	if u.NumGates() != c.NumGates() {
-		t.Fatal("shape changed")
-	}
-}

@@ -84,7 +84,7 @@ func (b *Builder) GateIDs(t GateType, d int64, out NetID, in ...NetID) {
 }
 
 // addGate appends to the layout the gate whose inputs are its pins
-// from start on, with both delay bounds d.
+// from start on, with delay d.
 func (b *Builder) addGate(t GateType, d int64, out NetID, start int) {
 	l, name := &b.c.layout, b.c.names[out]
 	if k := len(l.Pins) - start; k < t.MinInputs() || k > t.MaxInputs() {
@@ -103,20 +103,6 @@ func (b *Builder) addGate(t GateType, d int64, out NetID, start int) {
 	l.Out = append(l.Out, out)
 	l.Type = append(l.Type, t)
 	l.Delay = append(l.Delay, d)
-	l.DMin = append(l.DMin, d)
-}
-
-// MUX adds a 2:1 multiplexer out = sel ? a1 : a0, lowered into the base
-// gate library (two ANDs, a NOT and an OR, each with delay d), and
-// returns the output net id. The intermediate nets are named after out.
-func (b *Builder) MUX(d int64, out, sel, a0, a1 string) NetID {
-	nsel := out + "$nsel"
-	t0 := out + "$t0"
-	t1 := out + "$t1"
-	b.Gate(NOT, d, nsel, sel)
-	b.Gate(AND, d, t0, nsel, a0)
-	b.Gate(AND, d, t1, sel, a1)
-	return b.Gate(OR, d, out, t0, t1)
 }
 
 // Build validates the netlist (single drivers, declared PIs, acyclic)

@@ -17,9 +17,9 @@ const InvalidGate GateID = -1
 
 // Gate is a view of one vertex of the combinational circuit: a Boolean
 // function of its input nets driving a single output net after Delay
-// time units (the d_max bound; DMin is kept for completeness but the
-// floating-mode maximum-delay calculation uses only Delay, as in the
-// paper). Circuit.Gate assembles it from the Layout, and Inputs is a
+// time units (the d_max bound: the floating-mode maximum-delay
+// calculation reads only d_max, as in the paper, so no d_min is
+// stored). Circuit.Gate assembles it from the Layout, and Inputs is a
 // read-only sub-slice of it; change the delays of a built circuit with
 // Circuit.SetDelay.
 type Gate struct {
@@ -28,7 +28,6 @@ type Gate struct {
 	Inputs []NetID
 	Output NetID
 	Delay  int64 // d_max
-	DMin   int64 // d_min (informational)
 }
 
 // Net is a view of one edge of the circuit graph. A net is driven by
@@ -79,7 +78,7 @@ func (c *Circuit) Net(id NetID) Net {
 // Gate returns a view of the gate with the given id.
 func (c *Circuit) Gate(id GateID) Gate {
 	l := &c.layout
-	return Gate{ID: id, Type: l.Type[id], Inputs: l.Inputs(id), Output: l.Out[id], Delay: l.Delay[id], DMin: l.DMin[id]}
+	return Gate{ID: id, Type: l.Type[id], Inputs: l.Inputs(id), Output: l.Out[id], Delay: l.Delay[id]}
 }
 
 // NetByName looks a net up by name.
@@ -183,26 +182,6 @@ func (c *Circuit) TransitiveFanin(n NetID) []bool {
 					seen[in] = true
 					stack = append(stack, in)
 				}
-			}
-		}
-	}
-	return seen
-}
-
-// TransitiveFanout returns the set of nets reachable from net n
-// (including n itself), as a boolean slice indexed by NetID.
-func (c *Circuit) TransitiveFanout(n NetID) []bool {
-	l := &c.layout
-	seen := make([]bool, len(c.names))
-	stack := []NetID{n}
-	seen[n] = true
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, g := range l.Fanout(x) {
-			if o := l.Out[g]; !seen[o] {
-				seen[o] = true
-				stack = append(stack, o)
 			}
 		}
 	}

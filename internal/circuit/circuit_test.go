@@ -149,7 +149,7 @@ func TestLevels(t *testing.T) {
 	}
 }
 
-func TestTransitiveFaninFanout(t *testing.T) {
+func TestTransitiveFanin(t *testing.T) {
 	c := buildC17(t, 10)
 	g22, _ := c.NetByName("G22")
 	fin := c.TransitiveFanin(g22)
@@ -164,18 +164,6 @@ func TestTransitiveFaninFanout(t *testing.T) {
 		if fin[id] {
 			t.Errorf("%s must not be in fanin of G22", name)
 		}
-	}
-	g11, _ := c.NetByName("G11")
-	fo := c.TransitiveFanout(g11)
-	for _, name := range []string{"G11", "G16", "G19", "G22", "G23"} {
-		id, _ := c.NetByName(name)
-		if !fo[id] {
-			t.Errorf("%s must be in fanout of G11", name)
-		}
-	}
-	g1, _ := c.NetByName("G1")
-	if fo[g1] {
-		t.Error("G1 must not be in fanout of G11")
 	}
 }
 
@@ -211,38 +199,6 @@ func TestReconvergentStems(t *testing.T) {
 	}
 	if got := tree.ReconvergentStems(); len(got) != 0 {
 		t.Fatalf("tree must have no reconvergent stems, got %v", got)
-	}
-}
-
-func TestMUXLowering(t *testing.T) {
-	b := NewBuilder("mux")
-	b.Input("s")
-	b.Input("a")
-	b.Input("b")
-	b.MUX(1, "z", "s", "a", "b")
-	b.Output("z")
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.NumGates() != 4 {
-		t.Fatalf("MUX must lower to 4 gates, got %d", c.NumGates())
-	}
-	// Check function via direct evaluation over all 8 input vectors.
-	for s := 0; s <= 1; s++ {
-		for a := 0; a <= 1; a++ {
-			for bb := 0; bb <= 1; bb++ {
-				vals := map[string]int{"s": s, "a": a, "b": bb}
-				got := evalNet(c, "z", vals)
-				want := a
-				if s == 1 {
-					want = bb
-				}
-				if got != want {
-					t.Fatalf("MUX(s=%d,a=%d,b=%d) = %d, want %d", s, a, bb, got, want)
-				}
-			}
-		}
 	}
 }
 
@@ -286,18 +242,5 @@ func TestStats(t *testing.T) {
 	}
 	if s.MaxFanin != 2 || s.MaxFanout != 2 || s.Levels != 3 {
 		t.Fatalf("stats = %+v", s)
-	}
-}
-
-func TestSortedNetNames(t *testing.T) {
-	c := buildC17(t, 10)
-	names := c.SortedNetNames()
-	if len(names) != 11 {
-		t.Fatalf("len = %d", len(names))
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatal("names not sorted")
-		}
 	}
 }

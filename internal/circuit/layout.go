@@ -19,12 +19,11 @@ type Layout struct {
 	NetGates []GateID
 	NetStart []int32
 
-	// Out, Type, Delay, DMin and Op hold each gate's output net, type,
-	// d_max, d_min and opcode.
+	// Out, Type, Delay and Op hold each gate's output net, type, d_max
+	// and opcode.
 	Out   []NetID
 	Type  []GateType
 	Delay []int64
-	DMin  []int64
 	Op    []Op
 }
 
@@ -112,11 +111,9 @@ func (c *Circuit) Layout() *Layout { return &c.layout }
 // NumPins returns the number of gate inputs in the circuit.
 func (c *Circuit) NumPins() int { return len(c.layout.Pins) }
 
-// SetDelay sets gate g's delay bounds (d_max, d_min). Back-annotation
-// after Build must go through it.
-func (c *Circuit) SetDelay(g GateID, dmax, dmin int64) {
-	c.layout.Delay[g], c.layout.DMin[g] = dmax, dmin
-}
+// SetDelay sets gate g's delay (d_max). Back-annotation after Build
+// must go through it.
+func (c *Circuit) SetDelay(g GateID, d int64) { c.layout.Delay[g] = d }
 
 // lay completes the flat layout from the gates the builder appended:
 // it moves the appended arrays to arrays of exactly their length,
@@ -128,8 +125,7 @@ func (c *Circuit) lay() {
 	l := &c.layout
 	ng, nn := len(l.Out), len(c.names)
 	l.PinStart = exact(append(l.PinStart[:ng], int32(len(l.Pins))))
-	l.Pins, l.Out, l.Type = exact(l.Pins), exact(l.Out), exact(l.Type)
-	l.Delay, l.DMin = exact(l.Delay), exact(l.DMin)
+	l.Pins, l.Out, l.Type, l.Delay = exact(l.Pins), exact(l.Out), exact(l.Type), exact(l.Delay)
 	l.Op = make([]Op, ng)
 	l.NetStart = make([]int32, nn+1)
 	for g, out := range l.Out {

@@ -67,7 +67,7 @@ func TestReconvergentStemsMatchesReference(t *testing.T) {
 	for _, c := range cs {
 		all := []*circuit.Circuit{c}
 		for _, po := range c.PrimaryOutputs()[:min(3, len(c.PrimaryOutputs()))] {
-			cone, err := circuit.ExtractCone(c, po)
+			cone, _, err := circuit.ExtractConeMapped(c, po)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,20 +124,19 @@ func TestLayoutOpcodes(t *testing.T) {
 	}
 }
 
-// TestSetDelay checks that SetDelay writes both bounds of one gate and
+// TestSetDelay checks that SetDelay writes the delay of one gate and
 // nothing else.
 func TestSetDelay(t *testing.T) {
 	c := gen.C17(10)
-	c.SetDelay(2, 17, 4)
+	c.SetDelay(2, 17)
 	l := c.Layout()
 	for g := 0; g < c.NumGates(); g++ {
-		dmax, dmin := int64(10), int64(10)
+		want := int64(10)
 		if g == 2 {
-			dmax, dmin = 17, 4
+			want = 17
 		}
-		if v := c.Gate(circuit.GateID(g)); v.Delay != dmax || v.DMin != dmin || l.Delay[g] != dmax || l.DMin[g] != dmin {
-			t.Fatalf("gate %d after SetDelay(2, 17, 4): view [%d,%d], layout [%d,%d], want [%d,%d]",
-				g, v.DMin, v.Delay, l.DMin[g], l.Delay[g], dmin, dmax)
+		if v := c.Gate(circuit.GateID(g)); v.Delay != want || l.Delay[g] != want {
+			t.Fatalf("gate %d after SetDelay(2, 17): view %d, layout %d, want %d", g, v.Delay, l.Delay[g], want)
 		}
 	}
 }

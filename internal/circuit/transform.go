@@ -102,18 +102,6 @@ func MapToNOR(c *Circuit, d int64) (*Circuit, error) {
 	return b.Build()
 }
 
-// ExtractCone returns the transitive fan-in cone of the given net as a
-// standalone circuit: the net becomes the single primary output, the
-// cone's primary inputs are kept, and everything outside the cone is
-// dropped. Timing checks on the cone are equivalent to checks on the
-// original output (the check only constrains the cone), which makes
-// this the standard debugging and speed lever for single-output
-// verification on wide designs.
-func ExtractCone(c *Circuit, sink NetID) (*Circuit, error) {
-	cone, _, err := ExtractConeMapped(c, sink)
-	return cone, err
-}
-
 // ConeMap relates a cone slice produced by ExtractConeMapped to the
 // circuit it was cut from.
 type ConeMap struct {
@@ -133,11 +121,15 @@ type ConeMap struct {
 	Sink NetID
 }
 
-// ExtractConeMapped is ExtractCone returning, in addition, the net-id
-// translation between the cone and the original circuit. The slice
-// preserves everything a timing check observes: gate types and both
-// delay bounds (d_max and d_min), primary-input status, topological
-// gate order, and the relative order of net ids.
+// ExtractConeMapped returns the transitive fan-in cone of the given net
+// as a standalone circuit, together with the net-id translation between
+// the cone and the original circuit. The net becomes the single primary
+// output, the cone's primary inputs are kept, and everything outside
+// the cone is dropped; a timing check on the cone is equivalent to one
+// on the original output, since the check only constrains the cone. The
+// slice preserves everything a timing check observes: gate types and
+// delays, primary-input status, topological gate order, and the
+// relative order of net ids.
 func ExtractConeMapped(c *Circuit, sink NetID) (*Circuit, *ConeMap, error) {
 	l := &c.layout
 	mask := c.TransitiveFanin(sink)
@@ -178,12 +170,6 @@ func ExtractConeMapped(c *Circuit, sink NetID) (*Circuit, *ConeMap, error) {
 			cm.FromCone[id] = NetID(i)
 		}
 	}
-	// The builder sets d_min to d_max; carry over the original bounds
-	// (SDF back-annotation can set them apart).
-	for j, out := range cone.layout.Out {
-		g := l.Driver(cm.FromCone[out])
-		cone.SetDelay(GateID(j), l.Delay[g], l.DMin[g])
-	}
 	origPIPos := make(map[NetID]int, len(c.PrimaryInputs()))
 	for i, pi := range c.PrimaryInputs() {
 		origPIPos[pi] = i
@@ -194,25 +180,4 @@ func ExtractConeMapped(c *Circuit, sink NetID) (*Circuit, *ConeMap, error) {
 	}
 	cm.Sink = cm.ToCone[sink]
 	return cone, cm, nil
-}
-
-// WithUniformDelay returns a copy of the circuit with every gate's
-// maximum delay replaced by d.
-func WithUniformDelay(c *Circuit, d int64) (*Circuit, error) {
-	b := NewBuilder(c.Name)
-	for _, pi := range c.PrimaryInputs() {
-		b.Input(c.Net(pi).Name)
-	}
-	for _, gid := range c.TopoGates() {
-		g := c.Gate(gid)
-		in := make([]string, len(g.Inputs))
-		for i, n := range g.Inputs {
-			in[i] = c.Net(n).Name
-		}
-		b.Gate(g.Type, d, c.Net(g.Output).Name, in...)
-	}
-	for _, po := range c.PrimaryOutputs() {
-		b.Output(c.Net(po).Name)
-	}
-	return b.Build()
 }

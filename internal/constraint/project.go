@@ -32,8 +32,8 @@ import (
 // output stays unknown exactly while no controlling-final input has
 // settled and not all inputs have settled; the min over C is always
 // dominated by the max over all inputs) and are validated against the
-// unrolled three-valued simulator in internal/sim. Parity gates use the
-// pure max relation for every class combination.
+// unrolled three-valued simulator in internal/oracle. Parity gates use
+// the pure max relation for every class combination.
 //
 // The kernel reads the circuit's flat layout (circuit.Layout) and
 // dispatches on the gate's opcode. 1-input AND/NAND/OR/NOR gates take

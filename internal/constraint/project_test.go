@@ -33,7 +33,7 @@ var concreteTimes = []waveform.Time{waveform.NegInf, -1, 0, 1, 2, 3, 4, 5, 6}
 // controlling-final input has settled and not all inputs have settled,
 // so L_out = d + min(min over ctrl-final inputs L_i, max over all L_i)
 // — the same recursion as sim.Run, proven equal to the concrete
-// three-valued unrolled simulation in internal/sim.
+// three-valued unrolled simulation in internal/oracle.
 func scenOut(gt circuit.GateType, d waveform.Time, vals []int, ls []waveform.Time) (int, waveform.Time) {
 	outV := gt.Eval(vals)
 	minCtrl := waveform.PosInf

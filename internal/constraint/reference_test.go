@@ -13,7 +13,7 @@ import (
 
 // refKernel is the gate-application kernel System ran before the flat
 // circuit layout, kept verbatim as the reference the compiled kernel
-// must reproduce: Narrow builds and meets Signal values, ScheduleNet
+// must reproduce: Narrow builds and meets Signal values, scheduleNet
 // goes through the Net view, and every AND/NAND/OR/NOR goes through the generic
 // projectSymmetric with its scratch buffers. It drives the System it
 // wraps — domains, trail, worklist, change log, counters — through the
@@ -80,12 +80,12 @@ func (s *refKernel) Narrow(n circuit.NetID, sig waveform.Signal) bool {
 		r.inconsistent = true
 		r.emptyNet = n
 	}
-	s.ScheduleNet(n)
+	s.scheduleNet(n)
 	return true
 }
 
-// ScheduleNet is the parent System.ScheduleNet, leaving out s.skip.
-func (s *refKernel) ScheduleNet(n circuit.NetID) {
+// scheduleNet is the parent System.scheduleNet with s.skip as self.
+func (s *refKernel) scheduleNet(n circuit.NetID) {
 	if d := s.c.Net(n).Driver; d != circuit.InvalidGate && d != s.skip {
 		s.sys.schedule(d)
 	}
@@ -131,6 +131,20 @@ func (s *refKernel) applyGate(gid circuit.GateID) {
 	}
 }
 
+// invert swaps a signal's two classes: the effect of an inverting,
+// delayless gate on a domain.
+func invert(s waveform.Signal) waveform.Signal { return waveform.Signal{W0: s.W1, W1: s.W0} }
+
+// withWave returns s with its class-v component replaced by w.
+func withWave(s waveform.Signal, v int, w waveform.Wave) waveform.Signal {
+	if v == 0 {
+		s.W0 = w
+	} else {
+		s.W1 = w
+	}
+	return s
+}
+
 // projectUnate handles NOT/BUFFER/DELAY: the output is the (possibly
 // inverted) input shifted by d, in both directions, exactly.
 func (s *refKernel) projectUnate(g circuit.Gate) {
@@ -139,12 +153,12 @@ func (s *refKernel) projectUnate(g circuit.Gate) {
 	out := s.sig(g.Output)
 	outIn := out.Shift(-d) // output domain seen from the input frame
 	if g.Type == circuit.NOT {
-		outIn = outIn.Invert()
+		outIn = invert(outIn)
 	}
 	newIn := in.Intersect(outIn)
 	newOut := newIn
 	if g.Type == circuit.NOT {
-		newOut = newOut.Invert()
+		newOut = invert(newOut)
 	}
 	newOut = newOut.Shift(d)
 	s.skip = s.self(g)
@@ -349,16 +363,16 @@ func (s *refKernel) projectSymmetric(g circuit.Gate, ctrl int) {
 		}
 		ctrlClass := ctrl
 		sig := waveform.Signal{}
-		sig = sig.WithWave(ctrlClass, projC)
-		sig = sig.WithWave(1-ctrlClass, projN)
+		sig = withWave(sig, ctrlClass, projC)
+		sig = withWave(sig, 1-ctrlClass, projN)
 		newIn[i] = sig
 	}
 
 	// Apply all narrowings (output classes mapped back to circuit
 	// classes and time frame).
 	no := waveform.Signal{}
-	no = no.WithWave(ctrlOutClass, newOutC.Shift(d))
-	no = no.WithWave(1-ctrlOutClass, newOutN.Shift(d))
+	no = withWave(no, ctrlOutClass, newOutC.Shift(d))
+	no = withWave(no, 1-ctrlOutClass, newOutN.Shift(d))
 	s.skip = s.self(g)
 	s.Narrow(g.Output, no)
 	if k > 1 {
@@ -648,10 +662,10 @@ func (kr *kernelRun) step() (op string) {
 		k.ScheduleAll()
 		r.sys.ScheduleAll()
 	case 8:
-		op = "ScheduleNet"
+		op = "scheduleNet"
 		n := kr.net()
-		k.ScheduleNet(n)
-		r.ScheduleNet(n)
+		k.scheduleNet(n, circuit.InvalidGate)
+		r.scheduleNet(n)
 	case 9, 10, 11:
 		op = "Fixpoint"
 		kok, rok := k.Fixpoint(), r.Fixpoint()
@@ -998,8 +1012,8 @@ func TestBufferReduction(t *testing.T) {
 					var wantOut, wantIn waveform.Signal
 					for v := 0; v <= 1; v++ {
 						m := so.Wave(v).Shift(waveform.Time(-d)).Intersect(si.Wave(follow(v)))
-						wantOut = wantOut.WithWave(v, m.Shift(waveform.Time(d)))
-						wantIn = wantIn.WithWave(follow(v), m)
+						wantOut = withWave(wantOut, v, m.Shift(waveform.Time(d)))
+						wantIn = withWave(wantIn, follow(v), m)
 					}
 					if got := k.Domain(out); !got.Equal(wantOut.Intersect(so)) {
 						t.Fatalf("%s d=%d in %v out %v: output %v, want %v", gt, d, si, so, got, wantOut)

@@ -23,7 +23,7 @@ const lanes = 4
 type System struct {
 	c *circuit.Circuit
 	// l is the circuit's flat layout (a copy of its slice headers),
-	// which the gate kernel and ScheduleNet index directly.
+	// which the gate kernel and scheduleNet index directly.
 	l circuit.Layout
 
 	// dom is the flat structure-of-arrays domain store (lanes int64
@@ -248,13 +248,10 @@ func (s *System) ScheduleAll() {
 	}
 }
 
-// ScheduleNet enqueues every constraint operating on net n (its driver
-// and its fanout gates, in that order).
-func (s *System) ScheduleNet(n circuit.NetID) { s.scheduleNet(n, circuit.InvalidGate) }
-
-// scheduleNet is ScheduleNet without gate self: a gate whose own
-// application narrowed n and cannot narrow anything on a second
-// application (DESIGN.md §17, rule 1).
+// scheduleNet enqueues every constraint operating on net n (its driver
+// and its fanout gates, in that order) except gate self: a gate whose
+// own application narrowed n and cannot narrow anything on a second
+// application (DESIGN.md §17, rule 1). InvalidGate leaves out none.
 func (s *System) scheduleNet(n circuit.NetID, self circuit.GateID) {
 	for _, g := range s.l.Gates(n) {
 		if g != self {

@@ -334,7 +334,7 @@ func TestHasTransitionAtOrAfterReadsLanes(t *testing.T) {
 	var waves []waveform.Wave
 	for _, lo := range times {
 		for _, hi := range times {
-			waves = append(waves, waveform.Interval(lo, hi))
+			waves = append(waves, waveform.Wave{Lmin: lo, Lmax: hi})
 		}
 	}
 	for _, w0 := range waves {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/gen"
+	"repro/internal/oracle"
 	"repro/internal/sim"
 	"repro/internal/waveform"
 )
@@ -146,7 +147,7 @@ func TestCircuitFloatingDelayC17(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.CircuitFloatingDelayExhaustive(c)
+	want, err := oracle.CircuitFloatingDelayExhaustive(c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/oracle"
 	"repro/internal/sim"
 	"repro/internal/waveform"
 )
@@ -79,7 +80,7 @@ func TestDegenerateFanin(t *testing.T) {
 		t.Fatal(err)
 	}
 	exactMatchesOracle(t, c)
-	vals, err := sim.Logic(c, sim.Vector{1})
+	vals, err := oracle.Logic(c, sim.Vector{1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,23 +74,3 @@ func (v *Verifier) CheckPair(v1, v2 sim.Vector) (*PairBounds, error) {
 	pb.Exact = r.Last
 	return pb, nil
 }
-
-// TransitionDelayBound computes a sound upper bound on the circuit's
-// transition-mode delay for a set of pairs (e.g. sampled), returning
-// the worst exact pair delay seen and the worst bound.
-func (v *Verifier) TransitionDelayBound(pairs [][2]sim.Vector, sink circuit.NetID) (exact, bound waveform.Time, err error) {
-	exact, bound = waveform.NegInf, waveform.NegInf
-	for _, p := range pairs {
-		pb, err := v.CheckPair(p[0], p[1])
-		if err != nil {
-			return 0, 0, err
-		}
-		if pb.Exact[sink] > exact {
-			exact = pb.Exact[sink]
-		}
-		if pb.Bound[sink] > bound {
-			bound = pb.Bound[sink]
-		}
-	}
-	return exact, bound, nil
-}

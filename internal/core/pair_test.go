@@ -92,15 +92,15 @@ func TestTransitionDelayBound(t *testing.T) {
 	}
 	// The worst pair found by the oracle must be reproduced by
 	// CheckPair, and the bound must dominate it.
-	exact, bound, err := v.TransitionDelayBound([][2]sim.Vector{{p1, p2}}, g22)
+	pb, err := v.CheckPair(p1, p2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exact != want {
-		t.Fatalf("worst pair exact %s, oracle %s", exact, want)
+	if pb.Exact[g22] != want {
+		t.Fatalf("worst pair exact %s, oracle %s", pb.Exact[g22], want)
 	}
-	if bound < want {
-		t.Fatalf("bound %s below exact %s", bound, want)
+	if pb.Bound[g22] < want {
+		t.Fatalf("bound %s below exact %s", pb.Bound[g22], want)
 	}
 	// Transition-mode delay never exceeds floating-mode delay.
 	fl, _, err := sim.FloatingDelayExhaustive(c, g22)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/constraint"
 	"repro/internal/delay"
 	"repro/internal/gen"
+	"repro/internal/oracle"
 	"repro/internal/waveform"
 )
 
@@ -283,7 +284,7 @@ func TestStemFaninIsCarrierInfluence(t *testing.T) {
 		lv := Prepare(c).levels
 		fanout := make([][]bool, c.NumNets())
 		for n := range fanout {
-			fanout[n] = c.TransitiveFanout(circuit.NetID(n))
+			fanout[n] = oracle.TransitiveFanout(c, circuit.NetID(n))
 		}
 		r := rand.New(rand.NewSource(seed))
 		for range 4 {

@@ -532,12 +532,6 @@ func (w *Workspace) Static(c *circuit.Circuit, lv *Levels, a *delay.Analysis, si
 	return w.FromCarriers(c, lv, delay.StaticCarrierMask(c, a, sink, delta), delay.ToNet(c, sink), sink)
 }
 
-// StaticCarriers exposes the static carrier mask (Definition 4) for
-// reports and tests.
-func StaticCarriers(c *circuit.Circuit, a *delay.Analysis, sink circuit.NetID, delta waveform.Time) []bool {
-	return delay.StaticCarrierMask(c, a, sink, delta)
-}
-
 // Dynamic computes the dynamic timing dominators of the check under the
 // system's current domains, with the Theorem-3 distance bound (the
 // dynamic distance): DynamicCarriers then FromCarriers on a fresh

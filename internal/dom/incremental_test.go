@@ -28,7 +28,7 @@ func randomRestriction(draw func(n int) int, top int64) waveform.Signal {
 	default:
 		u := waveform.Time(draw(int(top) + 1))
 		lo, hi := waveform.MinTime(t, u), waveform.MaxTime(t, u)
-		return waveform.Signal{W0: waveform.Interval(waveform.NegInf, hi), W1: waveform.Interval(lo, waveform.PosInf)}
+		return waveform.Signal{W0: waveform.Wave{Lmin: waveform.NegInf, Lmax: hi}, W1: waveform.Wave{Lmin: lo, Lmax: waveform.PosInf}}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/constraint"
 	"repro/internal/delay"
+	"repro/internal/oracle"
 	"repro/internal/waveform"
 )
 
@@ -72,7 +73,7 @@ func TestStaticDominatorsOnEveryLongPath(t *testing.T) {
 				continue
 			}
 			doms := Static(c, a, sink, delta)
-			paths := delay.KLongestPaths(c, sink, 200)
+			paths := oracle.KLongestPaths(c, sink, 200)
 			for _, p := range paths {
 				if p.Length < delta {
 					continue
@@ -84,7 +85,7 @@ func TestStaticDominatorsOnEveryLongPath(t *testing.T) {
 				for _, d := range doms.Nets {
 					if !onPath[d] {
 						t.Fatalf("seed %d δ=%s: dominator %s missing from long path %v (len %s)",
-							seed, delta, c.Net(d).Name, delay.PathNames(c, p), p.Length)
+							seed, delta, c.Net(d).Name, oracle.PathNames(c, p), p.Length)
 					}
 				}
 			}
@@ -139,7 +140,7 @@ func TestDynamicCarriersSubsetOfStatic(t *testing.T) {
 		if !sys.Fixpoint() {
 			continue
 		}
-		static := StaticCarriers(c, a, sink, delta)
+		static := delay.StaticCarrierMask(c, a, sink, delta)
 		dynamic, _ := DynamicCarriers(sys, sink, delta)
 		for n := 0; n < c.NumNets(); n++ {
 			if dynamic[n] && !static[n] {

@@ -185,33 +185,18 @@ func CarrySkipAdder(n, block int, d int64) *circuit.Circuit {
 	return c
 }
 
-// StemGadget builds the stem-correlation showcase: a deep data chain
-// from x0 feeds two equal-length branches that reconverge at an OR, and
-// each branch is gated by BOTH polarities of the early fanout stem s
-// (branch A needs ¬s-then-s, branch B needs s-then-¬s), so every
-// full-length path is false. Local narrowing cannot refute a
+// appendStemGadget builds the stem-correlation showcase into b: a deep
+// data chain from x0 feeds two equal-length branches that reconverge at
+// an OR, and each branch is gated by BOTH polarities of the early
+// fanout stem s (branch A needs ¬s-then-s, branch B needs s-then-¬s),
+// so every full-length path is false. Local narrowing cannot refute a
 // full-length timing check — at the reconvergence either branch could
 // carry, so neither side value is forced — and dominator implications
 // only narrow the shared chain; splitting the single stem s kills both
 // branches in both classes. This is the situation the paper's stem
-// correlation resolves on c2670/c6288. Inputs x0, s0; output z.
-func StemGadget(depth int, d int64) *circuit.Circuit {
-	b := circuit.NewBuilder(fmt.Sprintf("stemgadget%d", depth))
-	b.Input("x0")
-	b.Input("s0")
-	appendStemGadget(b, "", depth, d)
-	b.Output("z")
-	c, err := b.Build()
-	if err != nil {
-		panic("gen: StemGadget: " + err.Error())
-	}
-	return c
-}
-
-// appendStemGadget inlines the gadget into an existing builder. The
-// data-chain input is <prefix>x0 and the stem-chain input <prefix>s0
-// (declared by the caller as inputs or driven nets); the output is
-// <prefix>z.
+// correlation resolves on c2670/c6288. The data-chain input is
+// <prefix>x0 and the stem-chain input <prefix>s0 (declared by the
+// caller as inputs or driven nets); the output is <prefix>z.
 func appendStemGadget(b *circuit.Builder, prefix string, depth int, d int64) {
 	p := func(n string) string { return prefix + n }
 	cur := p("x0")

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/delay"
+	"repro/internal/oracle"
 	"repro/internal/sim"
 )
 
@@ -86,7 +87,7 @@ func TestRippleCarryAdderFunction(t *testing.T) {
 					m[fmt.Sprintf("a%d", i)] = (a >> i) & 1
 					m[fmt.Sprintf("b%d", i)] = (x >> i) & 1
 				}
-				vals, err := sim.Logic(c, vecFor(c, m))
+				vals, err := oracle.Logic(c, vecFor(c, m))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -115,7 +116,7 @@ func TestCarrySkipAdderFunction(t *testing.T) {
 			m[fmt.Sprintf("a%d", i)] = (a >> i) & 1
 			m[fmt.Sprintf("b%d", i)] = (x >> i) & 1
 		}
-		vals, err := sim.Logic(c, vecFor(c, m))
+		vals, err := oracle.Logic(c, vecFor(c, m))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +156,7 @@ func TestArrayMultiplierFunction(t *testing.T) {
 				m[fmt.Sprintf("a%d", i)] = (a >> i) & 1
 				m[fmt.Sprintf("b%d", i)] = (x >> i) & 1
 			}
-			vals, err := sim.Logic(c, vecFor(c, m))
+			vals, err := oracle.Logic(c, vecFor(c, m))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,7 +192,7 @@ func TestParityTreeFunction(t *testing.T) {
 			m[fmt.Sprintf("x%d", i)] = v
 			p ^= v
 		}
-		vals, err := sim.Logic(c, vecFor(c, m))
+		vals, err := oracle.Logic(c, vecFor(c, m))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +211,7 @@ func TestComparatorFunction(t *testing.T) {
 				m[fmt.Sprintf("a%d", i)] = (a >> i) & 1
 				m[fmt.Sprintf("b%d", i)] = (x >> i) & 1
 			}
-			vals, err := sim.Logic(c, vecFor(c, m))
+			vals, err := oracle.Logic(c, vecFor(c, m))
 			if err != nil {
 				t.Fatal(err)
 			}

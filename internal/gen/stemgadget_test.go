@@ -2,8 +2,10 @@ package gen
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/sim"
 )
@@ -13,7 +15,7 @@ import (
 // implications, and is refuted exactly by stem correlation — the
 // paper's c2670/c6288 situation.
 func TestStemGadgetStages(t *testing.T) {
-	c := StemGadget(6, 10)
+	c := stemGadget(6, 10)
 	z, _ := c.NetByName("z")
 	exact, _, err := sim.FloatingDelayExhaustive(c, z)
 	if err != nil {
@@ -46,7 +48,7 @@ func TestStemGadgetStages(t *testing.T) {
 // on several gadget sizes.
 func TestStemGadgetExactness(t *testing.T) {
 	for _, depth := range []int{3, 5, 8} {
-		c := StemGadget(depth, 10)
+		c := stemGadget(depth, 10)
 		z, _ := c.NetByName("z")
 		want, _, err := sim.FloatingDelayExhaustive(c, z)
 		if err != nil {
@@ -61,4 +63,19 @@ func TestStemGadgetExactness(t *testing.T) {
 			t.Fatalf("depth %d: engine %s (exact=%v), oracle %s", depth, got.Delay, got.Exact, want)
 		}
 	}
+}
+
+// stemGadget builds the gadget of appendStemGadget as a circuit of its
+// own: inputs x0, s0; output z.
+func stemGadget(depth int, d int64) *circuit.Circuit {
+	b := circuit.NewBuilder(fmt.Sprintf("stemgadget%d", depth))
+	b.Input("x0")
+	b.Input("s0")
+	appendStemGadget(b, "", depth, d)
+	b.Output("z")
+	c, err := b.Build()
+	if err != nil {
+		panic("gen: stemGadget: " + err.Error())
+	}
+	return c
 }

@@ -370,7 +370,7 @@ func SubstituteSuite() []SuiteEntry {
 
 	// c2670-sub: adder + comparator with heavily shared control nets,
 	// plus the stem-correlation gadget as its longest structure (the
-	// paper's c2670 is decided by stem correlation; see gen.StemGadget).
+	// paper's c2670 is decided by stem correlation; see appendStemGadget).
 	c2670 := build("c2670sub", func(b *circuit.Builder) {
 		b.Input("g_x0")
 		b.Input("g_s0")

@@ -116,13 +116,6 @@ func Precompute(c *circuit.Circuit) *Table {
 	return t
 }
 
-// Implied returns the assignments implied by net n settling to v.
-func (t *Table) Implied(n circuit.NetID, v int) []Assignment { return t.imp[key(n, v)] }
-
-// Impossible reports whether the learning pass proved that net n can
-// never settle to v.
-func (t *Table) Impossible(n circuit.NetID, v int) bool { return t.impossible[key(n, v)] }
-
 // Cursor is one check's state of Apply's event-driven pass: the
 // system generation and change-log subscription it follows, the nets
 // the pass has yet to visit, and those left for the next call. Its

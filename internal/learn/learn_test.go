@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/constraint"
+	"repro/internal/oracle"
 	"repro/internal/sim"
 	"repro/internal/waveform"
 )
@@ -28,7 +29,7 @@ func id(t testing.TB, c *circuit.Circuit, name string) circuit.NetID {
 }
 
 func hasImp(t *Table, from circuit.NetID, fv int, to circuit.NetID, tv int) bool {
-	for _, a := range t.Implied(from, fv) {
+	for _, a := range t.imp[key(from, fv)] {
 		if a.Net == to && a.Val == tv {
 			return true
 		}
@@ -90,10 +91,10 @@ z = AND(a, na)
 `, 1)
 	tab := Precompute(c)
 	z := id(t, c, "z")
-	if !tab.Impossible(z, 1) {
+	if !tab.impossible[key(z, 1)] {
 		t.Error("z=1 must be impossible")
 	}
-	if tab.Impossible(z, 0) {
+	if tab.impossible[key(z, 0)] {
 		t.Error("z=0 must be possible")
 	}
 }
@@ -180,17 +181,17 @@ z2 = XNOR(r, b)
 		for i := range v {
 			v[i] = (bits >> i) & 1
 		}
-		vals, err := sim.Logic(c, v)
+		vals, err := oracle.Logic(c, v)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for n := 0; n < c.NumNets(); n++ {
 			nid := circuit.NetID(n)
 			val := vals[n]
-			if tab.Impossible(nid, val) {
+			if tab.impossible[key(nid, val)] {
 				t.Fatalf("net %s=%d marked impossible but realised by %s", c.Net(nid).Name, val, v)
 			}
-			for _, a := range tab.Implied(nid, val) {
+			for _, a := range tab.imp[key(nid, val)] {
 				if vals[a.Net] != a.Val {
 					t.Fatalf("implication %s=%d ⇒ %s=%d violated by vector %s",
 						c.Net(nid).Name, val, c.Net(a.Net).Name, a.Val, v)

@@ -226,11 +226,3 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 	}
 	return s.Bounds[len(s.Bounds)-1]
 }
-
-// Mean returns the snapshot's arithmetic mean, 0 when empty.
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}

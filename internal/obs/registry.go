@@ -51,9 +51,6 @@ type Counter struct{ v atomic.Int64 }
 // Add increments the counter.
 func (c *Counter) Add(d int64) { c.v.Add(d) }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Value reads the counter.
 func (c *Counter) Value() int64 { return c.v.Load() }
 

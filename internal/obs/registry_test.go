@@ -69,11 +69,11 @@ func TestCounterVec(t *testing.T) {
 	}
 
 	v.With("transport").Add(3)
-	v.With("backpressure").Inc()
+	v.With("backpressure").Add(1)
 	if v.With("transport") != v.With("transport") {
 		t.Fatal("With is not stable for a repeated value")
 	}
-	v.With("transport").Inc()
+	v.With("transport").Add(1)
 
 	text := render()
 	fams, err := ParseProm(strings.NewReader(text))

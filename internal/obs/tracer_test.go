@@ -77,20 +77,26 @@ func TestNilTracerVsTracerEquivalence(t *testing.T) {
 // must equal the serial sweep's check count — every check observed
 // exactly once, no event lost or double-counted under concurrency.
 func TestTracerSharedAcrossWorkers(t *testing.T) {
-	c := gen.Industrial(7, 24, 10)
+	c := gen.Industrial(3, 24, 10)
 	// Fresh verifier per sweep off one Prepared; the sweeps' exact
 	// propagation sums match because no check pays for the cones and
 	// base snapshots the first sweep builds.
 	prep := core.Prepare(c)
 	v := prep.NewVerifier(core.Default())
-	// δ = topological + 1: every output refutes, so neither sweep
-	// early-exits and serial/parallel run identical check sets.
-	delta := v.Topological().Add(1)
+	// δ = E+1, one past the circuit's exact delay of 410: every output
+	// refutes, so neither sweep early-exits and serial/parallel run
+	// identical check sets. Unlike δ = topological+1, which each cone's
+	// base snapshot refutes without a fixpoint, refuting at E+1 takes
+	// propagation work, so the sums below compare real counts.
+	const delta = waveform.Time(411)
 
 	serial := v.RunAll(context.Background(), core.Request{Delta: delta, Workers: 1})
 	wantChecks := int64(len(serial.PerOutput))
 	if wantChecks < 2 {
 		t.Fatalf("industrial circuit has %d outputs; want a real sweep", wantChecks)
+	}
+	if serial.Final != core.NoViolation {
+		t.Fatalf("serial sweep at δ=%s: %s, want every output refuted", delta, serial.Final)
 	}
 
 	tr := obs.NewTracer()
@@ -120,6 +126,9 @@ func TestTracerSharedAcrossWorkers(t *testing.T) {
 	var wantProps int64
 	for _, rep := range serial.PerOutput {
 		wantProps += rep.Propagations
+	}
+	if wantProps == 0 {
+		t.Fatal("the serial sweep did no propagation work; the sums below would compare 0 with 0")
 	}
 	if s.Propagations.Sum != wantProps {
 		t.Fatalf("propagation histogram sum %d, serial sweep did %d", s.Propagations.Sum, wantProps)

@@ -404,13 +404,13 @@ func (r *Registry) accountPrepared(e *entry) {
 //   - per net, 53: its name's string header (16), its name-map entry
 //     (~28 with the map's load factor), its output flag (1), its level
 //     (4), and its layout NetStart offset (4);
-//   - per gate, 34: its topological-order slot (4) and its layout
-//     PinStart (4), Out (4), Type (1), Delay (8), DMin (8) and Op (1)
-//     entries, and its output net's driver slot in NetGates (4);
+//   - per gate, 26: its topological-order slot (4) and its layout
+//     PinStart (4), Out (4), Type (1), Delay (8) and Op (1) entries,
+//     and its output net's driver slot in NetGates (4);
 //   - per pin, 8: its input net in the layout's Pins (4) and its
 //     fanout entry in NetGates (4).
 func estimateCircuitBytes(c *circuit.Circuit, netlistLen int) int64 {
-	const perNet, perGate, perPin = 53, 34, 8
+	const perNet, perGate, perPin = 53, 26, 8
 	return int64(netlistLen) + int64(c.NumNets())*perNet + int64(c.NumGates())*perGate +
 		int64(c.NumPins())*perPin + 4096
 }

@@ -65,6 +65,18 @@ func TestHashCanonicalAnnotations(t *testing.T) {
 		t.Fatal("changing an annotation value must change the hash")
 	}
 
+	// d_min is not stored, but it is part of the content: an upload
+	// that changes only a d_min is a different circuit.
+	m := a
+	m.Delays = []api.DelayAnnotation{{Net: "G10", Delay: 12}, {Net: "G22", Delay: 7, DMin: 4}, {Net: "G11", Delay: 9}}
+	hm, _, err := HashUpload(&m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hm == ha {
+		t.Fatal("changing only a dmin must change the hash")
+	}
+
 	d := a
 	d.Netlist += "\n"
 	hd, _, err := HashUpload(&d)

@@ -114,8 +114,8 @@ func gateControllability(t circuit.GateType, ins []circuit.NetID, cc *Controllab
 		// running parity.
 		even, odd := int64(0), Infinity
 		for _, x := range ins {
-			e2 := minI64(addSat(even, cc.CC0[x]), addSat(odd, cc.CC1[x]))
-			o2 := minI64(addSat(even, cc.CC1[x]), addSat(odd, cc.CC0[x]))
+			e2 := min(addSat(even, cc.CC0[x]), addSat(odd, cc.CC1[x]))
+			o2 := min(addSat(even, cc.CC1[x]), addSat(odd, cc.CC0[x]))
 			even, odd = e2, o2
 		}
 		even, odd = addSat(even, 1), addSat(odd, 1)
@@ -125,72 +125,4 @@ func gateControllability(t circuit.GateType, ins []circuit.NetID, cc *Controllab
 		return odd, even
 	}
 	return Infinity, Infinity
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Observability holds SCOAP combinational observability CO for every
-// net: the estimated effort of propagating a value change on the net to
-// some primary output.
-type Observability struct {
-	CO []int64
-}
-
-// ComputeObservability runs the standard reverse-topological CO
-// calculation given the controllabilities. Primary outputs observe at
-// cost 0; a gate input is observed by driving the gate's other inputs
-// to non-controlling values and observing the output. A fanout stem
-// takes the cheapest branch.
-func ComputeObservability(c *circuit.Circuit, cc *Controllability) *Observability {
-	ob := &Observability{CO: make([]int64, c.NumNets())}
-	for i := range ob.CO {
-		ob.CO[i] = Infinity
-	}
-	for _, po := range c.PrimaryOutputs() {
-		ob.CO[po] = 0
-	}
-	l := c.Layout()
-	topo := c.TopoGates()
-	for i := len(topo) - 1; i >= 0; i-- {
-		g := topo[i]
-		out := ob.CO[l.Out[g]]
-		if out >= Infinity {
-			continue
-		}
-		ins := l.Inputs(g)
-		for _, x := range ins {
-			cost := addSat(out, 1)
-			switch l.Type[g] {
-			case circuit.AND, circuit.NAND:
-				for _, y := range ins {
-					if y != x {
-						cost = addSat(cost, cc.CC1[y])
-					}
-				}
-			case circuit.OR, circuit.NOR:
-				for _, y := range ins {
-					if y != x {
-						cost = addSat(cost, cc.CC0[y])
-					}
-				}
-			case circuit.XOR, circuit.XNOR:
-				// Any side assignment propagates; charge the cheapest
-				// per side input.
-				for _, y := range ins {
-					if y != x {
-						cost = addSat(cost, minI64(cc.CC0[y], cc.CC1[y]))
-					}
-				}
-			}
-			if cost < ob.CO[x] {
-				ob.CO[x] = cost
-			}
-		}
-	}
-	return ob
 }

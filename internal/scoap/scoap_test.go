@@ -123,75 +123,6 @@ z = AND(n2, d)
 	}
 }
 
-func TestObservability(t *testing.T) {
-	c := mustBuild(t, `
-INPUT(a)
-INPUT(b)
-INPUT(cc)
-OUTPUT(z)
-x = AND(a, b)
-z = OR(x, cc)
-`)
-	cont := Compute(c)
-	ob := ComputeObservability(c, cont)
-	z := id(t, c, "z")
-	x := id(t, c, "x")
-	a := id(t, c, "a")
-	ccn := id(t, c, "cc")
-	if ob.CO[z] != 0 {
-		t.Fatalf("CO(z) = %d, want 0 (primary output)", ob.CO[z])
-	}
-	// x observed through the OR: CO(z) + CC0(cc) + 1 = 0 + 1 + 1 = 2.
-	if ob.CO[x] != 2 {
-		t.Fatalf("CO(x) = %d, want 2", ob.CO[x])
-	}
-	// a observed through the AND then the OR: CO(x) + CC1(b) + 1 = 4.
-	if ob.CO[a] != 4 {
-		t.Fatalf("CO(a) = %d, want 4", ob.CO[a])
-	}
-	// cc observed through the OR with side input x: CO(z) + CC0(x) + 1
-	// = 0 + 2 + 1 = 3.
-	if ob.CO[ccn] != 3 {
-		t.Fatalf("CO(cc) = %d, want 3", ob.CO[ccn])
-	}
-}
-
-func TestObservabilityFanoutTakesCheapest(t *testing.T) {
-	c := mustBuild(t, `
-INPUT(a)
-INPUT(b)
-OUTPUT(z1)
-OUTPUT(z2)
-x = NOT(a)
-z1 = BUFF(x)
-z2 = AND(x, b)
-`)
-	cont := Compute(c)
-	ob := ComputeObservability(c, cont)
-	x := id(t, c, "x")
-	// x's branches: via z1 buffer (0+1=1) or via z2 AND (0+CC1(b)+1=2):
-	// cheapest wins.
-	if ob.CO[x] != 1 {
-		t.Fatalf("CO(x) = %d, want 1", ob.CO[x])
-	}
-}
-
-func TestObservabilityXor(t *testing.T) {
-	c := mustBuild(t, `
-INPUT(a)
-INPUT(b)
-OUTPUT(z)
-z = XOR(a, b)
-`)
-	cont := Compute(c)
-	ob := ComputeObservability(c, cont)
-	a := id(t, c, "a")
-	// Through XOR: CO(z) + min(CC0(b), CC1(b)) + 1 = 0 + 1 + 1 = 2.
-	if ob.CO[a] != 2 {
-		t.Fatalf("CO(a) = %d, want 2", ob.CO[a])
-	}
-}
-
 func TestCostAccessor(t *testing.T) {
 	c := mustBuild(t, `
 INPUT(a)

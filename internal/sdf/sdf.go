@@ -10,9 +10,9 @@
 // Instances are matched to gates by the gate's output-net name (the
 // usual convention for netlists whose gates are named by the nets they
 // drive). Each IOPATH value is an rtriple min:typ:max or a single
-// number; the gate's d_max becomes the largest max over its IOPATHs and
-// d_min the smallest min. Values are scaled by TIMESCALE into integer
-// picoseconds. A value that is negative, not finite, has its min above
+// number; the gate's delay (d_max) becomes the largest max over its
+// IOPATHs. The mins are checked but not stored: floating mode reads
+// d_max only. Values are scaled by TIMESCALE into integer picoseconds. A value that is negative, not finite, has its min above
 // its max, or scales to waveform.PosInf or beyond is an error.
 // Unsupported constructs are skipped, not rejected.
 package sdf
@@ -84,7 +84,7 @@ func ApplyString(c *circuit.Circuit, s string) (*Annotation, error) {
 
 func applyCell(c *circuit.Circuit, cell *node, an *Annotation) error {
 	instance := ""
-	var dmax, dmin float64 = -1, math.MaxFloat64
+	dmax := -1.0
 	for _, form := range cell.lists() {
 		switch form.head() {
 		case "INSTANCE":
@@ -107,12 +107,7 @@ func applyCell(c *circuit.Circuit, cell *node, an *Annotation) error {
 						if !(0 <= lo && lo <= hi && hi*an.TimescalePS < float64(waveform.PosInf)) {
 							return fmt.Errorf("sdf: delay %q is not 0 <= min <= max < %d ps", val.raw, waveform.PosInf)
 						}
-						if hi > dmax {
-							dmax = hi
-						}
-						if lo < dmin {
-							dmin = lo
-						}
+						dmax = max(dmax, hi)
 					}
 				}
 			}
@@ -126,7 +121,7 @@ func applyCell(c *circuit.Circuit, cell *node, an *Annotation) error {
 		an.Missing = append(an.Missing, instance)
 		return nil
 	}
-	c.SetDelay(c.Net(id).Driver, int64(math.Round(dmax*an.TimescalePS)), int64(math.Round(dmin*an.TimescalePS)))
+	c.SetDelay(c.Net(id).Driver, int64(math.Round(dmax*an.TimescalePS)))
 	an.Applied++
 	return nil
 }

@@ -53,7 +53,7 @@ func (fe *frontEnd) buildCircuit(canon *api.UploadRequest) (*circuit.Circuit, er
 			return nil, badRequest("bad_annotation",
 				"net %q is a primary input; only gate outputs carry delays", d.Net)
 		}
-		c.SetDelay(drv, d.Delay, d.DMin)
+		c.SetDelay(drv, d.Delay)
 	}
 	return c, nil
 }

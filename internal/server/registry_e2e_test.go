@@ -187,6 +187,41 @@ func TestRegistryUploadIdempotent(t *testing.T) {
 	}
 }
 
+// TestUploadRejectsBadAnnotations: a delay annotation's dmin is
+// validated and hashed but not stored, so the upload path is the only
+// place it can still fail. Each malformed annotation answers 400 with
+// its stable code; dmin at either end of [0, delay] is accepted.
+func TestUploadRejectsBadAnnotations(t *testing.T) {
+	cl, stop := newRegistryTestServer(t, server.Config{Workers: 1, QueueDepth: 2})
+	defer stop()
+	ctx := context.Background()
+	bench := circuit.BenchString(gen.C17(10))
+	cases := []struct {
+		name   string
+		delays []api.DelayAnnotation
+		code   string // "": accepted
+	}{
+		{"dmin below 0", []api.DelayAnnotation{{Net: "G10", Delay: 12, DMin: -1}}, "bad_annotation"},
+		{"dmin above delay", []api.DelayAnnotation{{Net: "G10", Delay: 12, DMin: 13}}, "bad_annotation"},
+		{"delay 0", []api.DelayAnnotation{{Net: "G10", Delay: 0}}, "bad_annotation"},
+		{"no net", []api.DelayAnnotation{{Net: " ", Delay: 12}}, "bad_annotation"},
+		{"primary input", []api.DelayAnnotation{{Net: "G1", Delay: 12}}, "bad_annotation"},
+		{"duplicates differing in dmin", []api.DelayAnnotation{{Net: "G10", Delay: 12, DMin: 3}, {Net: "G10", Delay: 12, DMin: 4}}, "conflicting_annotation"},
+		{"dmin 0", []api.DelayAnnotation{{Net: "G10", Delay: 12}}, ""},
+		{"dmin equal to delay", []api.DelayAnnotation{{Net: "G10", Delay: 12, DMin: 12}}, ""},
+	}
+	for _, tc := range cases {
+		_, err := cl.Upload(ctx, bench, client.UploadOptions{Name: "c17", Delays: tc.delays})
+		var apiErr *client.APIError
+		switch {
+		case tc.code == "" && err != nil:
+			t.Errorf("%s: %v, want accepted", tc.name, err)
+		case tc.code != "" && (!errors.As(err, &apiErr) || apiErr.Status != 400 || apiErr.Code != tc.code):
+			t.Errorf("%s: %v, want 400 %s", tc.name, err, tc.code)
+		}
+	}
+}
+
 // TestRegistryUnknownHash: a well-formed but unregistered hash answers
 // 404 with the stable code and the hash echoed back; a malformed hash
 // and a hash-check smuggling a netlist are 400s.

@@ -1,8 +1,9 @@
 // Package sim provides the floating-mode reference semantics that the
 // constraint engine is verified against: per-vector settle-time
 // simulation (the standard min-of-controlling / max-of-all recursion of
-// Devadas et al.), zero-delay logic evaluation, and an exhaustive exact
-// floating-delay oracle for small circuits used as a test oracle.
+// Devadas et al.), which replays witnesses, and an exhaustive exact
+// floating-delay search of one net for small circuits. The ground truth
+// that only tests use lives in package oracle.
 package sim
 
 import (
@@ -119,16 +120,6 @@ func (r *Result) Violates(n circuit.NetID, delta waveform.Time) bool {
 	return r.Settle[n] >= delta
 }
 
-// Logic evaluates the zero-delay final value of every net under the
-// vector (a cheap wrapper when timing is irrelevant).
-func Logic(c *circuit.Circuit, v Vector) ([]int, error) {
-	r, err := Run(c, v)
-	if err != nil {
-		return nil, err
-	}
-	return r.Value, nil
-}
-
 // FloatingDelayExhaustive computes the exact floating-mode delay of net
 // n — max over all 2^k input vectors of the settle time — together with
 // a witnessing vector. It is exponential and intended as a test oracle
@@ -155,31 +146,4 @@ func FloatingDelayExhaustive(c *circuit.Circuit, n circuit.NetID) (waveform.Time
 		}
 	}
 	return best, bestV, nil
-}
-
-// CircuitFloatingDelayExhaustive computes the exact floating-mode delay
-// of the whole circuit: the maximum over outputs and vectors of the
-// settle time.
-func CircuitFloatingDelayExhaustive(c *circuit.Circuit) (waveform.Time, error) {
-	k := len(c.PrimaryInputs())
-	if k > 24 {
-		return 0, fmt.Errorf("sim: %d inputs is too many for exhaustive search", k)
-	}
-	best := waveform.NegInf
-	v := make(Vector, k)
-	for bits := 0; bits < 1<<k; bits++ {
-		for i := 0; i < k; i++ {
-			v[i] = (bits >> i) & 1
-		}
-		r, err := Run(c, v)
-		if err != nil {
-			return 0, err
-		}
-		for _, po := range c.PrimaryOutputs() {
-			if r.Settle[po] > best {
-				best = r.Settle[po]
-			}
-		}
-	}
-	return best, nil
 }

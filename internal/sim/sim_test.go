@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
-	"repro/internal/waveform"
 )
 
 func mustBuild(t testing.TB, src string, d int64) *circuit.Circuit {
@@ -125,17 +124,6 @@ func TestVectorString(t *testing.T) {
 	}
 }
 
-func TestLogic(t *testing.T) {
-	c := mustBuild(t, andOr, 10)
-	vals, err := Logic(c, Vector{1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vals[id(t, c, "z")] != 1 {
-		t.Fatal("logic value wrong")
-	}
-}
-
 func TestFloatingDelayExhaustive(t *testing.T) {
 	// The classic false-path pattern: z = MUX-ish structure where the
 	// long path cannot be sensitised.
@@ -180,17 +168,6 @@ z = OR(n3, n4)
 	}
 }
 
-func TestCircuitFloatingDelayExhaustive(t *testing.T) {
-	c := mustBuild(t, andOr, 10)
-	d, err := CircuitFloatingDelayExhaustive(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 20 {
-		t.Fatalf("circuit floating delay = %s, want 20", d)
-	}
-}
-
 // randomCircuit builds a seeded random DAG netlist for cross-validation
 // tests.
 func randomCircuit(t testing.TB, seed int64, nPI, nGates int) *circuit.Circuit {
@@ -225,96 +202,4 @@ func randomCircuit(t testing.TB, seed int64, nPI, nGates int) *circuit.Circuit {
 		t.Fatal(err)
 	}
 	return c
-}
-
-func TestRunMatchesXSim(t *testing.T) {
-	// Property: the settle recursion equals the last differing time of
-	// the concrete three-valued unrolled simulation, for every net and
-	// every vector, on many random circuits.
-	for seed := int64(0); seed < 30; seed++ {
-		c := randomCircuit(t, seed, 4, 12)
-		horizon := waveform.Time(0)
-		for i := 0; i < c.NumGates(); i++ {
-			horizon = horizon.Add(waveform.Time(c.Gate(circuit.GateID(i)).Delay))
-		}
-		for bits := 0; bits < 16; bits++ {
-			v := Vector{bits & 1, (bits >> 1) & 1, (bits >> 2) & 1, (bits >> 3) & 1}
-			r, err := Run(c, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			x, err := RunX(c, v, horizon.Add(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for n := 0; n < c.NumNets(); n++ {
-				nid := circuit.NetID(n)
-				if r.Value[n] != x.Final[n] {
-					t.Fatalf("seed %d vector %s: final value of %s differs", seed, v, c.Net(nid).Name)
-				}
-				want := x.LastDiff(nid)
-				if want == waveform.NegInf {
-					// The recursion never reports -inf (it reports the
-					// lock time); nets identical-from-t=0 can only be
-					// PIs... which are X at t=0, so this cannot happen.
-					t.Fatalf("seed %d: net %s never differs, unexpected", seed, c.Net(nid).Name)
-				}
-				if r.Settle[n] != want {
-					t.Fatalf("seed %d vector %s net %s: recursion %s, x-sim %s",
-						seed, v, c.Net(nid).Name, r.Settle[n], want)
-				}
-			}
-		}
-	}
-}
-
-func TestRunXInputConvention(t *testing.T) {
-	src := `
-INPUT(a)
-OUTPUT(z)
-z = BUFF(a)
-`
-	c := mustBuild(t, src, 5)
-	x, err := RunX(c, Vector{1}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := id(t, c, "a")
-	z := id(t, c, "z")
-	if x.Wave[a][0] != LX || x.Wave[a][1] != L1 {
-		t.Fatal("PI must be X at t=0 and settled at t=1")
-	}
-	if x.LastDiff(a) != 0 {
-		t.Fatal("PI last diff must be 0")
-	}
-	if x.LastDiff(z) != 5 {
-		t.Fatalf("buffer last diff = %s, want 5", x.LastDiff(z))
-	}
-}
-
-func TestEval3(t *testing.T) {
-	type tc struct {
-		g    circuit.GateType
-		in   []uint8
-		want uint8
-	}
-	cases := []tc{
-		{circuit.AND, []uint8{L0, LX}, L0},
-		{circuit.AND, []uint8{L1, LX}, LX},
-		{circuit.NAND, []uint8{L0, LX}, L1},
-		{circuit.OR, []uint8{L1, LX}, L1},
-		{circuit.OR, []uint8{L0, LX}, LX},
-		{circuit.NOR, []uint8{L1, LX}, L0},
-		{circuit.NOT, []uint8{LX}, LX},
-		{circuit.NOT, []uint8{L0}, L1},
-		{circuit.XOR, []uint8{L1, LX}, LX},
-		{circuit.XOR, []uint8{L1, L1}, L0},
-		{circuit.XNOR, []uint8{L1, L0}, L0},
-		{circuit.BUFFER, []uint8{LX}, LX},
-	}
-	for _, c := range cases {
-		if got := eval3(c.g, c.in); got != c.want {
-			t.Errorf("eval3(%s, %v) = %d, want %d", c.g, c.in, got, c.want)
-		}
-	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/gen"
+	"repro/internal/oracle"
 	"repro/internal/sim"
 )
 
@@ -46,11 +47,11 @@ func TestReadC17(t *testing.T) {
 		v := sim.Vector{bits & 1, (bits >> 1) & 1, (bits >> 2) & 1, (bits >> 3) & 1, (bits >> 4) & 1}
 		// PI order differs only if declaration order differs; both use
 		// G1,G2,G3,G6,G7.
-		got, err := sim.Logic(c, v)
+		got, err := oracle.Logic(c, v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := sim.Logic(ref, v)
+		want, err := oracle.Logic(ref, v)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,12 +27,12 @@ func ExampleSignal_Intersect() {
 // ExampleWave_Union demonstrates the deliberate hull approximation of
 // Lemma 1: disjoint intervals widen to their hull.
 func ExampleWave_Union() {
-	a := waveform.Interval(0, 10)
-	b := waveform.Interval(40, 50)
-	fmt.Println(a.Union(b), a.UnionExact(b))
-	c := waveform.Interval(5, 42)
-	fmt.Println(a.Union(c), a.UnionExact(c))
+	a := waveform.Wave{Lmin: 0, Lmax: 10}
+	b := waveform.Wave{Lmin: 40, Lmax: 50}
+	fmt.Println(a.Union(b))
+	c := waveform.Wave{Lmin: 5, Lmax: 42}
+	fmt.Println(a.Union(c))
 	// Output:
-	// [0,50] false
-	// [0,42] true
+	// [0,50]
+	// [0,42]
 }

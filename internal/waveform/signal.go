@@ -45,16 +45,6 @@ func (s Signal) Wave(v int) Wave {
 	return s.W1
 }
 
-// WithWave returns s with the class-v component replaced by w.
-func (s Signal) WithWave(v int, w Wave) Signal {
-	if v == 0 {
-		s.W0 = w
-	} else {
-		s.W1 = w
-	}
-	return s
-}
-
 // IsEmpty reports whether both components are empty, i.e. the signal
 // denotes the empty set and the constraint system is inconsistent.
 func (s Signal) IsEmpty() bool { return s.W0.IsEmpty() && s.W1.IsEmpty() }
@@ -74,9 +64,6 @@ func (s Signal) Narrower(o Signal) bool {
 // NarrowerEq reports s ≤ o.
 func (s Signal) NarrowerEq(o Signal) bool { return s.W0.NarrowerEq(o.W0) && s.W1.NarrowerEq(o.W1) }
 
-// ContainedIn reports set inclusion, which coincides with s ≤ o.
-func (s Signal) ContainedIn(o Signal) bool { return s.NarrowerEq(o) }
-
 // Intersect returns the componentwise intersection.
 func (s Signal) Intersect(o Signal) Signal {
 	return Signal{W0: s.W0.Intersect(o.W0), W1: s.W1.Intersect(o.W1)}
@@ -86,10 +73,6 @@ func (s Signal) Intersect(o Signal) Signal {
 func (s Signal) Union(o Signal) Signal {
 	return Signal{W0: s.W0.Union(o.W0), W1: s.W1.Union(o.W1)}
 }
-
-// Invert swaps the two classes; it is the effect of an inverting,
-// delayless gate on a domain.
-func (s Signal) Invert() Signal { return Signal{W0: s.W1, W1: s.W0} }
 
 // Shift translates both components by d time units.
 func (s Signal) Shift(d Time) Signal { return Signal{W0: s.W0.Shift(d), W1: s.W1.Shift(d)} }
@@ -116,21 +99,6 @@ func (s Signal) LatestTransition() Time {
 	}
 	if !s.W1.IsEmpty() {
 		t = MaxTime(t, s.W1.Lmax)
-	}
-	return t
-}
-
-// EarliestRequiredTransition returns the smallest Lmin over the
-// non-empty classes (PosInf if the signal is empty). It is the
-// "smallest of D̄.lmin and D̲.lmin" quantity used by the paper when
-// deciding whether a side input can be the cause of a violation.
-func (s Signal) EarliestRequiredTransition() Time {
-	t := PosInf
-	if !s.W0.IsEmpty() {
-		t = MinTime(t, s.W0.Lmin)
-	}
-	if !s.W1.IsEmpty() {
-		t = MinTime(t, s.W1.Lmin)
 	}
 	return t
 }

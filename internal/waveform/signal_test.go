@@ -37,14 +37,6 @@ func TestSignalWaveAccessors(t *testing.T) {
 	if s.Wave(0) != (Wave{1, 2}) || s.Wave(1) != (Wave{3, 4}) {
 		t.Fatal("Wave accessor wrong")
 	}
-	s2 := s.WithWave(0, Wave{5, 6})
-	if s2.W0 != (Wave{5, 6}) || s2.W1 != (Wave{3, 4}) {
-		t.Fatal("WithWave(0) wrong")
-	}
-	s3 := s.WithWave(1, Wave{7, 8})
-	if s3.W1 != (Wave{7, 8}) || s3.W0 != (Wave{1, 2}) {
-		t.Fatal("WithWave(1) wrong")
-	}
 }
 
 func TestSignalKnownValue(t *testing.T) {
@@ -57,17 +49,6 @@ func TestSignalKnownValue(t *testing.T) {
 	s := Signal{W0: Full, W1: Empty}
 	if v, ok := s.KnownValue(); !ok || v != 0 {
 		t.Fatal("class-0-only must know 0")
-	}
-}
-
-func TestSignalInvert(t *testing.T) {
-	s := Signal{W0: Wave{1, 2}, W1: Wave{3, 4}}
-	i := s.Invert()
-	if i.W0 != (Wave{3, 4}) || i.W1 != (Wave{1, 2}) {
-		t.Fatal("Invert must swap classes")
-	}
-	if !s.Invert().Invert().Equal(s) {
-		t.Fatal("double inversion must be identity")
 	}
 }
 
@@ -101,28 +82,19 @@ func TestSignalNarrowness(t *testing.T) {
 	if !a.NarrowerEq(a) {
 		t.Fatal("≤ must be reflexive")
 	}
-	if !a.ContainedIn(b) {
-		t.Fatal("inclusion must follow narrowness")
-	}
 }
 
-func TestSignalLatestAndEarliest(t *testing.T) {
+func TestSignalLatestTransition(t *testing.T) {
 	s := Signal{W0: Wave{2, 40}, W1: Wave{10, 30}}
 	if s.LatestTransition() != 40 {
 		t.Fatalf("latest = %s", s.LatestTransition())
 	}
-	if s.EarliestRequiredTransition() != 2 {
-		t.Fatalf("earliest = %s", s.EarliestRequiredTransition())
-	}
 	one := Signal{W0: Empty, W1: Wave{10, 30}}
-	if one.LatestTransition() != 30 || one.EarliestRequiredTransition() != 10 {
-		t.Fatal("single-class bounds wrong")
+	if one.LatestTransition() != 30 {
+		t.Fatal("single-class bound wrong")
 	}
 	if EmptySignal.LatestTransition() != NegInf {
 		t.Fatal("empty latest must be -inf")
-	}
-	if EmptySignal.EarliestRequiredTransition() != PosInf {
-		t.Fatal("empty earliest must be +inf")
 	}
 }
 

@@ -33,10 +33,6 @@ func StableAfter(t Time) Wave { return Wave{Lmin: NegInf, Lmax: t} }
 // waveforms whose last transition occurs at or after time t.
 func TransitionAtOrAfter(t Time) Wave { return Wave{Lmin: t, Lmax: PosInf} }
 
-// Interval constructs the abstract waveform with the given
-// last-transition interval.
-func Interval(lmin, lmax Time) Wave { return Wave{Lmin: lmin, Lmax: lmax} }
-
 // IsEmpty reports whether w denotes the empty set.
 func (w Wave) IsEmpty() bool { return w.Lmin > w.Lmax }
 
@@ -73,10 +69,6 @@ func (w Wave) Narrower(o Wave) bool {
 // NarrowerEq reports w ≤ o (narrower or equal).
 func (w Wave) NarrowerEq(o Wave) bool { return w.Equal(o) || w.Narrower(o) }
 
-// ContainedIn reports set inclusion w ⊆ o, which for abstract waveforms
-// of one class coincides with w ≤ o.
-func (w Wave) ContainedIn(o Wave) bool { return w.NarrowerEq(o) }
-
 // Contains reports whether a concrete last-transition time t (NegInf
 // for a constant waveform) lies inside w's interval.
 func (w Wave) Contains(t Time) bool { return !w.IsEmpty() && w.Lmin <= t && t <= w.Lmax }
@@ -103,15 +95,6 @@ func (w Wave) Union(o Wave) Wave {
 		return w
 	}
 	return Wave{Lmin: MinTime(w.Lmin, o.Lmin), Lmax: MaxTime(w.Lmax, o.Lmax)}
-}
-
-// UnionExact reports whether the union hull of w and o is exact in the
-// sense of Lemma 1: (o.Lmax+1 ≥ w.Lmin) ∧ (w.Lmax+1 ≥ o.Lmin).
-func (w Wave) UnionExact(o Wave) bool {
-	if w.IsEmpty() || o.IsEmpty() {
-		return true
-	}
-	return o.Lmax.Add(1) >= w.Lmin && w.Lmax.Add(1) >= o.Lmin
 }
 
 // Shift returns w translated by d time units (used to move between the
