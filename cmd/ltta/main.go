@@ -30,7 +30,8 @@
 //	-trace-json   like -trace but one JSON object per event
 //	-trace-out F  record every check as a Chrome trace_event timeline
 //	              and write it to F — load in Perfetto (ui.perfetto.dev)
-//	              or chrome://tracing; parallel checks get worker lanes
+//	              or chrome://tracing; each check is a span with its
+//	              stages nested, and overlapping checks get separate lanes
 //	-workers N    fan whole-circuit checks over N workers (0 = all
 //	              CPUs); the aggregate verdict is identical to serial
 //	-debug-addr A serve /metrics (the engine telemetry of -stats as a
@@ -173,14 +174,16 @@ func main() {
 
 	// Assemble the request shared by every engine call: budgets,
 	// per-check deadline, tracer chain.
-	var spans *obs.SpanRecorder
+	var spans *obs.ClusterTrace
 	var tracers []core.Tracer
 	if engine != nil {
 		tracers = append(tracers, engine)
 	}
 	if *traceOut != "" {
-		spans = obs.NewSpanRecorder(c)
-		tracers = append(tracers, spans)
+		spans = obs.NewClusterTrace(time.Now())
+		tracers = append(tracers, core.CheckDoneFunc(func(rep *core.Report) {
+			spans.Check("ltta", c.Net(rep.Sink).Name, rep, nil)
+		}))
 	}
 	switch {
 	case *traceJSON:

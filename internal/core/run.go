@@ -377,13 +377,9 @@ func (v *Verifier) plain(rs *runState, a *ReportArena, sink circuit.NetID, delta
 
 // RunAll runs the timing check (o, req.Delta) for every primary output
 // o under ctx and aggregates the verdicts as in Table 1. req.Sink is
-// ignored. With req.Workers != 1 the per-output checks fan out over
-// req.Workers goroutines (0 = GOMAXPROCS); the aggregate is
-// deterministic either way — identical to the serial sweep — because
-// checks are independent and deterministic, verdicts merge in
-// primary-output order, and once a witness is found every check on a
-// later output is cancelled and discarded exactly as the serial sweep
-// never would have started it.
+// ignored. With req.Workers != 1 the per-output checks run through
+// FirstWitness on req.Workers goroutines (0 = GOMAXPROCS); the
+// aggregate is identical to the serial sweep's either way.
 func (v *Verifier) RunAll(ctx context.Context, req Request) *CircuitReport {
 	if ctx == nil {
 		ctx = context.Background()
@@ -405,7 +401,36 @@ func (v *Verifier) RunAll(ctx context.Context, req Request) *CircuitReport {
 	// Parallel checks cannot share one arena; allocate as if none were
 	// passed (see ReportArena).
 	req.Arena = nil
-	return v.runAllParallel(ctx, req, workers)
+	tasks := make(chan func())
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for f := range tasks {
+				f()
+			}
+		}()
+	}
+	submit := func(_ context.Context, f func()) bool {
+		tasks <- f
+		return true
+	}
+	reports := v.FirstWitness(ctx, req.Delta, submit, func(ctx context.Context, i int) *Report {
+		r := req
+		r.Sink = pos[i]
+		if !req.PprofLabels {
+			return v.Run(ctx, r)
+		}
+		var rep *Report
+		pprof.Do(ctx, pprof.Labels("ltta_po", v.c.Net(pos[i]).Name), func(lctx context.Context) {
+			rep = v.Run(lctx, r)
+		})
+		return rep
+	})
+	close(tasks)
+	wg.Wait()
+	return AggregateCircuit(req.Delta, reports)
 }
 
 func (v *Verifier) runAllSerial(ctx context.Context, req Request) *CircuitReport {
@@ -433,84 +458,92 @@ func (v *Verifier) runAllSerial(ctx context.Context, req Request) *CircuitReport
 	return AggregateCircuit(req.Delta, reports)
 }
 
-// runAllParallel fans the per-output checks over workers goroutines.
-// When a check witnesses a violation, all checks on later outputs are
-// cancelled (their results cannot change the first-PO-wins aggregate);
-// checks on earlier outputs keep running because a smaller witness
-// index would supersede. The kept prefix of reports — up to and
-// including the smallest witnessing output — is exactly the sequence
-// the serial sweep produces.
-func (v *Verifier) runAllParallel(ctx context.Context, req Request, workers int) *CircuitReport {
+// FirstWitness is the Table-1 whole-circuit check at delta on the
+// caller's executor: RunAll runs it on its own goroutines, lttad on its
+// worker pool. check(ctx, i) answers the check on the i-th primary
+// output; submit hands a task to the executor and reports false when
+// the executor refused it (the task will never run), which leaves that
+// output a Cancelled report.
+//
+// Outputs are submitted in order. Once output i witnesses a violation,
+// every check on a later output is cancelled and no later output is
+// submitted; earlier outputs keep running, because a smaller witness
+// index would supersede. The result is the serial prefix — every
+// report up to and including the smallest witnessing output, or all of
+// them — which is what the serial sweep returns, since checks are
+// independent and deterministic. FirstWitness returns once every task
+// it submitted has finished.
+func (v *Verifier) FirstWitness(ctx context.Context, delta waveform.Time,
+	submit func(context.Context, func()) bool, check func(ctx context.Context, i int) *Report) []*Report {
 	pos := v.c.PrimaryOutputs()
 	reports := make([]*Report, len(pos))
 
 	var mu sync.Mutex
-	witness := len(pos) // smallest witnessing index seen so far
-	cancels := make([]context.CancelFunc, len(pos))
-
-	// abandonAfter cancels every running check on an output after idx.
-	abandonAfter := func(idx int) {
-		for j := idx + 1; j < len(cancels); j++ {
-			if cancels[j] != nil {
-				cancels[j]()
-			}
-		}
+	witness := len(pos)                             // guarded by mu: smallest witnessing index so far
+	cancels := make([]context.CancelFunc, len(pos)) // guarded by mu
+	won := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return witness
 	}
 
 	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				mu.Lock()
-				if i > witness {
-					mu.Unlock()
-					continue // a smaller output already witnessed
-				}
-				cctx, cancel := context.WithCancel(ctx)
-				cancels[i] = cancel
-				mu.Unlock()
-
-				r := req
-				r.Sink = pos[i]
-				var rep *Report
-				if req.PprofLabels {
-					pprof.Do(cctx, pprof.Labels("ltta_po", v.c.Net(pos[i]).Name), func(lctx context.Context) {
-						rep = v.Run(lctx, r)
-					})
-				} else {
-					rep = v.Run(cctx, r)
-				}
-
-				mu.Lock()
-				cancels[i] = nil
-				reports[i] = rep
-				if rep.Final == ViolationFound && i < witness {
-					witness = i
-					abandonAfter(i)
-				}
-				mu.Unlock()
-				cancel()
-			}
-		}()
-	}
 	for i := range pos {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+		if i > won() {
+			break // later outputs cannot change the aggregate
+		}
+		wg.Add(1)
+		task := func() {
+			defer wg.Done()
+			mu.Lock()
+			if i > witness {
+				mu.Unlock()
+				return // a smaller output witnessed while this one queued
+			}
+			cctx, cancel := context.WithCancel(ctx)
+			cancels[i] = cancel
+			mu.Unlock()
 
-	// Keep the serial prefix: everything up to the smallest witnessing
-	// output (or everything when no witness). Reports after the witness
-	// — completed or cancelled — are discarded, matching the serial
-	// sweep that never runs them.
-	kept := reports
-	if witness < len(pos) {
-		kept = reports[:witness+1]
+			rep := check(cctx, i)
+			cancel()
+
+			mu.Lock()
+			defer mu.Unlock()
+			cancels[i] = nil
+			reports[i] = rep
+			if rep.Final == ViolationFound && i < witness {
+				witness = i
+				for _, c := range cancels[i+1:] {
+					if c != nil {
+						c()
+					}
+				}
+			}
+		}
+		if !submit(ctx, task) {
+			wg.Done()
+			reports[i] = AbortedReport(pos[i], delta, Cancelled)
+		}
 	}
-	return AggregateCircuit(req.Delta, kept)
+	wg.Wait()
+	if witness < len(pos) {
+		return reports[:witness+1]
+	}
+	return reports
+}
+
+// AbortedReport is the terminal record of a check the engine never
+// finished: Cancelled when the question was withdrawn before it reached
+// the engine (what Run returns for a dead context), Abandoned when no
+// engine could answer it (a served check that panicked, or that no
+// worker could take).
+func AbortedReport(sink circuit.NetID, delta waveform.Time, final Result) *Report {
+	return &Report{
+		Sink: sink, Delta: delta,
+		BeforeGITD: PossibleViolation, AfterGITD: StageSkipped,
+		AfterStem: StageSkipped, CaseAnalysis: StageSkipped,
+		Backtracks: -1, Final: final,
+	}
 }
 
 // AggregateCircuit merges per-output reports (in primary-output order)

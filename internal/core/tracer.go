@@ -185,6 +185,21 @@ func (t *TraceWriter) CheckDone(rep *Report) {
 		"propagations", rep.Propagations, "us", rep.Elapsed.Microseconds())
 }
 
+// CheckDoneFunc is a Tracer that sees only finished checks: CheckDone
+// calls it with the report, and every other event is ignored. ltta
+// -trace-out and lttad's delay search put checks on their timelines
+// through it.
+type CheckDoneFunc func(*Report)
+
+func (f CheckDoneFunc) CheckStart(circuit.NetID, waveform.Time) {}
+func (f CheckDoneFunc) StageEnter(Stage)                        {}
+func (f CheckDoneFunc) StageExit(Stage, Result, time.Duration)  {}
+func (f CheckDoneFunc) DominatorRound(int, int, bool)           {}
+func (f CheckDoneFunc) Decision(int, circuit.NetID, int)        {}
+func (f CheckDoneFunc) Backtrack(int)                           {}
+func (f CheckDoneFunc) StemSplit(int, circuit.NetID)            {}
+func (f CheckDoneFunc) CheckDone(rep *Report)                   { f(rep) }
+
 // MultiTracer fans every event out to each tracer in order (e.g. a
 // TraceWriter plus an obs.Tracer for `ltta -trace -stats`). Nil entries
 // are skipped; a MultiTracer of zero non-nil tracers returns nil and

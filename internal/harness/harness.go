@@ -90,9 +90,9 @@ func CircuitRows(name string, c *circuit.Circuit, budget int) []Table1Row {
 }
 
 // CircuitRowsParallel is CircuitRows with the per-output checks of the
-// two row evaluations fanned out over the given worker count, an
-// optional per-check deadline, and an optional tracer observing every
-// check (both may be nil/zero).
+// two row evaluations fanned out over the given worker count; extras
+// adjust the engine configuration (tracing, pprof labels, cone
+// slicing).
 func CircuitRowsParallel(name string, c *circuit.Circuit, budget, workers int, extras ...RowOption) []Table1Row {
 	cfg := RowConfig{Opts: core.Default(), Req: core.Request{Workers: workers}}
 	cfg.Opts.MaxBacktracks = budget
@@ -122,7 +122,8 @@ func CircuitRowsParallel(name string, c *circuit.Circuit, budget, workers int, e
 // row is exact (E) only when the search certified D and the two sweeps
 // agree — a violation at D, none at D+1 — and an upper bound (U)
 // otherwise. sweep runs one whole-circuit check; the in-process
-// harness passes core.RunAll, lttad its pool's first-witness sweep.
+// harness passes core.RunAll, and lttad runs the same
+// core.(*Verifier).FirstWitness on its worker pool.
 func RowPair(name string, v *core.Verifier, d *core.DelayResult, sweep func(waveform.Time) *core.CircuitReport) []Table1Row {
 	row := func(delta waveform.Time) (Table1Row, *core.CircuitReport) {
 		start := time.Now()

@@ -1,6 +1,6 @@
 // Package obs is the engine's observability layer: lock-cheap
 // fixed-bucket histograms, a Prometheus text-exposition registry, a
-// Chrome trace_event span recorder, structured-logging setup, and a
+// Chrome trace_event timeline, structured-logging setup, and a
 // core.Tracer implementation tying them to the check pipeline.
 //
 // The paper's whole argument is *where the time goes* — which checks
@@ -11,8 +11,12 @@
 // through one Registry rendered as the Prometheus exposition:
 // per-stage latency percentiles (ltta_stage_duration_seconds), how
 // skewed the propagation cost is across checks
-// (ltta_check_propagations). SpanRecorder adds an exportable
-// per-worker timeline that renders the parallel sweep in Perfetto.
+// (ltta_check_propagations). ClusterTrace is the one timeline
+// recorder: ltta -trace-out, lttad -trace-dir on a worker and on a
+// coordinator all write it, and ClusterTrace.Check is the one
+// conversion of a finished check into spans, so a parallel sweep
+// renders in Perfetto as overlapping check spans with their stages
+// nested.
 //
 // Everything here is stdlib-only and safe for concurrent use; the
 // histogram hot path is a bounded binary search plus two atomic adds,

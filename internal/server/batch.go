@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"log/slog"
 	"sync"
 	"time"
@@ -24,18 +25,17 @@ type batch struct {
 	prep    *core.Prepared // registry-cached precompute; nil on the inline path
 	opts    core.Options
 	budgets core.Budgets
-	rec     *obs.SpanRecorder // per-batch timeline when Config.TraceDir is set
+	ct      *obs.ClusterTrace // per-batch timeline when Config.TraceDir is set
 
 	checkTimeout time.Duration
 
-	countMu   sync.Mutex // guards checksRun against pool workers
-	checksRun int
+	checksRun int // written by the handler goroutine only
 }
 
 // run executes the batch. With em == nil the results are collected
 // into resp; otherwise every check/sweep/rows record is additionally
 // emitted as it becomes available.
-func (b *batch) run(ctx context.Context, resp *Response, em *emitter) (int, timeline) {
+func (b *batch) run(ctx context.Context, resp *Response, em *emitter) (int, *obs.ClusterTrace) {
 	prep := b.prep
 	if prep == nil { // inline path: the batch pays its own preparation
 		prep = core.Prepare(b.c)
@@ -44,7 +44,7 @@ func (b *batch) run(ctx context.Context, resp *Response, em *emitter) (int, time
 
 	switch {
 	case b.req.Sweep == nil:
-		resp.Results = b.runChecks(ctx, v, em)
+		resp.Results, _ = b.runChecks(ctx, v, b.checks, em)
 	case b.req.Sweep.Table1:
 		resp.Rows, resp.Sweeps = b.runTable1(ctx, v, em)
 	default:
@@ -54,46 +54,55 @@ func (b *batch) run(ctx context.Context, resp *Response, em *emitter) (int, time
 			em.emit(Event{Type: "sweep", Sweep: &sw})
 		}
 	}
-	if b.rec == nil {
-		return b.checksRun, nil
-	}
-	return b.checksRun, b.rec
+	return b.checksRun, b.ct
 }
 
-// runOne executes one check on the server pool and logs its outcome
-// with the batch-scoped logger (panics at Error, results at Debug).
-func (b *batch) runOne(ctx context.Context, v *core.Verifier, req core.Request) (*core.Report, string) {
-	if b.rec != nil {
-		req.Tracer = b.rec
-	}
+// runOne executes one check on the calling pool worker under the
+// server's engine tracer and logs its outcome with the batch-scoped
+// logger (panics at Error, results at Debug). It isolates panics: a
+// crashing check yields a synthetic Abandoned report (the engine gave
+// up; claiming N would be unsound) plus the panic message, and the rest
+// of the batch is unaffected.
+func (b *batch) runOne(ctx context.Context, v *core.Verifier, req core.Request) (rep *core.Report, panicMsg string) {
 	start := time.Now()
-	rep, panicMsg := b.srv.runOne(ctx, v, req)
-	lvl := slog.LevelDebug
-	attrs := []slog.Attr{
-		slog.String("sink", b.c.Net(rep.Sink).Name),
-		slog.Int64("delta", int64(rep.Delta)),
-		slog.String("verdict", rep.Final.String()),
-		slog.Duration("elapsed", time.Since(start)),
-	}
-	if panicMsg != "" {
-		lvl = slog.LevelError
-		attrs = append(attrs, slog.String("panic", panicMsg))
-	}
-	b.log.LogAttrs(ctx, lvl, "check", attrs...)
-	return rep, panicMsg
+	defer func() {
+		lvl := slog.LevelDebug
+		if p := recover(); p != nil {
+			b.srv.panics.Add(1)
+			panicMsg = fmt.Sprintf("check panicked: %v", p)
+			rep = core.AbortedReport(req.Sink, req.Delta, core.Abandoned)
+			lvl = slog.LevelError
+		}
+		attrs := []slog.Attr{
+			slog.String("sink", b.c.Net(rep.Sink).Name),
+			slog.Int64("delta", int64(rep.Delta)),
+			slog.String("verdict", rep.Final.String()),
+			slog.Duration("elapsed", time.Since(start)),
+		}
+		if panicMsg != "" {
+			attrs = append(attrs, slog.String("panic", panicMsg))
+		}
+		b.log.LogAttrs(ctx, lvl, "check", attrs...)
+	}()
+	req.Tracer = b.srv.eng
+	rep = v.Run(ctx, req)
+	b.srv.checksRun.Add(1)
+	return rep, ""
 }
 
 // emitCheck finalises one terminal check: it converts the report on
 // the wire, stamps the distributed-trace fields, feeds the always-on
-// flight recorder and the latency exemplar, and emits the "check"
-// event — plus an in-band span summary when the submitter asked for
-// tracing (req.Trace set). Trace stamping lives here, at the emission
-// layer, so ResultFromReport stays a pure verdict conversion.
+// flight recorder, the latency exemplar and the batch timeline, and
+// emits the "check" event — plus an in-band span summary when the
+// submitter asked for tracing (req.Trace set). Trace stamping lives
+// here, at the emission layer, so ResultFromReport stays a pure
+// verdict conversion.
 func (b *batch) emitCheck(em *emitter, i int, rep *core.Report, panicMsg string) CheckResult {
 	res := ResultFromReport(b.c, i, rep)
 	res.Error = panicMsg
 	b.stampTrace(&res, rep)
 	b.recordFlight(&res)
+	b.recordTimeline(rep, res.SpanID)
 	em.emit(Event{Type: "check", Check: &res})
 	if b.req.Trace != nil {
 		em.emit(Event{Type: "spans", Spans: b.spanSummary(&res), TraceID: res.TraceID})
@@ -143,6 +152,23 @@ func (b *batch) recordFlight(res *CheckResult) {
 	b.srv.eng.CheckSeconds.SetExemplar(res.ElapsedUs*1000, res.TraceID)
 }
 
+// recordTimeline puts a finished check on the batch timeline, when
+// TraceDir asked for one. spanID is empty for the delay search's
+// checks, which are never emitted.
+func (b *batch) recordTimeline(rep *core.Report, spanID string) {
+	if b.ct == nil {
+		return
+	}
+	args := map[string]any{"trace_id": b.trace.TraceID, "batch": b.id}
+	if spanID != "" {
+		args["span_id"] = spanID
+	}
+	if sh := b.req.Shard; sh != nil {
+		args["attempt"] = sh.Attempt
+	}
+	b.ct.Check("checks", b.c.Net(rep.Sink).Name, rep, args)
+}
+
 // spanSummary packages a check's timings as the in-band span tree a
 // coordinator folds into its cluster timeline: the check span plus
 // stage sub-spans laid end to end from the check start.
@@ -169,37 +195,34 @@ func (b *batch) spanSummary(res *CheckResult) *api.SpanSummary {
 	return sum
 }
 
-// baseRequest builds the core request template shared by the batch's
-// checks: budgets, and the per-check deadline if any timeout applies.
-func (b *batch) baseRequest() core.Request {
-	req := core.Request{Budgets: b.budgets}
-	return req
-}
-
-// withDeadline stamps the per-check deadline at submission time.
-func (b *batch) withDeadline(req core.Request) core.Request {
+// checkRequest is the core request of one check, built when a pool
+// worker picks it up: the batch's budgets, and the per-check deadline
+// if a timeout applies.
+func (b *batch) checkRequest(sink circuit.NetID, delta waveform.Time) core.Request {
+	req := core.Request{Sink: sink, Delta: delta, Budgets: b.budgets}
 	if b.checkTimeout > 0 {
 		req.Deadline = time.Now().Add(b.checkTimeout)
 	}
 	return req
 }
 
-// runChecks executes an explicit batch: every check is independent,
-// submitted to the pool in order, with results collected (and
-// streamed) as they complete. A check whose submission the context
-// cuts off still gets a terminal result: verdict C.
-func (b *batch) runChecks(ctx context.Context, v *core.Verifier, em *emitter) []CheckResult {
-	results := make([]CheckResult, len(b.checks))
+// runChecks executes independent checks: each is submitted to the pool
+// in order, with results collected (and streamed) as they complete. A
+// check whose submission the context cuts off still gets a terminal
+// result: verdict C. It returns the results and the reports behind
+// them, in check order.
+func (b *batch) runChecks(ctx context.Context, v *core.Verifier, checks []resolvedCheck, em *emitter) ([]CheckResult, []*core.Report) {
+	results := make([]CheckResult, len(checks))
+	reports := make([]*core.Report, len(checks))
 	var wg sync.WaitGroup
-	for i, rc := range b.checks {
-		i, rc := i, rc
-		req := b.baseRequest()
-		req.Sink, req.Delta, req.VerifyOnly = rc.sink, rc.delta, rc.verifyOnly
+	for i, rc := range checks {
 		wg.Add(1)
 		run := func() {
 			defer wg.Done()
-			rep, panicMsg := b.runOne(ctx, v, b.withDeadline(req))
-			results[i] = b.emitCheck(em, i, rep, panicMsg)
+			req := b.checkRequest(rc.sink, rc.delta)
+			req.VerifyOnly = rc.verifyOnly
+			rep, panicMsg := b.runOne(ctx, v, req)
+			reports[i], results[i] = rep, b.emitCheck(em, i, rep, panicMsg)
 		}
 		if !b.srv.submit(ctx, run) {
 			// Context over before a worker freed up: report the check as
@@ -207,159 +230,78 @@ func (b *batch) runChecks(ctx context.Context, v *core.Verifier, em *emitter) []
 			// context returns Cancelled immediately; this is the same
 			// answer without the queue round trip).
 			wg.Done()
-			results[i] = b.emitCheck(em, i, abortedReport(rc.sink, rc.delta, core.Cancelled), "")
-		}
-	}
-	wg.Wait()
-	b.checksRun += len(b.checks)
-	return results
-}
-
-// abortedReport is the terminal record of a check the engine never
-// finished: Cancelled when the caller withdrew the question before it
-// reached a worker (exactly what core.Run returns for a dead context),
-// Abandoned when it panicked or no worker could answer it.
-func abortedReport(sink circuit.NetID, delta waveform.Time, final core.Result) *core.Report {
-	return &core.Report{
-		Sink: sink, Delta: delta,
-		BeforeGITD: core.PossibleViolation, AfterGITD: core.StageSkipped,
-		AfterStem: core.StageSkipped, CaseAnalysis: core.StageSkipped,
-		Backtracks: -1, Final: final,
-	}
-}
-
-// runSweep checks (o, δ) for every primary output o, exhaustively —
-// every output gets exactly one terminal result (streamed as it
-// lands) and the aggregate covers all of them. This is the serving
-// analogue of core.RunAll without the first-witness early exit:
-// batch clients want every answer, not just the circuit verdict.
-func (b *batch) runSweep(ctx context.Context, v *core.Verifier, delta waveform.Time, em *emitter) SweepResult {
-	pos := v.Circuit().PrimaryOutputs()
-	reports := make([]*core.Report, len(pos))
-	results := make([]CheckResult, len(pos))
-	var wg sync.WaitGroup
-	for i, po := range pos {
-		i, po := i, po
-		req := b.baseRequest()
-		req.Sink, req.Delta = po, delta
-		wg.Add(1)
-		run := func() {
-			defer wg.Done()
-			rep, panicMsg := b.runOne(ctx, v, b.withDeadline(req))
-			reports[i] = rep
-			results[i] = b.emitCheck(em, i, rep, panicMsg)
-		}
-		if !b.srv.submit(ctx, run) {
-			wg.Done()
-			reports[i] = abortedReport(po, delta, core.Cancelled)
+			reports[i] = core.AbortedReport(rc.sink, rc.delta, core.Cancelled)
 			results[i] = b.emitCheck(em, i, reports[i], "")
 		}
 	}
 	wg.Wait()
-	b.checksRun += len(pos)
-	// The aggregate is rebuilt from the raw reports, but the per-output
-	// entries keep the emitted results so the trace attribution (and
-	// any panic message) stamped at emission survives into the JSON
-	// document — document and stream clients see the same results.
+	b.checksRun += len(checks)
+	return results, reports
+}
+
+// runSweep checks (o, δ) for every primary output o, exhaustively,
+// through runChecks — every output gets exactly one terminal result
+// (streamed as it lands) and the aggregate covers all of them. This is
+// the serving analogue of core.RunAll without the first-witness early
+// exit: batch clients want every answer, not just the circuit verdict.
+func (b *batch) runSweep(ctx context.Context, v *core.Verifier, delta waveform.Time, em *emitter) SweepResult {
+	pos := v.Circuit().PrimaryOutputs()
+	checks := make([]resolvedCheck, len(pos))
+	for i, po := range pos {
+		checks[i] = resolvedCheck{sink: po, delta: delta}
+	}
+	results, reports := b.runChecks(ctx, v, checks, em)
+	// The per-output entries keep the emitted results so the trace
+	// attribution (and any panic message) stamped at emission survives
+	// into the JSON document — document and stream clients see the same
+	// results.
 	sw := SweepFromReport(b.c, core.AggregateCircuit(delta, reports))
 	sw.PerOutput = results
 	return sw
 }
 
-// runSweepFirstWins reproduces core.RunAll's protocol over the shared
-// pool: per-output checks fan out, a witnessed violation on output i
-// cancels every running check on a later output, and the aggregate is
-// built from the serial prefix — every report up to and including the
-// smallest witnessing output — so the result is identical (stage by
-// stage, witness by witness) to RunAll on the same circuit.
-func (b *batch) runSweepFirstWins(ctx context.Context, v *core.Verifier, delta waveform.Time, em *emitter) *core.CircuitReport {
+// firstWitness is the whole-circuit check at δ behind a Table-1 row:
+// core's FirstWitness on the server pool, so the aggregate is RunAll's
+// by construction. Every check that runs is emitted as it lands; an
+// output of the kept prefix that the pool refused gets its terminal C
+// result once the sweep is over.
+func (b *batch) firstWitness(ctx context.Context, v *core.Verifier, delta waveform.Time, em *emitter) *core.CircuitReport {
 	pos := v.Circuit().PrimaryOutputs()
-	reports := make([]*core.Report, len(pos))
-
-	var mu sync.Mutex
-	witness := len(pos) // smallest witnessing index so far
-	cancels := make([]context.CancelFunc, len(pos))
-	var wg sync.WaitGroup
-
-	for i, po := range pos {
-		i, po := i, po
-		req := b.baseRequest()
-		req.Sink, req.Delta = po, delta
-		wg.Add(1)
-		run := func() {
-			defer wg.Done()
-			mu.Lock()
-			if i > witness {
-				mu.Unlock()
-				return // a smaller output already witnessed; discarded anyway
-			}
-			cctx, cancel := context.WithCancel(ctx)
-			cancels[i] = cancel
-			mu.Unlock()
-			defer cancel()
-
-			rep, panicMsg := b.runOne(cctx, v, b.withDeadline(req))
-			mu.Lock()
-			cancels[i] = nil
-			reports[i] = rep
-			if rep.Final == core.ViolationFound && i < witness {
-				witness = i
-				for j := i + 1; j < len(cancels); j++ {
-					if cancels[j] != nil {
-						cancels[j]()
-					}
-				}
-			}
-			keep := i <= witness
-			mu.Unlock()
-			b.countCheck()
-			if keep {
-				b.emitCheck(em, i, rep, panicMsg)
-			}
-		}
-		if !b.srv.submit(ctx, run) {
-			wg.Done()
-			mu.Lock()
-			reports[i] = abortedReport(po, delta, core.Cancelled)
-			keep := i <= witness
-			mu.Unlock()
-			b.countCheck()
-			if keep {
-				b.emitCheck(em, i, reports[i], "")
-			}
+	ran := make([]bool, len(pos)) // entry i is written only by output i's task
+	reports := v.FirstWitness(ctx, delta, b.srv.submit, func(ctx context.Context, i int) *core.Report {
+		rep, panicMsg := b.runOne(ctx, v, b.checkRequest(pos[i], delta))
+		ran[i] = true
+		b.emitCheck(em, i, rep, panicMsg)
+		return rep
+	})
+	for i, r := range ran {
+		switch {
+		case r:
+			b.checksRun++
+		case i < len(reports):
+			b.emitCheck(em, i, reports[i], "")
 		}
 	}
-	wg.Wait()
-
-	kept := reports
-	if witness < len(pos) {
-		kept = reports[:witness+1]
-	}
-	return core.AggregateCircuit(delta, kept)
-}
-
-// countCheck tallies finished checks under the emitter-independent
-// batch counter (pool workers race on it during first-wins sweeps).
-func (b *batch) countCheck() {
-	// checksRun is read only after wg.Wait(), but increments happen on
-	// pool workers; keep them serialised.
-	b.countMu.Lock()
-	b.checksRun++
-	b.countMu.Unlock()
+	return core.AggregateCircuit(delta, reports)
 }
 
 // runTable1 reproduces harness.CircuitRowsParallel server-side: the
 // exact circuit floating delay D (binary search per output, run as one
 // sequential pool task), then the paper's row pair δ = D+1 and δ = D
-// via first-witness-wins sweeps. Rows and per-δ aggregates are
+// via first-witness sweeps. Rows and per-δ aggregates are
 // byte-identical to the in-process harness on the same netlist — the
-// differential e2e suite enforces it.
+// differential e2e suite enforces it. The search's checks run under
+// the server's engine tracer and count as checks run, like every
+// other check, and land on the batch timeline.
 func (b *batch) runTable1(ctx context.Context, v *core.Verifier, em *emitter) ([]Row, []SweepResult) {
 	var (
 		res *core.DelayResult
 		err error
 	)
-	req := b.baseRequest()
+	req := core.Request{Budgets: b.budgets, Tracer: b.srv.eng}
+	if b.ct != nil {
+		req.Tracer = core.MultiTracer(b.srv.eng, core.CheckDoneFunc(func(rep *core.Report) { b.recordTimeline(rep, "") }))
+	}
 	done := make(chan struct{})
 	search := func() {
 		defer close(done)
@@ -378,6 +320,7 @@ func (b *batch) runTable1(ctx context.Context, v *core.Verifier, em *emitter) ([
 	<-done
 	if res != nil {
 		b.checksRun += res.Checks
+		b.srv.checksRun.Add(int64(res.Checks))
 	}
 	if err != nil && res == nil {
 		em.emit(Event{Type: "error", Error: err.Error()})
@@ -387,7 +330,7 @@ func (b *batch) runTable1(ctx context.Context, v *core.Verifier, em *emitter) ([
 	var rows []Row
 	var sweeps []SweepResult
 	for _, r := range harness.RowPair(b.c.Name, v, res, func(d waveform.Time) *core.CircuitReport {
-		cr := b.runSweepFirstWins(ctx, v, d, em)
+		cr := b.firstWitness(ctx, v, d, em)
 		sweeps = append(sweeps, SweepFromReport(b.c, cr))
 		return cr
 	}) {

@@ -91,7 +91,7 @@ func (u *coordUnit) tried(addr string) bool {
 
 // run executes the batch against the cluster and fills resp
 // (emitting events along the way when em is non-nil).
-func (cb *coordBatch) run(ctx context.Context, resp *Response, em *emitter) (int, timeline) {
+func (cb *coordBatch) run(ctx context.Context, resp *Response, em *emitter) (int, *obs.ClusterTrace) {
 	start := time.Now()
 	cb.em = em
 	if cb.req.Sweep != nil && cb.req.Sweep.Table1 {
@@ -158,13 +158,12 @@ func (cb *coordBatch) run(ctx context.Context, resp *Response, em *emitter) (int
 
 // finish closes the batch's root span on the cluster timeline, if one
 // is being recorded, and reports the checks merged.
-func (cb *coordBatch) finish(start time.Time, checks int) (int, timeline) {
-	if cb.ct == nil {
-		return checks, nil
+func (cb *coordBatch) finish(start time.Time, checks int) (int, *obs.ClusterTrace) {
+	if cb.ct != nil {
+		cb.ct.Span("coordinator", "batch "+strconv.FormatInt(cb.id, 10),
+			start.UnixMicro(), time.Since(start).Microseconds(),
+			map[string]any{"trace_id": cb.trace.TraceID, "circuit": cb.c.Name})
 	}
-	cb.ct.Span("coordinator", "batch "+strconv.FormatInt(cb.id, 10),
-		start.UnixMicro(), time.Since(start).Microseconds(),
-		map[string]any{"trace_id": cb.trace.TraceID, "circuit": cb.c.Name})
 	return checks, cb.ct
 }
 
@@ -427,7 +426,7 @@ func (cb *coordBatch) deliverLocked(u *coordUnit, res *CheckResult, worker strin
 // never got a usable worker answer): the same shape a worker's
 // panic-isolation (A) or cancellation (C) path produces.
 func (cb *coordBatch) syntheticResult(u *coordUnit, final core.Result, errMsg string) *CheckResult {
-	res := ResultFromReport(cb.c, u.emitIndex, abortedReport(u.sinkID, u.delta, final))
+	res := ResultFromReport(cb.c, u.emitIndex, core.AbortedReport(u.sinkID, u.delta, final))
 	res.Error = errMsg
 	return &res
 }
@@ -627,7 +626,7 @@ func (cb *coordBatch) assembleSweeps(resp *Response, em *emitter) {
 				// output as abandoned rather than failing the batch.
 				cb.log.LogAttrs(cb.ctx, slog.LevelError, "unusable worker result",
 					slog.String("sink", u.sink), slog.String("error", err.Error()))
-				rep = abortedReport(u.sinkID, u.delta, core.Abandoned)
+				rep = core.AbortedReport(u.sinkID, u.delta, core.Abandoned)
 			}
 			reports[pi] = rep
 		}

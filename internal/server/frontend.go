@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -105,14 +104,7 @@ type executor interface {
 // number of checks run plus the batch's timeline (nil unless
 // TraceDir is set).
 type runner interface {
-	run(ctx context.Context, resp *Response, em *emitter) (checks int, tl timeline)
-}
-
-// timeline is a per-batch trace_event recording (obs.SpanRecorder on
-// a worker, obs.ClusterTrace on a coordinator).
-type timeline interface {
-	WriteTrace(io.Writer) error
-	Len() int
+	run(ctx context.Context, resp *Response, em *emitter) (checks int, tl *obs.ClusterTrace)
 }
 
 // circuitRef is a circuit resolved for one batch.
@@ -479,7 +471,7 @@ func (fe *frontEnd) admitAndRun(w http.ResponseWriter, r *http.Request, req *Req
 }
 
 // writeTrace dumps a batch's timeline to TraceDir/batch-<id>.trace.json.
-func (fe *frontEnd) writeTrace(ctx context.Context, h *batchHead, tl timeline) {
+func (fe *frontEnd) writeTrace(ctx context.Context, h *batchHead, tl *obs.ClusterTrace) {
 	path := filepath.Join(fe.fc.traceDir, "batch-"+strconv.FormatInt(h.id, 10)+".trace.json")
 	f, err := os.Create(path)
 	if err == nil {

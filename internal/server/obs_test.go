@@ -202,6 +202,56 @@ func TestBatchTraceDir(t *testing.T) {
 	}
 }
 
+// TestTable1CountsEveryCheck pins that a table1 batch's delay-search
+// checks are served checks like any other: after the batch,
+// lttad_checks_run_total, the ltta_checks_total series summed over
+// verdicts and the batch timeline's check spans all equal the
+// response's done.checksRun.
+func TestTable1CountsEveryCheck(t *testing.T) {
+	dir := t.TempDir()
+	s := server.New(server.Config{Workers: 2, QueueDepth: 4, TraceDir: dir})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	defer func() { _ = s.Shutdown(context.Background()) }()
+	cl := client.New(ts.URL)
+
+	resp, err := cl.CheckInline(context.Background(), server.Request{
+		Netlist: circuit.BenchString(gen.C17(10)), Name: "c17",
+		Sweep: &server.SweepSpec{Table1: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(resp.Done.ChecksRun)
+	if len(resp.Rows) != 2 || want <= 4 {
+		t.Fatalf("table1 batch: %d rows, %d checks run", len(resp.Rows), want)
+	}
+	m := scrapeMetrics(t, cl)
+	var byVerdict int64
+	for k, v := range m {
+		if strings.HasPrefix(k, "ltta_checks_total{") {
+			byVerdict += v
+		}
+	}
+	if got := m["lttad_checks_run_total"]; got != want {
+		t.Errorf("lttad_checks_run_total = %d, done.checksRun = %d", got, want)
+	}
+	if byVerdict != want {
+		t.Errorf("ltta_checks_total sums to %d, done.checksRun = %d", byVerdict, want)
+	}
+
+	raw, err := os.ReadFile(filepath.Join(dir, "batch-1.trace.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := obs.ValidateTrace(bytes.NewReader(raw)); err != nil {
+		t.Fatalf("batch trace does not validate: %v", err)
+	}
+	if got := int64(strings.Count(string(raw), `"name":"check `)); got != want {
+		t.Errorf("batch timeline holds %d check spans, done.checksRun = %d", got, want)
+	}
+}
+
 // TestStructuredLogs checks the request-scoped slog wiring: batch
 // lifecycle at info with a batch id, per-check records at debug with
 // sink/delta/verdict.

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -189,26 +188,6 @@ func (s *Server) submit(ctx context.Context, f func()) bool {
 	}
 }
 
-// runOne executes one check on the calling pool worker with panic
-// isolation: a crashing check yields a synthetic Abandoned report (the
-// engine gave up; claiming N would be unsound) plus the panic message,
-// and the rest of the batch is unaffected.
-func (s *Server) runOne(ctx context.Context, v *core.Verifier, req core.Request) (rep *core.Report, panicMsg string) {
-	defer func() {
-		if p := recover(); p != nil {
-			s.panics.Add(1)
-			panicMsg = fmt.Sprintf("check panicked: %v", p)
-			rep = abortedReport(req.Sink, req.Delta, core.Abandoned)
-		}
-	}()
-	// Chain the server-wide tracer with any batch-level tracer (span
-	// recording) the caller installed.
-	req.Tracer = core.MultiTracer(s.eng, req.Tracer)
-	rep = v.Run(ctx, req)
-	s.checksRun.Add(1)
-	return rep, ""
-}
-
 // register is PUT /v1/circuits on the worker: the registry parses only
 // hashes it has not seen.
 func (s *Server) register(up *UploadRequest) (registry.PutResult, error) {
@@ -251,12 +230,7 @@ func (s *Server) open(ctx context.Context, h *batchHead) (runner, *apiError) {
 		h.attrs = append(h.attrs, slog.Bool("cacheHit", wasHit))
 	}
 	if s.cfg.TraceDir != "" {
-		b.rec = obs.NewSpanRecorder(h.c)
-		stamp := map[string]any{"trace_id": h.trace.TraceID, "batch": h.id}
-		if sh := h.req.Shard; sh != nil {
-			stamp["attempt"] = sh.Attempt
-		}
-		b.rec.Stamp(stamp)
+		b.ct = obs.NewClusterTrace(time.Now())
 	}
 	return b, nil
 }
