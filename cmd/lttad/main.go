@@ -11,7 +11,8 @@
 // concurrent cold checks on one hash coalesce onto a single
 // preparation. -registry-size and -registry-bytes bound the cache (LRU
 // beyond; entries pinned by running batches are never freed under
-// them, see DESIGN.md §13).
+// them, see DESIGN.md §13). An inline /v1/check netlist is parsed and
+// prepared for its own batch and not kept.
 //
 // With -coordinator the daemon runs no checks itself: it shards each
 // batch by (circuit, sink) rendezvous hashing over the listed worker
@@ -134,7 +135,7 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 	fs.StringVar(&o.traceDir, "trace-dir", "", "write a trace_event timeline per batch to this directory")
 	fs.IntVar(&o.flightLast, "flight-last", 0, "flight recorder: recent checks kept for /debug/checks (0 = default 256)")
 	fs.IntVar(&o.flightSlowest, "flight-slowest", 0, "flight recorder: slowest checks kept for /debug/checks (0 = default 32)")
-	fs.IntVar(&o.registrySize, "registry-size", 0, "circuit-registry (or coordinator circuit-table) capacity in circuits (0 = default 128)")
+	fs.IntVar(&o.registrySize, "registry-size", 0, "circuit-registry capacity in circuits (0 = default 128)")
 	fs.Int64Var(&o.registryBytes, "registry-bytes", 0, "worker: circuit-registry resident-byte cap (0 = default 1 GiB, negative = unlimited)")
 	fs.StringVar(&o.coordinator, "coordinator", "", "run as a cluster coordinator over this comma-separated worker list (addr[,addr...]) instead of executing checks")
 	fs.DurationVar(&o.hedgeAfter, "hedge-after", 2*time.Second, "coordinator: hedge straggling checks onto a second worker after this long (negative = never)")

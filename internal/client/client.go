@@ -215,9 +215,11 @@ func (c *Client) StreamByHash(ctx context.Context, hash api.Hash, req api.Reques
 }
 
 // CheckInline submits a batch with the netlist carried in the request
-// body — the original single-shot protocol, kept alongside the
-// registry path (and proven result-identical to it by the differential
-// e2e suite). The request's Stream flag is forced off.
+// body. The server validates and hashes the netlist exactly as Upload
+// would; a single daemon parses and prepares it for this batch alone
+// (nothing stays registered), a coordinator registers it. The answers
+// are result-identical to Upload + CheckByHash (the differential e2e
+// suite proves it). The request's Stream flag is forced off.
 func (c *Client) CheckInline(ctx context.Context, req api.Request) (*api.Response, error) {
 	req.Stream = false
 	resp, err := c.do(ctx, http.MethodPost, "/v1/check", req)

@@ -76,8 +76,11 @@ func (cfg Config) withDefaults() Config {
 // shared across every pinned batch (preparedmut enforces that no code
 // outside this file writes through it).
 type entry struct {
-	hash api.Hash
-	c    *circuit.Circuit
+	hash  api.Hash
+	c     *circuit.Circuit
+	canon *api.UploadRequest // the canonical upload, re-sent verbatim to re-register it elsewhere
+
+	transient bool // built by Transient for one batch: never in the table, never counted
 
 	refs      int           // guarded by Registry.mu
 	condemned bool          // guarded by Registry.mu
@@ -169,58 +172,71 @@ func (r *Registry) ResidentBytes() int64 {
 	return r.resident
 }
 
-// PutResult reports a completed upload.
-type PutResult struct {
-	Hash api.Hash
-	// Circuit is the registered (shared, immutable) parse.
-	Circuit *circuit.Circuit
-	// Created is false when the hash was already registered and the
-	// upload was an idempotent no-op.
-	Created bool
-}
-
-// Put registers the canonicalized upload under its content hash.
-// build parses the netlist and applies the canonical annotations; it
-// runs only when the hash is not yet registered, so re-uploading a
-// known circuit costs one hash, zero parses. The circuit build
-// returns must already carry its annotations — it is shared immutably
-// from here on.
-func (r *Registry) Put(up *api.UploadRequest, build func(canon *api.UploadRequest) (*circuit.Circuit, error)) (PutResult, error) {
+// Put registers the canonicalized upload under its content hash and
+// returns the entry pinned, so the caller can run against it before
+// any eviction frees it; created is false when the hash was already
+// registered and the upload was an idempotent no-op. build parses the
+// netlist and applies the canonical annotations; it runs only when the
+// hash is not yet registered, so re-uploading a known circuit costs
+// one hash, zero parses. The circuit build returns must already carry
+// its annotations — it is shared immutably from here on.
+func (r *Registry) Put(up *api.UploadRequest, build func(canon *api.UploadRequest) (*circuit.Circuit, error)) (pin *Pin, created bool, err error) {
 	h, canon, err := HashUpload(up)
 	if err != nil {
-		return PutResult{}, err
+		return nil, false, err
 	}
 	r.mu.Lock()
 	if e, ok := r.entries[h]; ok {
-		r.touchLocked(e)
+		pin = r.pinLocked(e)
 		r.mu.Unlock()
 		r.uploadsExisting.Add(1)
-		return PutResult{Hash: h, Circuit: e.c, Created: false}, nil
+		return pin, false, nil
 	}
 	r.mu.Unlock()
 
 	c, err := build(canon) // parse outside the lock: uploads of distinct circuits don't serialise
 	if err != nil {
-		return PutResult{}, err
+		return nil, false, err
 	}
 
 	r.mu.Lock()
 	if e, ok := r.entries[h]; ok { // lost a race with an identical concurrent upload
-		r.touchLocked(e)
+		pin = r.pinLocked(e)
 		r.mu.Unlock()
 		r.uploadsExisting.Add(1)
-		return PutResult{Hash: h, Circuit: e.c, Created: false}, nil
+		return pin, false, nil
 	}
-	e := &entry{hash: h, c: c, accounted: estimateCircuitBytes(c, len(canon.Netlist))}
+	e := &entry{hash: h, c: c, canon: canon, accounted: estimateCircuitBytes(c, len(canon.Netlist))}
 	r.entries[h] = e
 	e.elem = r.lru.PushBack(e)
 	r.resident += e.accounted
+	pin = r.pinLocked(e)
 	for len(r.entries) > r.cfg.MaxCircuits {
 		r.condemnLocked(r.lru.Front().Value.(*entry))
 	}
 	r.mu.Unlock()
 	r.uploadsCreated.Add(1)
-	return PutResult{Hash: h, Circuit: c, Created: true}, nil
+	return pin, true, nil
+}
+
+// Transient builds the canonicalized upload into an entry the table
+// never holds, for one batch. Its pin reads and prepares the circuit
+// like a registered one's, but nothing is shared with other batches,
+// counted, or charged to the caps, and the entry is garbage once the
+// pin is released: a one-off netlist leaves nothing resident and
+// evicts nothing. build runs on every call.
+func (r *Registry) Transient(up *api.UploadRequest, build func(canon *api.UploadRequest) (*circuit.Circuit, error)) (*Pin, error) {
+	h, canon, err := HashUpload(up)
+	if err != nil {
+		return nil, err
+	}
+	c, err := build(canon)
+	if err != nil {
+		return nil, err
+	}
+	// Born condemned with its one pin, so Release frees it like an
+	// evicted entry (it was charged nothing).
+	return &Pin{r: r, e: &entry{hash: h, c: c, canon: canon, transient: true, refs: 1, condemned: true}}, nil
 }
 
 // Acquire pins the circuit registered under h. While the pin is held
@@ -235,18 +251,19 @@ func (r *Registry) Acquire(h api.Hash) (*Pin, bool) {
 		r.unknown.Add(1)
 		return nil, false
 	}
-	e.refs++
-	r.touchLocked(e)
+	pin := r.pinLocked(e)
 	r.mu.Unlock()
-	return &Pin{r: r, e: e}, true
+	return pin, true
 }
 
-// touchLocked moves e to the most-recently-used end. Caller holds
-// r.mu.
-func (r *Registry) touchLocked(e *entry) {
+// pinLocked pins e and moves it to the most-recently-used end. Caller
+// holds r.mu.
+func (r *Registry) pinLocked(e *entry) *Pin {
+	e.refs++
 	if e.elem != nil {
 		r.lru.MoveToBack(e.elem)
 	}
+	return &Pin{r: r, e: e}
 }
 
 // condemnLocked removes e from the table and LRU so new lookups miss.
@@ -274,8 +291,8 @@ func (r *Registry) freeLocked(e *entry) {
 	e.accounted = 0
 }
 
-// Pin is a live reference to a registered circuit. Release exactly
-// once when the batch is done (idempotent).
+// Pin is a live reference to a registered (or Transient) circuit.
+// Release exactly once when the batch is done (idempotent).
 type Pin struct {
 	r    *Registry
 	e    *entry
@@ -287,6 +304,10 @@ func (p *Pin) Hash() api.Hash { return p.e.hash }
 
 // Circuit returns the pinned circuit. Shared and immutable.
 func (p *Pin) Circuit() *circuit.Circuit { return p.e.c }
+
+// Upload returns the canonical upload the circuit was registered
+// from; uploading it anywhere reproduces the hash. Shared: read only.
+func (p *Pin) Upload() *api.UploadRequest { return p.e.canon }
 
 // Release drops the pin. When the entry was condemned while this
 // batch ran, the last release frees it.
@@ -310,6 +331,10 @@ func (p *Pin) Release() {
 // parse and zero Prepare work happened on this call.
 func (p *Pin) Prepared(ctx context.Context) (*core.Prepared, bool, error) {
 	e, counted := p.e, false
+	if e.transient { // one batch, one caller: nothing to share, count or charge
+		prep, err := p.r.runPrepare(e.c)
+		return prep, false, err
+	}
 	for {
 		e.pmu.Lock()
 		if prep := e.prepared; prep != nil {
@@ -395,11 +420,12 @@ func (r *Registry) accountPrepared(e *entry) {
 }
 
 // estimateCircuitBytes is the structural size estimate of a parsed
-// circuit plus its source text. Estimates, not measurements: they
-// exist to make the byte cap and the resident gauge proportional to
-// load, not to account the heap exactly. The constants add up what
-// the circuit keeps per element on a 64-bit build (name bytes ride
-// with the source text):
+// circuit plus the canonical upload text its entry keeps. Estimates,
+// not measurements: they exist to make the byte cap and the resident
+// gauge proportional to load, not to account the heap exactly. The
+// constants add up what the circuit keeps per element on a 64-bit
+// build; the parsers copy net names out of the text, and those name
+// bytes are not counted:
 //
 //   - per net, 53: its name's string header (16), its name-map entry
 //     (~28 with the map's load factor), its output flag (1), its level

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,11 +23,12 @@ func c17Upload() (*api.UploadRequest, *circuit.Circuit) {
 
 func mustPut(t *testing.T, r *Registry, up *api.UploadRequest, c *circuit.Circuit) api.Hash {
 	t.Helper()
-	res, err := r.Put(up, func(*api.UploadRequest) (*circuit.Circuit, error) { return c, nil })
+	pin, _, err := r.Put(up, func(*api.UploadRequest) (*circuit.Circuit, error) { return c, nil })
 	if err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	return res.Hash
+	pin.Release()
+	return pin.Hash()
 }
 
 // TestHashCanonicalAnnotations pins the canonicalization fix: a
@@ -128,20 +130,21 @@ func TestPutIdempotent(t *testing.T) {
 	up, c := c17Upload()
 	r := New(Config{})
 	builds := 0
-	put := func() PutResult {
-		res, err := r.Put(up, func(*api.UploadRequest) (*circuit.Circuit, error) { builds++; return c, nil })
+	put := func() (api.Hash, bool) {
+		pin, created, err := r.Put(up, func(*api.UploadRequest) (*circuit.Circuit, error) { builds++; return c, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		pin.Release()
+		return pin.Hash(), created
 	}
-	first := put()
-	second := put()
-	if !first.Created || second.Created {
-		t.Fatalf("created flags: %v then %v, want true then false", first.Created, second.Created)
+	firstHash, firstCreated := put()
+	secondHash, secondCreated := put()
+	if !firstCreated || secondCreated {
+		t.Fatalf("created flags: %v then %v, want true then false", firstCreated, secondCreated)
 	}
-	if first.Hash != second.Hash || builds != 1 {
-		t.Fatalf("re-upload must be a hash-only no-op: builds=%d hashes %s vs %s", builds, first.Hash, second.Hash)
+	if firstHash != secondHash || builds != 1 {
+		t.Fatalf("re-upload must be a hash-only no-op: builds=%d hashes %s vs %s", builds, firstHash, secondHash)
 	}
 	if r.UploadsCreated() != 1 || r.UploadsExisting() != 1 || r.Circuits() != 1 {
 		t.Fatalf("upload counters: created=%d existing=%d circuits=%d", r.UploadsCreated(), r.UploadsExisting(), r.Circuits())
@@ -267,6 +270,85 @@ func TestPinEvictDeferred(t *testing.T) {
 	}
 	if r.Circuits() != 1 {
 		t.Fatalf("registry should hold only B now, has %d", r.Circuits())
+	}
+}
+
+// TestPutPinsEntry: Put hands back its entry pinned, so an upload that
+// overflows the table before its caller runs a batch is condemned, not
+// freed; the pin also reads back the canonical upload.
+func TestPutPinsEntry(t *testing.T) {
+	upA, cA := c17Upload()
+	r := New(Config{MaxCircuits: 1})
+	pin, created, err := r.Put(upA, func(*api.UploadRequest) (*circuit.Circuit, error) { return cA, nil })
+	if err != nil || !created {
+		t.Fatalf("Put A: created=%v err=%v", created, err)
+	}
+	upB := &api.UploadRequest{Netlist: upA.Netlist, Name: "c17-variant"}
+	mustPut(t, r, upB, gen.C17(10))
+	if r.DeferredEvictions() != 1 || r.Evictions() != 0 {
+		t.Fatalf("Put's own pin must defer A's eviction: deferred=%d immediate=%d", r.DeferredEvictions(), r.Evictions())
+	}
+	want, canon, err := HashUpload(upA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pin.Hash() != want || pin.Circuit() != cA || !reflect.DeepEqual(pin.Upload(), canon) {
+		t.Fatalf("pin reads hash %s, upload %+v; want %s, %+v", pin.Hash(), pin.Upload(), want, canon)
+	}
+	if pin.Upload().Format != "bench" || pin.Upload().DefaultDelay != 10 {
+		t.Fatalf("kept upload is not canonical: %+v", pin.Upload())
+	}
+	resident := r.ResidentBytes()
+	pin.Release()
+	if r.ResidentBytes() >= resident {
+		t.Fatalf("releasing Put's pin must free the condemned entry: resident still %d", r.ResidentBytes())
+	}
+}
+
+// TestTransientLeavesTableAlone: a Transient entry is built and
+// prepared through its pin like a registered one, under the same
+// hash, but the table, the counters and the byte estimate never see
+// it — not even with the table at its cap — and a Put of the same
+// upload afterwards creates.
+func TestTransientLeavesTableAlone(t *testing.T) {
+	upA, cA := c17Upload()
+	r := New(Config{MaxCircuits: 1})
+	hA := mustPut(t, r, upA, cA)
+	resident := r.ResidentBytes()
+
+	upB := &api.UploadRequest{Netlist: upA.Netlist, Name: "c17-inline"}
+	cB := gen.C17(10)
+	pin, err := r.Transient(upB, func(*api.UploadRequest) (*circuit.Circuit, error) { return cB, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, canon, err := HashUpload(upB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pin.Hash() != want || pin.Circuit() != cB || !reflect.DeepEqual(pin.Upload(), canon) {
+		t.Fatalf("transient pin reads hash %s; want %s", pin.Hash(), want)
+	}
+	prep, hit, err := pin.Prepared(context.Background())
+	if err != nil || prep == nil || hit {
+		t.Fatalf("transient Prepared: prep=%v hit=%v err=%v", prep != nil, hit, err)
+	}
+	pin.Release()
+	if r.Circuits() != 1 || r.ResidentBytes() != resident || r.Evictions()+r.DeferredEvictions() != 0 ||
+		r.Prepares()+r.Hits()+r.Misses()+r.UploadsCreated() != 1 {
+		t.Fatalf("transient entry touched the table: circuits=%d resident=%d (was %d) evictions=%d/%d prepares=%d hits=%d misses=%d created=%d",
+			r.Circuits(), r.ResidentBytes(), resident, r.Evictions(), r.DeferredEvictions(),
+			r.Prepares(), r.Hits(), r.Misses(), r.UploadsCreated())
+	}
+	if p, ok := r.Acquire(hA); !ok {
+		t.Fatal("the registered entry must survive a transient build")
+	} else {
+		p.Release()
+	}
+	if _, err := r.Transient(upB, func(*api.UploadRequest) (*circuit.Circuit, error) {
+		return nil, errors.New("bad netlist")
+	}); err == nil {
+		t.Fatal("a failing build must fail Transient")
 	}
 }
 

@@ -1,11 +1,12 @@
 // Package server implements lttad, the batch timing-check service: an
 // HTTP/JSON front end over the core engine. A submission carries one
-// netlist plus either an explicit batch of (sink, δ) checks or a
-// δ-sweep over every primary output; the server parses and prepares
-// the circuit once (core.Prepare) and fans the checks out over a
-// bounded worker pool shared by all in-flight batches — or, with the
-// content-addressed registry, references a previously uploaded
-// circuit by hash and reuses its cached core.Prepared outright.
+// netlist (inline, or by the hash of an earlier upload) plus either an
+// explicit batch of (sink, δ) checks or a δ-sweep over every primary
+// output. An uploaded circuit is parsed and prepared once
+// (core.Prepare) and its cached core.Prepared serves every later
+// batch by hash; an inline netlist is parsed and prepared for its own
+// batch. Either way the checks fan out over a bounded worker pool
+// shared by all in-flight batches.
 // Production concerns are handled here, not in core: bounded
 // admission with 429 + Retry-After backpressure, per-check and
 // per-batch timeouts mapped onto core.Run's context and budgets,
@@ -26,7 +27,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/verilog"
 	"repro/internal/waveform"
 )
 
@@ -94,7 +94,9 @@ func unsupportedVersion(v int) *apiError {
 
 // decodeRequest reads and validates a check-request body. With
 // byHash set the request is hash-addressed: the circuit identity
-// lives in the URL, so the netlist fields must be absent.
+// lives in the URL, so the netlist fields must be absent. An inline
+// request's netlist fields are validated where every upload's are,
+// by registry.Canonicalize.
 func decodeRequest(r io.Reader, byHash bool) (*Request, *apiError) {
 	var req Request
 	if apiErr := decodeBody(r, &req); apiErr != nil {
@@ -103,23 +105,9 @@ func decodeRequest(r io.Reader, byHash bool) (*Request, *apiError) {
 	if !api.AcceptsVersion(req.V) {
 		return nil, unsupportedVersion(req.V)
 	}
-	if byHash {
-		if strings.TrimSpace(req.Netlist) != "" || req.Format != "" || req.Name != "" || req.DefaultDelay != 0 {
-			return nil, badRequest("netlist_in_hash_check",
-				"hash-addressed checks carry no netlist fields; the circuit identity is the URL hash")
-		}
-	} else {
-		if strings.TrimSpace(req.Netlist) == "" {
-			return nil, badRequest("missing_netlist", "request carries no netlist")
-		}
-		switch req.Format {
-		case "", "bench", "verilog":
-		default:
-			return nil, badRequest("bad_format", "unknown netlist format %q (want bench or verilog)", req.Format)
-		}
-		if req.DefaultDelay < 0 {
-			return nil, badRequest("bad_delay", "defaultDelay must be ≥ 0, got %d", req.DefaultDelay)
-		}
+	if byHash && (strings.TrimSpace(req.Netlist) != "" || req.Format != "" || req.Name != "" || req.DefaultDelay != 0) {
+		return nil, badRequest("netlist_in_hash_check",
+			"hash-addressed checks carry no netlist fields; the circuit identity is the URL hash")
 	}
 	if req.CheckTimeoutMs < 0 || req.TimeoutMs < 0 {
 		return nil, badRequest("bad_timeout", "timeouts must be ≥ 0")
@@ -138,31 +126,6 @@ func decodeRequest(r io.Reader, byHash bool) (*Request, *apiError) {
 		}
 	}
 	return &req, nil
-}
-
-// parseNetlist builds a circuit from netlist source text. The
-// caller counts the parse (s.netlistParses) so cache-hit paths can
-// prove they never reach here.
-func parseNetlist(netlist, format, name string, defaultDelay int64) (*circuit.Circuit, *apiError) {
-	if defaultDelay == 0 {
-		defaultDelay = 10
-	}
-	var (
-		c   *circuit.Circuit
-		err error
-	)
-	if format == "verilog" {
-		c, err = verilog.ParseString(netlist, verilog.Options{DefaultDelay: defaultDelay})
-	} else {
-		c, err = circuit.ParseBenchString(netlist, circuit.BenchOptions{DefaultDelay: defaultDelay, Name: name})
-	}
-	if err != nil {
-		return nil, badRequest("bad_netlist", "parsing netlist: %v", err)
-	}
-	if name != "" {
-		c.Name = name
-	}
-	return c, nil
 }
 
 // resolvedCheck is a CheckSpec bound to a net id.

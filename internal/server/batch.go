@@ -16,14 +16,13 @@ import (
 )
 
 // batch is one admitted submission executed on the worker's pool.
-// The handler goroutine owns it: it prepares the circuit, fans checks
-// out over the server's shared pool, and assembles the response (or
-// streams events as they arrive).
+// The handler goroutine owns it: it fans checks out over the server's
+// shared pool against the registry's prepared state, and assembles the
+// response (or streams events as they arrive).
 type batch struct {
 	*batchHead
 	srv     *Server
-	prep    *core.Prepared // registry-cached precompute; nil on the inline path
-	opts    core.Options
+	v       *core.Verifier // over the pinned entry's shared precompute
 	budgets core.Budgets
 	ct      *obs.ClusterTrace // per-batch timeline when Config.TraceDir is set
 
@@ -36,20 +35,14 @@ type batch struct {
 // into resp; otherwise every check/sweep/rows record is additionally
 // emitted as it becomes available.
 func (b *batch) run(ctx context.Context, resp *Response, em *emitter) (int, *obs.ClusterTrace) {
-	prep := b.prep
-	if prep == nil { // inline path: the batch pays its own preparation
-		prep = core.Prepare(b.c)
-	}
-	v := prep.NewVerifier(b.opts)
-
 	switch {
 	case b.req.Sweep == nil:
-		resp.Results, _ = b.runChecks(ctx, v, b.checks, em)
+		resp.Results, _ = b.runChecks(ctx, b.v, b.checks, em)
 	case b.req.Sweep.Table1:
-		resp.Rows, resp.Sweeps = b.runTable1(ctx, v, em)
+		resp.Rows, resp.Sweeps = b.runTable1(ctx, b.v, em)
 	default:
 		for _, d := range b.req.Sweep.Deltas {
-			sw := b.runSweep(ctx, v, waveform.Time(d), em)
+			sw := b.runSweep(ctx, b.v, waveform.Time(d), em)
 			resp.Sweeps = append(resp.Sweeps, sw)
 			em.emit(Event{Type: "sweep", Sweep: &sw})
 		}
@@ -74,7 +67,7 @@ func (b *batch) runOne(ctx context.Context, v *core.Verifier, req core.Request) 
 			lvl = slog.LevelError
 		}
 		attrs := []slog.Attr{
-			slog.String("sink", b.c.Net(rep.Sink).Name),
+			slog.String("sink", b.pin.Circuit().Net(rep.Sink).Name),
 			slog.Int64("delta", int64(rep.Delta)),
 			slog.String("verdict", rep.Final.String()),
 			slog.Duration("elapsed", time.Since(start)),
@@ -98,7 +91,7 @@ func (b *batch) runOne(ctx context.Context, v *core.Verifier, req core.Request) 
 // here, at the emission layer, so ResultFromReport stays a pure
 // verdict conversion.
 func (b *batch) emitCheck(em *emitter, i int, rep *core.Report, panicMsg string) CheckResult {
-	res := ResultFromReport(b.c, i, rep)
+	res := ResultFromReport(b.pin.Circuit(), i, rep)
 	res.Error = panicMsg
 	b.stampTrace(&res, rep)
 	b.recordFlight(&res)
@@ -166,7 +159,7 @@ func (b *batch) recordTimeline(rep *core.Report, spanID string) {
 	if sh := b.req.Shard; sh != nil {
 		args["attempt"] = sh.Attempt
 	}
-	b.ct.Check("checks", b.c.Net(rep.Sink).Name, rep, args)
+	b.ct.Check("checks", b.pin.Circuit().Net(rep.Sink).Name, rep, args)
 }
 
 // spanSummary packages a check's timings as the in-band span tree a
@@ -255,7 +248,7 @@ func (b *batch) runSweep(ctx context.Context, v *core.Verifier, delta waveform.T
 	// attribution (and any panic message) stamped at emission survives
 	// into the JSON document — document and stream clients see the same
 	// results.
-	sw := SweepFromReport(b.c, core.AggregateCircuit(delta, reports))
+	sw := SweepFromReport(b.pin.Circuit(), core.AggregateCircuit(delta, reports))
 	sw.PerOutput = results
 	return sw
 }
@@ -329,9 +322,9 @@ func (b *batch) runTable1(ctx context.Context, v *core.Verifier, em *emitter) ([
 
 	var rows []Row
 	var sweeps []SweepResult
-	for _, r := range harness.RowPair(b.c.Name, v, res, func(d waveform.Time) *core.CircuitReport {
+	for _, r := range harness.RowPair(b.pin.Circuit().Name, v, res, func(d waveform.Time) *core.CircuitReport {
 		cr := b.firstWitness(ctx, v, d, em)
-		sweeps = append(sweeps, SweepFromReport(b.c, cr))
+		sweeps = append(sweeps, SweepFromReport(b.pin.Circuit(), cr))
 		return cr
 	}) {
 		rows = append(rows, r.Wire())

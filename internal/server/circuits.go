@@ -7,6 +7,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/registry"
 	"repro/internal/sdf"
+	"repro/internal/verilog"
 )
 
 // uploadError maps a registry.Put failure onto the structured error
@@ -24,18 +25,30 @@ func uploadError(err error) *apiError {
 	return badRequest("bad_upload", "%v", err)
 }
 
-// buildCircuit parses a canonicalized upload and applies its delay
-// annotations, for the worker registry and the coordinator's circuit
-// table alike. It runs only on uploads of hashes not yet registered —
-// the netlistParses counter proves warm paths never reach here. The
+// buildCircuit parses a canonicalized upload — PUT /v1/circuits or an
+// inline /v1/check, on either tier — and applies its delay
+// annotations. Registry.Put runs it only on hashes not yet registered
+// (Transient, on every inline batch of a worker): the netlistParses
+// counter proves warm paths never reach here. The
 // annotations are applied before the circuit is published, so the
 // registered circuit is complete and immutable from the moment any
 // batch can see it.
 func (fe *frontEnd) buildCircuit(canon *api.UploadRequest) (*circuit.Circuit, error) {
 	fe.netlistParses.Add(1)
-	c, apiErr := parseNetlist(canon.Netlist, canon.Format, canon.Name, canon.DefaultDelay)
-	if apiErr != nil {
-		return nil, apiErr
+	var (
+		c   *circuit.Circuit
+		err error
+	)
+	if canon.Format == "verilog" {
+		c, err = verilog.ParseString(canon.Netlist, verilog.Options{DefaultDelay: canon.DefaultDelay})
+	} else {
+		c, err = circuit.ParseBenchString(canon.Netlist, circuit.BenchOptions{DefaultDelay: canon.DefaultDelay, Name: canon.Name})
+	}
+	if err != nil {
+		return nil, badRequest("bad_netlist", "parsing netlist: %v", err)
+	}
+	if canon.Name != "" {
+		c.Name = canon.Name
 	}
 	if canon.SDF != "" {
 		if _, err := sdf.ApplyString(c, canon.SDF); err != nil {

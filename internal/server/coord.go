@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/circuit"
 	"repro/internal/client"
 	"repro/internal/obs"
 	"repro/internal/registry"
@@ -47,9 +46,10 @@ type CoordConfig struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe (default 1s).
 	ProbeTimeout time.Duration
-	// RegistryMaxCircuits bounds the coordinator's own circuit table
-	// (canonical uploads kept for re-upload to workers; default 128,
-	// LRU beyond).
+	// RegistryMaxCircuits bounds the coordinator's circuit registry
+	// (parsed circuits with the canonical uploads re-sent to workers;
+	// default 128, LRU beyond). The coordinator prepares nothing, so
+	// no byte cap applies.
 	RegistryMaxCircuits int
 	// Name is the instance name stamped into ShardInfo envelopes
 	// (default "lttad-coord").
@@ -80,9 +80,6 @@ func (cfg CoordConfig) withDefaults() CoordConfig {
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = time.Second
 	}
-	if cfg.RegistryMaxCircuits <= 0 {
-		cfg.RegistryMaxCircuits = 128
-	}
 	if cfg.Name == "" {
 		cfg.Name = "lttad-coord"
 	}
@@ -91,15 +88,17 @@ func (cfg CoordConfig) withDefaults() CoordConfig {
 
 // Coordinator is the cluster tier of lttad: the shared HTTP front end
 // (same wire protocol as a single daemon — PUT /v1/circuits, POST
-// /v1/check, POST /v1/circuits/{hash}/check, NDJSON streaming) over
-// shard dispatch instead of a local pool. A batch is sharded by
-// (circuit-hash, sink) rendezvous hashing over the live workers — so
-// each worker's prepared-state LRU, cones and base snapshots stay hot
-// for its shard — and the per-shard result streams are merged back into
-// one client-facing stream with an exactly-once terminal result per
-// check: worker failures requeue the unfinished checks onto survivors,
-// stragglers are hedged, and duplicate results from the races that
-// creates are dropped at the merge point. See DESIGN.md §15.
+// /v1/check, POST /v1/circuits/{hash}/check, NDJSON streaming — and
+// the same circuit registry, whose entries' canonical uploads it
+// re-sends to workers) over shard dispatch instead of a local pool. A
+// batch is sharded by (circuit-hash, sink) rendezvous hashing over the
+// live workers — so each worker's prepared-state LRU, cones and base
+// snapshots stay hot for its shard — and the per-shard result streams
+// are merged back into one client-facing stream with an exactly-once
+// terminal result per check: worker failures requeue the unfinished
+// checks onto survivors, stragglers are hedged, and duplicate results
+// from the races that creates are dropped at the merge point. See
+// DESIGN.md §15.
 type Coordinator struct {
 	*frontEnd
 	cfg CoordConfig
@@ -114,10 +113,6 @@ type Coordinator struct {
 
 	requeues *obs.CounterVec // lttad_coord_requeues_total by reason
 	hedges   *obs.CounterVec // lttad_coord_hedges_total by attempt
-
-	mu       sync.Mutex
-	circuits map[api.Hash]*coordEntry // guarded by mu
-	useSeq   int64                    // guarded by mu
 
 	// counters behind /metrics (lttad_coord_*)
 	checksMerged      atomic.Int64
@@ -165,31 +160,20 @@ func (w *coordWorker) remember(h api.Hash) {
 	w.mu.Unlock()
 }
 
-// coordEntry is one registered circuit on the coordinator: the
-// canonical upload (re-sent verbatim to any worker that needs it — its
-// hash is reproducible by construction) and the parsed circuit used
-// for sink resolution, sweep aggregation, and response echoes.
-type coordEntry struct {
-	hash    api.Hash
-	canon   *api.UploadRequest
-	c       *circuit.Circuit
-	lastUse int64 // guarded by Coordinator.mu
-}
-
 // NewCoordinator builds a Coordinator over the configured workers and
 // starts its health-probe loop.
 func NewCoordinator(cfg CoordConfig) *Coordinator {
 	cfg = cfg.withDefaults()
 	co := &Coordinator{
-		cfg:      cfg,
-		pool:     client.NewPool(cfg.Workers),
-		byAddr:   make(map[string]*coordWorker),
-		circuits: make(map[api.Hash]*coordEntry),
+		cfg:    cfg,
+		pool:   client.NewPool(cfg.Workers),
+		byAddr: make(map[string]*coordWorker),
 	}
 	co.frontEnd = newFrontEnd(frontConfig{
 		queueDepth: cfg.QueueDepth, maxBody: cfg.MaxBodyBytes, maxChecks: cfg.MaxChecks,
 		retryAfter: cfg.RetryAfter, traceDir: cfg.TraceDir,
 		flightLast: cfg.FlightLast, flightSlowest: cfg.FlightSlowest, logger: cfg.Logger,
+		registry: registry.Config{MaxCircuits: cfg.RegistryMaxCircuits}, registerInline: true,
 		role: "coordinator", prefix: "lttad_coord_",
 	}, co, obs.NewHistogram(obs.ExpBuckets(1_000, 100_000_000_000, 5)))
 	for _, addr := range co.pool.Addrs() {
@@ -294,128 +278,31 @@ func (co *Coordinator) markDead(ctx context.Context, w *coordWorker, cause error
 	}
 }
 
-// ensureCircuit makes sure worker w holds the entry's circuit,
-// uploading the canonical form through the registry API if the
+// ensureCircuit makes sure worker w holds the pinned circuit,
+// uploading the entry's canonical form through the registry API if the
 // coordinator does not already believe it resident. The worker's hash
 // must echo ours — canonicalization is deterministic, so a mismatch
 // means version skew, not bad luck.
-func (co *Coordinator) ensureCircuit(ctx context.Context, w *coordWorker, e *coordEntry) error {
-	if w.knows(e.hash) {
+func (co *Coordinator) ensureCircuit(ctx context.Context, w *coordWorker, pin *registry.Pin) error {
+	h, canon := pin.Hash(), pin.Upload()
+	if w.knows(h) {
 		return nil
 	}
-	up, err := w.cl.Upload(ctx, e.canon.Netlist, client.UploadOptions{
-		Format: e.canon.Format, Name: e.canon.Name, DefaultDelay: e.canon.DefaultDelay,
-		SDF: e.canon.SDF, Delays: e.canon.Delays,
+	up, err := w.cl.Upload(ctx, canon.Netlist, client.UploadOptions{
+		Format: canon.Format, Name: canon.Name, DefaultDelay: canon.DefaultDelay,
+		SDF: canon.SDF, Delays: canon.Delays,
 	})
 	if err != nil {
 		return err
 	}
-	if up != e.hash {
+	if up != h {
 		return fmt.Errorf("worker %s hashed the circuit as %s, coordinator as %s (version skew?)",
-			w.addr, up, e.hash)
+			w.addr, up, h)
 	}
-	w.remember(e.hash)
+	w.remember(h)
 	co.workerUploads.Add(1)
 	return nil
 }
-
-// getEntry looks a registered circuit up and touches its LRU slot.
-func (co *Coordinator) getEntry(h api.Hash) (*coordEntry, bool) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	e, ok := co.circuits[h]
-	if ok {
-		co.useSeq++
-		e.lastUse = co.useSeq
-	}
-	return e, ok
-}
-
-// put canonicalizes and hashes an upload exactly like a worker would
-// (shared canonicalization, so the address is identical cluster-wide),
-// registers it (idempotent) and reports whether this call created it,
-// evicting the least-recently-used entry beyond the capacity. Workers
-// keep their own registries; evicting here only means a later check on
-// the hash must re-upload through a client.
-func (co *Coordinator) put(up *api.UploadRequest) (*coordEntry, bool, error) {
-	hash, canon, err := registry.HashUpload(up)
-	if err != nil {
-		return nil, false, err
-	}
-	co.mu.Lock()
-	if e, ok := co.circuits[hash]; ok {
-		co.useSeq++
-		e.lastUse = co.useSeq
-		co.mu.Unlock()
-		return e, false, nil
-	}
-	co.mu.Unlock()
-	// Parse outside the lock; concurrent identical uploads both parse
-	// and the second insert loses gracefully (same content, same hash).
-	c, err := co.buildCircuit(canon)
-	if err != nil {
-		return nil, false, err
-	}
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if e, ok := co.circuits[hash]; ok {
-		co.useSeq++
-		e.lastUse = co.useSeq
-		return e, false, nil
-	}
-	co.useSeq++
-	e := &coordEntry{hash: hash, canon: canon, c: c, lastUse: co.useSeq}
-	co.circuits[hash] = e
-	for len(co.circuits) > co.cfg.RegistryMaxCircuits {
-		var lru *coordEntry
-		for _, cand := range co.circuits {
-			if lru == nil || cand.lastUse < lru.lastUse {
-				lru = cand
-			}
-		}
-		delete(co.circuits, lru.hash)
-	}
-	return e, true, nil
-}
-
-func (co *Coordinator) circuitCount() int {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return len(co.circuits)
-}
-
-// register is PUT /v1/circuits on the coordinator: the table keeps the
-// canonical form for worker uploads.
-func (co *Coordinator) register(up *UploadRequest) (registry.PutResult, error) {
-	e, created, err := co.put(up)
-	if err != nil {
-		return registry.PutResult{}, err
-	}
-	return registry.PutResult{Hash: e.hash, Circuit: e.c, Created: created}, nil
-}
-
-// inline hashes an inline check's netlist into the table exactly like
-// an upload, so inline and hash-addressed submissions are served by
-// the same merge machine and are result-identical.
-func (co *Coordinator) inline(req *Request) (circuitRef, *apiError) {
-	e, _, err := co.put(&api.UploadRequest{
-		Netlist: req.Netlist, Format: req.Format, Name: req.Name, DefaultDelay: req.DefaultDelay,
-	})
-	if err != nil {
-		return circuitRef{}, uploadError(err)
-	}
-	return e.ref(), nil
-}
-
-func (co *Coordinator) lookup(h api.Hash) (circuitRef, bool) {
-	e, ok := co.getEntry(h)
-	if !ok {
-		return circuitRef{}, false
-	}
-	return e.ref(), true
-}
-
-func (e *coordEntry) ref() circuitRef { return circuitRef{c: e.c, hash: e.hash, entry: e} }
 
 func (co *Coordinator) open(_ context.Context, h *batchHead) (runner, *apiError) {
 	cb := &coordBatch{batchHead: h, co: co}
@@ -450,7 +337,7 @@ func (co *Coordinator) registerCoordMetrics() {
 		func() float64 { return float64(co.aliveCount()) })
 	co.reg.GaugeFunc("lttad_coord_circuits",
 		"Circuits registered on the coordinator.", nil,
-		func() float64 { return float64(co.circuitCount()) })
+		func() float64 { return float64(co.circuits.Circuits()) })
 	co.reg.CounterFunc("lttad_coord_checks_total",
 		"Terminal check results merged into client responses.", nil, co.checksMerged.Load)
 	co.reg.CounterFunc("lttad_coord_shard_dispatches_total",

@@ -162,7 +162,7 @@ func (cb *coordBatch) finish(start time.Time, checks int) (int, *obs.ClusterTrac
 	if cb.ct != nil {
 		cb.ct.Span("coordinator", "batch "+strconv.FormatInt(cb.id, 10),
 			start.UnixMicro(), time.Since(start).Microseconds(),
-			map[string]any{"trace_id": cb.trace.TraceID, "circuit": cb.c.Name})
+			map[string]any{"trace_id": cb.trace.TraceID, "circuit": cb.pin.Circuit().Name})
 	}
 	return checks, cb.ct
 }
@@ -173,7 +173,7 @@ func (cb *coordBatch) finish(start time.Time, checks int) (int, *obs.ClusterTrac
 // index a single daemon stamps on its streamed sweep checks. Caller
 // holds cb.mu.
 func (cb *coordBatch) buildUnits() {
-	c := cb.c
+	c := cb.pin.Circuit()
 	if cb.req.Sweep == nil {
 		cb.units = make([]*coordUnit, len(cb.checks))
 		for i, rc := range cb.checks {
@@ -213,7 +213,7 @@ func (cb *coordBatch) dispatchAll(ctx context.Context) {
 	groups := make(map[string][]*coordUnit)
 	cb.mu.Lock()
 	for _, u := range cb.units {
-		owner, _ := router.Assign(u.key(cb.hash))
+		owner, _ := router.Assign(u.key(cb.pin.Hash()))
 		groups[owner] = append(groups[owner], u)
 	}
 	cb.mu.Unlock()
@@ -284,16 +284,30 @@ func (cb *coordBatch) dispatchShard(ctx context.Context, w *coordWorker, units [
 	cb.redispatch(ctx, stranded, err)
 }
 
-// streamShard uploads the circuit if the worker needs it and streams
-// the shard's checks, delivering each result as its event arrives. An
-// unknown_hash answer (the worker evicted the circuit between our
-// upload and the check) is retried once on the same worker after
-// forgetting the stale belief.
-func (cb *coordBatch) streamShard(ctx context.Context, w *coordWorker, units []*coordUnit, kind string) error {
+// onWorker runs call against the batch's circuit on worker w,
+// uploading the circuit first if the worker needs it. An unknown_hash
+// answer (the worker evicted the circuit between our upload and the
+// call) is retried once on the same worker after forgetting the stale
+// belief.
+func (cb *coordBatch) onWorker(ctx context.Context, w *coordWorker, call func() error) error {
 	for try := 0; try < 2; try++ {
-		if err := cb.co.ensureCircuit(ctx, w, cb.entry); err != nil {
+		if err := cb.co.ensureCircuit(ctx, w, cb.pin); err != nil {
 			return err
 		}
+		err := call()
+		var ae *client.APIError
+		if !errors.As(err, &ae) || !ae.UnknownHash() {
+			return err
+		}
+		w.forget(cb.pin.Hash())
+	}
+	return fmt.Errorf("worker %s keeps answering unknown_hash for %s", w.addr, cb.pin.Hash())
+}
+
+// streamShard streams the shard's checks on worker w, delivering each
+// result as its event arrives.
+func (cb *coordBatch) streamShard(ctx context.Context, w *coordWorker, units []*coordUnit, kind string) error {
+	return cb.onWorker(ctx, w, func() error {
 		specs := make([]CheckSpec, len(units))
 		attempt := 0
 		cb.mu.Lock()
@@ -315,7 +329,7 @@ func (cb *coordBatch) streamShard(ctx context.Context, w *coordWorker, units []*
 			Trace: &api.TraceContext{TraceID: cb.trace.TraceID,
 				ParentSpan: api.NewSpanID(), Tenant: cb.trace.Tenant},
 		}
-		err := w.cl.StreamByHash(ctx, cb.hash, req, func(ev Event) error {
+		return w.cl.StreamByHash(ctx, cb.pin.Hash(), req, func(ev Event) error {
 			switch {
 			case ev.Type == "check" && ev.Check != nil:
 				cb.deliver(units, ev.Check, w.addr)
@@ -324,14 +338,7 @@ func (cb *coordBatch) streamShard(ctx context.Context, w *coordWorker, units []*
 			}
 			return nil
 		})
-		var ae *client.APIError
-		if errors.As(err, &ae) && ae.UnknownHash() {
-			w.forget(cb.hash)
-			continue
-		}
-		return err
-	}
-	return fmt.Errorf("worker %s keeps answering unknown_hash for %s", w.addr, cb.hash)
+	})
 }
 
 // workerSpans folds one worker's in-band span summary into the
@@ -426,7 +433,7 @@ func (cb *coordBatch) deliverLocked(u *coordUnit, res *CheckResult, worker strin
 // never got a usable worker answer): the same shape a worker's
 // panic-isolation (A) or cancellation (C) path produces.
 func (cb *coordBatch) syntheticResult(u *coordUnit, final core.Result, errMsg string) *CheckResult {
-	res := ResultFromReport(cb.c, u.emitIndex, core.AbortedReport(u.sinkID, u.delta, final))
+	res := ResultFromReport(cb.pin.Circuit(), u.emitIndex, core.AbortedReport(u.sinkID, u.delta, final))
 	res.Error = errMsg
 	return &res
 }
@@ -508,7 +515,7 @@ func (cb *coordBatch) redispatch(ctx context.Context, units []*coordUnit, cause 
 	groups := make(map[string][]*coordUnit)
 	cb.mu.Lock()
 	for _, u := range retry {
-		ranked := router.Ranked(u.key(cb.hash))
+		ranked := router.Ranked(u.key(cb.pin.Hash()))
 		target := ranked[0]
 		for _, cand := range ranked {
 			if !u.tried(cand) {
@@ -575,7 +582,7 @@ func (cb *coordBatch) hedgePass(ctx context.Context) {
 			continue
 		}
 		target := ""
-		for _, cand := range router.Ranked(u.key(cb.hash)) {
+		for _, cand := range router.Ranked(u.key(cb.pin.Hash())) {
 			if !u.tried(cand) {
 				target = cand
 				break
@@ -614,7 +621,7 @@ func (cb *coordBatch) hedgePass(ctx context.Context) {
 // sweeps (the differential cluster suite pins this). Caller holds
 // cb.mu.
 func (cb *coordBatch) assembleSweeps(resp *Response, em *emitter) {
-	c := cb.c
+	c := cb.pin.Circuit()
 	npos := len(c.PrimaryOutputs())
 	for di, d := range cb.req.Sweep.Deltas {
 		reports := make([]*core.Report, npos)
@@ -661,7 +668,7 @@ func (cb *coordBatch) runTable1Forward(ctx context.Context, em *emitter, resp *R
 		return 0
 	}
 	router := NewShardRouter(alive)
-	ranked := router.Ranked(ShardKey{Hash: string(cb.hash)})
+	ranked := router.Ranked(ShardKey{Hash: string(cb.pin.Hash())})
 	var lastErr error
 	for attempt, addr := range ranked {
 		if ctx.Err() != nil {
@@ -709,13 +716,10 @@ func (cb *coordBatch) runTable1Forward(ctx context.Context, em *emitter, resp *R
 }
 
 // forwardTable1 runs the whole table1 request on one worker as a
-// buffered call, retrying once through the unknown_hash re-upload
-// path like a sharded stream does.
+// buffered call.
 func (cb *coordBatch) forwardTable1(ctx context.Context, w *coordWorker, attempt int) (*Response, error) {
-	for try := 0; try < 2; try++ {
-		if err := cb.co.ensureCircuit(ctx, w, cb.entry); err != nil {
-			return nil, err
-		}
+	var wresp *Response
+	err := cb.onWorker(ctx, w, func() error {
 		req := api.Request{
 			V: api.Version, Sweep: cb.req.Sweep,
 			Options: cb.req.Options, Budgets: cb.req.Budgets,
@@ -726,13 +730,9 @@ func (cb *coordBatch) forwardTable1(ctx context.Context, w *coordWorker, attempt
 			Trace: &api.TraceContext{TraceID: cb.trace.TraceID,
 				ParentSpan: api.NewSpanID(), Tenant: cb.trace.Tenant},
 		}
-		wresp, err := w.cl.CheckByHash(ctx, cb.hash, req)
-		var ae *client.APIError
-		if errors.As(err, &ae) && ae.UnknownHash() {
-			w.forget(cb.hash)
-			continue
-		}
-		return wresp, err
-	}
-	return nil, fmt.Errorf("worker %s keeps answering unknown_hash for %s", w.addr, cb.hash)
+		var err error
+		wresp, err = w.cl.CheckByHash(ctx, cb.pin.Hash(), req)
+		return err
+	})
+	return wresp, err
 }

@@ -20,12 +20,15 @@ import (
 )
 
 // frontEnd is the HTTP layer shared by the worker (Server) and the
-// coordinator: the routes, request decoding and caps, bounded
-// admission with 429/503 + Retry-After, the batch context, trace
-// minting, NDJSON emission, per-batch timelines, the flight recorder,
-// health and readiness, drain, and the admission metrics. Each
-// admitted batch is handed to an executor — the local pool or shard
-// dispatch — which is all that differs between the two tiers.
+// coordinator: the routes, request decoding and caps, the circuit
+// registry every upload, inline check and hash check resolves
+// through (a worker builds an inline netlist for its batch alone; a
+// coordinator registers it like an upload), bounded admission with 429/503 + Retry-After, the batch
+// context, trace minting, NDJSON emission, per-batch timelines, the
+// flight recorder, health and readiness, drain, and the admission
+// metrics. Each admitted batch is handed to an executor — the local
+// pool or shard dispatch — which is all that differs between the two
+// tiers.
 //
 // Lifecycle: accepting → draining → stopped. Accepting, submissions
 // are admitted up to QueueDepth concurrent batches (429 beyond).
@@ -35,10 +38,11 @@ import (
 // each still produces exactly one terminal result (verdict C) and the
 // batches finish. Stopped, the executor has released its resources.
 type frontEnd struct {
-	fc   frontConfig
-	exec executor
-	mux  *http.ServeMux
-	log  *slog.Logger
+	fc       frontConfig
+	exec     executor
+	circuits *registry.Registry // content-addressed circuits; every batch pins its entry
+	mux      *http.ServeMux
+	log      *slog.Logger
 
 	slots    chan struct{} // admission tokens, cap QueueDepth
 	inflight sync.WaitGroup
@@ -75,21 +79,22 @@ type frontConfig struct {
 	flightLast    int
 	flightSlowest int
 	logger        *slog.Logger
+	registry      registry.Config
+
+	// registerInline registers an inline check's netlist like an
+	// upload (the coordinator); otherwise it is built and prepared for
+	// its batch alone and nothing of it stays resident (a worker).
+	registerInline bool
 
 	role   string // "server" or "coordinator", in drain messages
 	prefix string // metric-name prefix of the admission series
 }
 
-// executor runs what the front end admits. There are two: the worker's
-// registry plus local pool (Server) and the coordinator's circuit
-// table plus shard dispatch (Coordinator).
+// executor runs what the front end admits against a circuit pinned
+// through the front end's registry. There are two: the worker's local pool
+// (Server), which prepares the pinned circuit, and the coordinator's
+// shard dispatch (Coordinator), which uploads it to workers.
 type executor interface {
-	// register stores an upload under its content address.
-	register(up *UploadRequest) (registry.PutResult, error)
-	// inline resolves the netlist an inline check request carries.
-	inline(req *Request) (circuitRef, *apiError)
-	// lookup resolves a hash-addressed check; false answers 404.
-	lookup(h api.Hash) (circuitRef, bool)
 	// open binds an admitted batch under its batch context. An error
 	// is answered before any response byte is written.
 	open(ctx context.Context, h *batchHead) (runner, *apiError)
@@ -107,19 +112,11 @@ type runner interface {
 	run(ctx context.Context, resp *Response, em *emitter) (checks int, tl *obs.ClusterTrace)
 }
 
-// circuitRef is a circuit resolved for one batch.
-type circuitRef struct {
-	c    *circuit.Circuit
-	hash api.Hash // content address; empty on a worker's inline checks
-
-	pin   *registry.Pin // worker, hash-addressed: holds the entry until the response is written
-	entry *coordEntry   // coordinator: the table entry the batch shards
-}
-
 // batchHead is what the front end knows of an admitted batch; both
-// executors' batch types embed it.
+// executors' batch types embed it. The pin holds the batch's circuit
+// until the response is written; admitAndRun alone releases it.
 type batchHead struct {
-	circuitRef
+	pin    *registry.Pin
 	req    *Request
 	checks []resolvedCheck
 	id     int64
@@ -145,7 +142,7 @@ func newFrontEnd(fc frontConfig, exec executor, checkSeconds *obs.Histogram) *fr
 		fc.logger = obs.NopLogger()
 	}
 	fe := &frontEnd{
-		fc: fc, exec: exec, mux: http.NewServeMux(), log: fc.logger,
+		fc: fc, exec: exec, circuits: registry.New(fc.registry), mux: http.NewServeMux(), log: fc.logger,
 		slots:        make(chan struct{}, fc.queueDepth),
 		reg:          obs.NewRegistry(),
 		flight:       obs.NewFlightRecorder(fc.flightLast, fc.flightSlowest),
@@ -237,11 +234,15 @@ func (fe *frontEnd) retryAfterSeconds() string {
 	return strconv.Itoa(max(int(fe.fc.retryAfter/time.Second), 1))
 }
 
-// rejectBadRequest tallies, logs, and answers a pre-admission error.
+// rejectBadRequest tallies, logs, and answers an error found before
+// the batch reaches its executor.
 func (fe *frontEnd) rejectBadRequest(ctx context.Context, w http.ResponseWriter, e *apiError) {
 	fe.badRequests.Add(1)
-	fe.log.LogAttrs(ctx, slog.LevelInfo, "bad request",
-		slog.String("code", e.code), slog.String("message", e.msg))
+	attrs := []slog.Attr{slog.String("code", e.code), slog.String("message", e.msg)}
+	if e.hash != "" {
+		attrs = append(attrs, slog.String("hash", string(e.hash)))
+	}
+	fe.log.LogAttrs(ctx, slog.LevelInfo, "bad request", attrs...)
 	writeError(w, e)
 }
 
@@ -264,8 +265,9 @@ func (fe *frontEnd) rejectDraining(w http.ResponseWriter, r *http.Request, what 
 // call is idempotent — re-uploading a known circuit costs one hash and
 // zero parses — and takes no admission slot: uploads are cheap
 // bookkeeping next to check batches, and a table full of circuits
-// admits no work by itself. A coordinator keeps the canonical form and
-// uploads it to a worker the first time a shard routes there.
+// admits no work by itself. The entry keeps the canonical form, which
+// a coordinator uploads to a worker the first time a shard routes
+// there.
 func (fe *frontEnd) handleCircuitPut(w http.ResponseWriter, r *http.Request) {
 	if fe.rejectDraining(w, r, "upload") {
 		return
@@ -280,26 +282,30 @@ func (fe *frontEnd) handleCircuitPut(w http.ResponseWriter, r *http.Request) {
 		fe.rejectBadRequest(r.Context(), w, unsupportedVersion(up.V))
 		return
 	}
-	res, err := fe.exec.register(&up)
+	pin, created, err := fe.circuits.Put(&up, fe.buildCircuit)
 	if err != nil {
 		fe.rejectBadRequest(r.Context(), w, uploadError(err))
 		return
 	}
+	pin.Release()
+	c := pin.Circuit()
 	fe.log.LogAttrs(r.Context(), slog.LevelInfo, "circuit upload",
-		slog.String("hash", string(res.Hash)), slog.Bool("created", res.Created),
-		slog.String("circuit", res.Circuit.Name))
+		slog.String("hash", string(pin.Hash())), slog.Bool("created", created),
+		slog.String("circuit", c.Name))
 	w.Header().Set("Content-Type", "application/json")
-	if res.Created {
+	if created {
 		w.WriteHeader(http.StatusCreated)
 	}
 	_ = json.NewEncoder(w).Encode(UploadResponse{
-		V: api.Version, Hash: res.Hash, Created: res.Created,
-		Circuit: circuitInfo(res.Circuit, 0),
+		V: api.Version, Hash: pin.Hash(), Created: created, Circuit: circuitInfo(c, 0),
 	})
 }
 
-// handleCheck is POST /v1/check: decode, resolve the inline netlist,
-// admit, execute, respond (JSON document or NDJSON stream).
+// handleCheck is POST /v1/check: decode, admit, build the inline
+// netlist through the registry (validated and hashed exactly like an
+// upload), execute, respond (JSON document or NDJSON stream). A
+// coordinator registers the netlist, since it re-sends it to workers
+// by hash; a worker builds and prepares it for this batch alone.
 func (fe *frontEnd) handleCheck(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, &apiError{status: http.StatusMethodNotAllowed, code: "method_not_allowed",
@@ -315,12 +321,20 @@ func (fe *frontEnd) handleCheck(w http.ResponseWriter, r *http.Request) {
 		fe.rejectBadRequest(r.Context(), w, apiErr)
 		return
 	}
-	ref, apiErr := fe.exec.inline(req)
-	if apiErr != nil {
-		fe.rejectBadRequest(r.Context(), w, apiErr)
-		return
-	}
-	fe.admitAndRun(w, r, req, ref)
+	fe.admitAndRun(w, r, req, func() (*registry.Pin, *apiError) {
+		up := &UploadRequest{Netlist: req.Netlist, Format: req.Format, Name: req.Name, DefaultDelay: req.DefaultDelay}
+		var pin *registry.Pin
+		var err error
+		if fe.fc.registerInline {
+			pin, _, err = fe.circuits.Put(up, fe.buildCircuit)
+		} else {
+			pin, err = fe.circuits.Transient(up, fe.buildCircuit)
+		}
+		if err != nil {
+			return nil, uploadError(err)
+		}
+		return pin, nil
+	})
 }
 
 // handleCheckByHash is POST /v1/circuits/{hash}/check: run a batch
@@ -343,40 +357,26 @@ func (fe *frontEnd) handleCheckByHash(w http.ResponseWriter, r *http.Request) {
 		fe.rejectBadRequest(r.Context(), w, apiErr)
 		return
 	}
-	ref, ok := fe.exec.lookup(h)
-	if !ok {
-		fe.badRequests.Add(1)
-		fe.log.LogAttrs(r.Context(), slog.LevelInfo, "unknown hash", slog.String("hash", string(h)))
-		writeError(w, &apiError{status: http.StatusNotFound, code: "unknown_hash",
+	fe.admitAndRun(w, r, req, func() (*registry.Pin, *apiError) {
+		if pin, ok := fe.circuits.Acquire(h); ok {
+			return pin, nil
+		}
+		return nil, &apiError{status: http.StatusNotFound, code: "unknown_hash",
 			msg:  "no circuit registered under this hash; PUT /v1/circuits and retry",
-			hash: h})
-		return
-	}
-	fe.admitAndRun(w, r, req, ref)
+			hash: h}
+	})
 }
 
 // admitAndRun is the admission + execution half shared by the inline
-// and hash-addressed paths: resolve sinks, take a queue slot (or 429),
-// build the batch context, mint the trace, and hand the batch to the
-// executor. A worker's registry pin is released only after the
-// response is written.
-func (fe *frontEnd) admitAndRun(w http.ResponseWriter, r *http.Request, req *Request, ref circuitRef) {
-	if ref.pin != nil {
-		defer ref.pin.Release()
-	}
-	checks, apiErr := resolveChecks(ref.c, req.Checks)
-	if apiErr != nil {
-		fe.rejectBadRequest(r.Context(), w, apiErr)
-		return
-	}
-	n := batchSize(ref.c, req, checks)
-	if n > fe.fc.maxChecks {
-		fe.rejectBadRequest(r.Context(), w, badRequest("too_many_checks",
-			"batch expands to %d checks, cap is %d", n, fe.fc.maxChecks))
-		return
-	}
-
+// and hash-addressed paths: take a queue slot (or 429), pin the
+// batch's circuit through resolve, resolve sinks, build the batch
+// context, mint the trace, and hand the batch to the executor. The
+// pin is released only after the response is written.
+func (fe *frontEnd) admitAndRun(w http.ResponseWriter, r *http.Request, req *Request, resolve func() (*registry.Pin, *apiError)) {
 	// Admission: a slot per batch, non-blocking — the bounded queue.
+	// It is taken before the circuit is resolved, so a 429 parses,
+	// registers and evicts nothing, and a cold parse runs inside the
+	// queue bound.
 	select {
 	case fe.slots <- struct{}{}:
 	default:
@@ -389,11 +389,30 @@ func (fe *frontEnd) admitAndRun(w http.ResponseWriter, r *http.Request, req *Req
 		return
 	}
 	fe.inflight.Add(1)
-	fe.accepted.Add(1)
 	defer func() {
 		<-fe.slots
 		fe.inflight.Done()
 	}()
+
+	pin, apiErr := resolve()
+	if apiErr != nil {
+		fe.rejectBadRequest(r.Context(), w, apiErr)
+		return
+	}
+	defer pin.Release()
+	c := pin.Circuit()
+	checks, apiErr := resolveChecks(c, req.Checks)
+	if apiErr != nil {
+		fe.rejectBadRequest(r.Context(), w, apiErr)
+		return
+	}
+	n := batchSize(c, req, checks)
+	if n > fe.fc.maxChecks {
+		fe.rejectBadRequest(r.Context(), w, badRequest("too_many_checks",
+			"batch expands to %d checks, cap is %d", n, fe.fc.maxChecks))
+		return
+	}
+	fe.accepted.Add(1)
 
 	// The batch context: the base context (cancelled at the drain
 	// deadline) bounded by the batch timeouts. The client going away
@@ -419,7 +438,7 @@ func (fe *frontEnd) admitAndRun(w http.ResponseWriter, r *http.Request, req *Req
 	if sh := req.Shard; sh != nil && sh.Attempt > 0 {
 		logger = logger.With(slog.Int("attempt", sh.Attempt))
 	}
-	h := &batchHead{circuitRef: ref, req: req, checks: checks, id: id, log: logger, trace: trace}
+	h := &batchHead{pin: pin, req: req, checks: checks, id: id, log: logger, trace: trace}
 	run, apiErr := fe.exec.open(ctx, h)
 	if apiErr != nil {
 		writeError(w, apiErr)
@@ -427,10 +446,8 @@ func (fe *frontEnd) admitAndRun(w http.ResponseWriter, r *http.Request, req *Req
 	}
 
 	attrs := []slog.Attr{
-		slog.String("circuit", ref.c.Name), slog.Int("checks", n), slog.Bool("stream", req.Stream),
-	}
-	if ref.hash != "" {
-		attrs = append(attrs, slog.String("hash", string(ref.hash)))
+		slog.String("circuit", c.Name), slog.Int("checks", n), slog.Bool("stream", req.Stream),
+		slog.String("hash", string(pin.Hash())),
 	}
 	attrs = append(attrs, h.attrs...)
 	if sh := req.Shard; sh != nil {
@@ -452,12 +469,12 @@ func (fe *frontEnd) admitAndRun(w http.ResponseWriter, r *http.Request, req *Req
 		}
 	}
 	start := time.Now()
-	resp := &Response{V: api.Version, Circuit: circuitInfo(ref.c, n), TraceID: trace.TraceID}
+	resp := &Response{V: api.Version, Circuit: circuitInfo(c, n), TraceID: trace.TraceID}
 	em.emit(Event{Type: "circuit", Circuit: &resp.Circuit})
 	ran, tl := run.run(ctx, resp, em)
 	resp.Done = DoneInfo{ChecksRun: ran, ElapsedUs: time.Since(start).Microseconds()}
 	logger.LogAttrs(ctx, slog.LevelInfo, "batch done",
-		slog.String("circuit", ref.c.Name), slog.Int("checks", ran),
+		slog.String("circuit", c.Name), slog.Int("checks", ran),
 		slog.Duration("elapsed", time.Since(start)))
 	if tl != nil {
 		fe.writeTrace(ctx, h, tl)

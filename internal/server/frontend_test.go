@@ -92,6 +92,9 @@ func TestFrontEndContract(t *testing.T) {
 	badSDF, _ := json.Marshal(api.UploadRequest{Netlist: bench,
 		SDF: "(DELAYFILE (CELL (INSTANCE G10) (DELAY (ABSOLUTE (IOPATH a y (1e30))))))"})
 	check, _ := json.Marshal(api.Request{Netlist: bench, Sweep: &api.SweepSpec{Deltas: []int64{50}}})
+	noNetlist, _ := json.Marshal(api.Request{Netlist: " \n", Sweep: sweep})
+	badFormat, _ := json.Marshal(api.Request{Netlist: bench, Format: "vhdl", Sweep: sweep})
+	badDelay, _ := json.Marshal(api.Request{Netlist: bench, DefaultDelay: -1, Sweep: sweep})
 
 	cases := []struct {
 		name, method, path, body string
@@ -111,6 +114,12 @@ func TestFrontEndContract(t *testing.T) {
 			contractReply{status: http.StatusBadRequest, code: "too_many_checks"}},
 		{"bad sdf", http.MethodPut, "/v1/circuits", string(badSDF),
 			contractReply{status: http.StatusBadRequest, code: "bad_sdf"}},
+		{"inline without netlist", http.MethodPost, "/v1/check", string(noNetlist),
+			contractReply{status: http.StatusBadRequest, code: "missing_netlist"}},
+		{"inline bad format", http.MethodPost, "/v1/check", string(badFormat),
+			contractReply{status: http.StatusBadRequest, code: "bad_format"}},
+		{"inline bad delay", http.MethodPost, "/v1/check", string(badDelay),
+			contractReply{status: http.StatusBadRequest, code: "bad_delay"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

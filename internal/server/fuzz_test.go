@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/gen"
+	"repro/internal/registry"
 )
 
 // fuzzSeeds are real request bodies — the same shapes the e2e suite
@@ -41,9 +42,10 @@ func fuzzSeeds(f *testing.F) {
 }
 
 // FuzzDecodeRequest drives arbitrary bytes through the full request
-// path short of execution — JSON decode, validation, netlist parse,
-// sink resolution, option/budget mapping. Every rejection must be a
-// structured 4xx apiError; nothing may panic.
+// path short of execution — JSON decode, validation, the inline
+// netlist's canonicalization and hash and parse (as handleCheck
+// builds it), sink resolution, option/budget mapping. Every
+// rejection must be a structured 4xx apiError; nothing may panic.
 func FuzzDecodeRequest(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -52,9 +54,16 @@ func FuzzDecodeRequest(f *testing.F) {
 			check4xx(t, apiErr)
 			return
 		}
-		c, apiErr := parseNetlist(req.Netlist, req.Format, req.Name, req.DefaultDelay)
-		if apiErr != nil {
-			check4xx(t, apiErr)
+		_, canon, err := registry.HashUpload(&UploadRequest{
+			Netlist: req.Netlist, Format: req.Format, Name: req.Name, DefaultDelay: req.DefaultDelay,
+		})
+		if err != nil {
+			check4xx(t, uploadError(err))
+			return
+		}
+		c, err := (&frontEnd{}).buildCircuit(canon)
+		if err != nil {
+			check4xx(t, uploadError(err))
 			return
 		}
 		if _, apiErr := resolveChecks(c, req.Checks); apiErr != nil {

@@ -1,8 +1,11 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"reflect"
@@ -14,6 +17,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/gen"
 	"repro/internal/obs"
+	"repro/internal/registry"
 	"repro/internal/server"
 )
 
@@ -361,6 +365,63 @@ func TestUploadCheckByHashRidesRegistry(t *testing.T) {
 	}
 }
 
+// TestInlineCheckIsTransient: a worker builds and prepares an inline
+// /v1/check netlist for its batch alone. Two identical inline batches
+// parse twice and touch none of the registry series, and a later
+// upload of the same netlist and name creates its entry, under the
+// hash an upload of those fields always gets.
+func TestInlineCheckIsTransient(t *testing.T) {
+	cl, stop := newRegistryTestServer(t, server.Config{Workers: 2, QueueDepth: 4})
+	defer stop()
+	ctx := context.Background()
+
+	bench := circuit.BenchString(gen.C17(10))
+	req := server.Request{Netlist: bench, Name: "c17", Checks: []server.CheckSpec{{Sink: "G22", Delta: 40}}}
+	for i := 0; i < 2; i++ {
+		if _, err := cl.CheckInline(ctx, req); err != nil {
+			t.Fatalf("inline check %d: %v", i, err)
+		}
+	}
+	m := scrapeMetrics(t, cl)
+	for name, want := range map[string]int64{
+		"lttad_netlist_parses_total":                      2,
+		"lttad_registry_prepares_total":                   0,
+		"lttad_registry_hits_total":                       0,
+		"lttad_registry_misses_total":                     0,
+		`lttad_registry_uploads_total{result="created"}`:  0,
+		`lttad_registry_uploads_total{result="existing"}`: 0,
+		"lttad_registry_circuits":                         0,
+		"lttad_registry_resident_bytes":                   0,
+	} {
+		if got, ok := m[name]; !ok || got != want {
+			t.Errorf("after two inline checks %s = %d (present %v), want %d", name, got, ok, want)
+		}
+	}
+
+	want, _, err := registry.HashUpload(&api.UploadRequest{Netlist: bench, Name: "c17"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(api.UploadRequest{Netlist: bench, Name: "c17"})
+	put, err := http.NewRequest(http.MethodPut, cl.BaseURL+"/v1/circuits", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(put)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var res api.UploadResponse
+	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusCreated || !res.Created || res.Hash != want {
+		t.Fatalf("upload after inline checks: %d created=%v hash=%s, want 201 created=true hash=%s",
+			resp.StatusCode, res.Created, res.Hash, want)
+	}
+}
+
 // TestRegistryEvictionHTTP: over-capacity uploads evict LRU circuits;
 // a check against the evicted hash 404s, and uploading again recovers
 // it.
@@ -394,6 +455,52 @@ func TestRegistryEvictionHTTP(t *testing.T) {
 	m := scrapeMetrics(t, cl)
 	if m[`lttad_registry_evictions_total{mode="immediate"}`] == 0 {
 		t.Fatalf("eviction counter not populated: %+v", m)
+	}
+}
+
+// TestCoordRegistryEviction: the coordinator's circuit registry is LRU
+// bounded like a worker's. Past RegistryMaxCircuits a check by hash
+// on the evicted circuit answers 404 unknown_hash with the hash
+// echoed, and re-uploading it through the coordinator recovers.
+func TestCoordRegistryEviction(t *testing.T) {
+	w := startClusterWorker(t, server.Config{Workers: 1, QueueDepth: 2})
+	defer w.stop()
+	co := server.NewCoordinator(server.CoordConfig{Workers: []string{w.addr}, QueueDepth: 2,
+		HedgeAfter: -1, RegistryMaxCircuits: 1})
+	cts := httptest.NewServer(co)
+	defer cts.Close()
+	defer func() { _ = co.Shutdown(context.Background()) }()
+	cl := client.New(cts.URL)
+	ctx := context.Background()
+
+	bench := circuit.BenchString(gen.C17(10))
+	h1, err := cl.Upload(ctx, bench, client.UploadOptions{Name: "one"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Upload(ctx, bench, client.UploadOptions{Name: "two"}); err != nil {
+		t.Fatal(err)
+	}
+	req := server.Request{Checks: []server.CheckSpec{{Sink: "G22", Delta: 40}}}
+	var apiErr *client.APIError
+	if _, err := cl.CheckByHash(ctx, h1, req); !errors.As(err, &apiErr) ||
+		apiErr.Status != 404 || !apiErr.UnknownHash() || apiErr.Hash != h1 {
+		t.Fatalf("evicted hash: got %v, want 404 unknown_hash echoing %s", err, h1)
+	}
+
+	h, err := cl.Upload(ctx, bench, client.UploadOptions{Name: "one"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h != h1 {
+		t.Fatalf("re-upload hashed as %s, first upload as %s", h, h1)
+	}
+	resp, err := cl.CheckByHash(ctx, h, req)
+	if err != nil {
+		t.Fatalf("check after re-upload: %v", err)
+	}
+	if len(resp.Results) != 1 || resp.Results[0].Final == "" {
+		t.Fatalf("check after re-upload answered %+v", resp.Results)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/obs"
@@ -66,10 +65,10 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// Server is the lttad worker: the shared HTTP front end over the
-// content-addressed registry and a local check-execution pool. Create
-// with New, serve with any http.Server (it implements http.Handler),
-// stop with Shutdown.
+// Server is the lttad worker: the shared HTTP front end over a local
+// check-execution pool, which runs every batch against its pinned
+// circuit's prepared state (cached in the registry for uploads). Create with New, serve with any
+// http.Server (it implements http.Handler), stop with Shutdown.
 type Server struct {
 	*frontEnd
 	cfg Config
@@ -79,8 +78,6 @@ type Server struct {
 	ready     atomic.Bool // flips once the warm-up Prepare canary completes
 
 	eng *obs.Tracer // engine telemetry behind /metrics, stamped on every check
-
-	registry *registry.Registry // content-addressed circuits + prepared-state cache
 
 	checksRun atomic.Int64
 	panics    atomic.Int64
@@ -93,16 +90,13 @@ func New(cfg Config) *Server {
 		cfg:   cfg,
 		tasks: make(chan func()),
 		eng:   obs.NewTracer(),
-		registry: registry.New(registry.Config{
-			MaxCircuits:      cfg.RegistryMaxCircuits,
-			MaxResidentBytes: cfg.RegistryMaxBytes,
-		}),
 	}
 	s.frontEnd = newFrontEnd(frontConfig{
 		queueDepth: cfg.QueueDepth, maxBody: cfg.MaxBodyBytes, maxChecks: cfg.MaxChecks,
 		retryAfter: cfg.RetryAfter, batchTimeout: cfg.BatchTimeout, traceDir: cfg.TraceDir,
 		flightLast: cfg.FlightLast, flightSlowest: cfg.FlightSlowest, logger: cfg.Logger,
-		role: "server", prefix: "lttad_",
+		registry: registry.Config{MaxCircuits: cfg.RegistryMaxCircuits, MaxResidentBytes: cfg.RegistryMaxBytes},
+		role:     "server", prefix: "lttad_",
 	}, s, s.eng.CheckSeconds)
 	s.eng.MustRegister(s.reg, "ltta")
 	s.registerWorkerMetrics()
@@ -140,32 +134,32 @@ func (s *Server) registerWorkerMetrics() {
 		"Check-execution pool size.", nil,
 		func() float64 { return float64(s.cfg.Workers) })
 	s.reg.CounterFunc("lttad_registry_hits_total",
-		"Hash-addressed checks that found their prepared state resident.", nil, s.registry.Hits)
+		"Hash-addressed checks that found their prepared state resident.", nil, s.circuits.Hits)
 	s.reg.CounterFunc("lttad_registry_misses_total",
-		"Hash-addressed checks that arrived cold (led or joined a preparation).", nil, s.registry.Misses)
+		"Hash-addressed checks that arrived cold (led or joined a preparation).", nil, s.circuits.Misses)
 	s.reg.CounterFunc("lttad_registry_unknown_total",
-		"Checks against hashes no circuit is registered under (404).", nil, s.registry.Unknown)
+		"Checks against hashes no circuit is registered under (404).", nil, s.circuits.Unknown)
 	s.reg.CounterFunc("lttad_registry_prepares_total",
-		"core.Prepare executions inside the registry.", nil, s.registry.Prepares)
+		"core.Prepare executions inside the registry.", nil, s.circuits.Prepares)
 	s.reg.CounterFunc("lttad_registry_singleflight_coalesced_total",
 		"Cold checks that coalesced onto an in-flight preparation instead of running their own.",
-		nil, s.registry.Coalesced)
+		nil, s.circuits.Coalesced)
 	s.reg.CounterFunc("lttad_registry_evictions_total",
 		"Registry entries evicted by capacity pressure.",
-		obs.Labels{"mode": "immediate"}, s.registry.Evictions)
+		obs.Labels{"mode": "immediate"}, s.circuits.Evictions)
 	s.reg.CounterFunc("lttad_registry_evictions_total",
 		"Registry entries evicted by capacity pressure.",
-		obs.Labels{"mode": "deferred"}, s.registry.DeferredEvictions)
+		obs.Labels{"mode": "deferred"}, s.circuits.DeferredEvictions)
 	s.reg.CounterFunc("lttad_registry_uploads_total",
-		"Circuit uploads by outcome.", obs.Labels{"result": "created"}, s.registry.UploadsCreated)
+		"Circuit uploads by outcome.", obs.Labels{"result": "created"}, s.circuits.UploadsCreated)
 	s.reg.CounterFunc("lttad_registry_uploads_total",
-		"Circuit uploads by outcome.", obs.Labels{"result": "existing"}, s.registry.UploadsExisting)
+		"Circuit uploads by outcome.", obs.Labels{"result": "existing"}, s.circuits.UploadsExisting)
 	s.reg.GaugeFunc("lttad_registry_circuits",
 		"Circuits currently registered (acquirable).", nil,
-		func() float64 { return float64(s.registry.Circuits()) })
+		func() float64 { return float64(s.circuits.Circuits()) })
 	s.reg.GaugeFunc("lttad_registry_resident_bytes",
 		"Estimated bytes held by registered circuits and prepared state.", nil,
-		func() float64 { return float64(s.registry.ResidentBytes()) })
+		func() float64 { return float64(s.circuits.ResidentBytes()) })
 }
 
 // worker executes pool tasks; each task does its own panic isolation.
@@ -188,46 +182,19 @@ func (s *Server) submit(ctx context.Context, f func()) bool {
 	}
 }
 
-// register is PUT /v1/circuits on the worker: the registry parses only
-// hashes it has not seen.
-func (s *Server) register(up *UploadRequest) (registry.PutResult, error) {
-	return s.registry.Put(up, s.buildCircuit)
-}
-
-// inline parses an inline check's netlist; the batch pays its own
-// preparation.
-func (s *Server) inline(req *Request) (circuitRef, *apiError) {
-	s.netlistParses.Add(1)
-	c, apiErr := parseNetlist(req.Netlist, req.Format, req.Name, req.DefaultDelay)
-	return circuitRef{c: c}, apiErr
-}
-
-// lookup pins a registered circuit: the pin holds the entry (and its
-// shared prepared state) against eviction for the whole batch.
-func (s *Server) lookup(h api.Hash) (circuitRef, bool) {
-	pin, ok := s.registry.Acquire(h)
-	if !ok {
-		return circuitRef{}, false
-	}
-	return circuitRef{c: pin.Circuit(), hash: h, pin: pin}, true
-}
-
-// open resolves a hash-addressed batch's prepared state — after
-// admission, under the batch context, so cold preparations respect
-// the queue bound and the drain deadline — and builds the pool batch.
+// open resolves the batch's prepared state — after admission, under
+// the batch context, so cold preparations respect the queue bound and
+// the drain deadline — and builds the pool batch.
 func (s *Server) open(ctx context.Context, h *batchHead) (runner, *apiError) {
-	b := &batch{batchHead: h, srv: s,
-		opts: engineOptions(h.req.Options), budgets: engineBudgets(h.req.Budgets),
-		checkTimeout: minTimeout(s.cfg.CheckTimeout, time.Duration(h.req.CheckTimeoutMs)*time.Millisecond),
+	prep, wasHit, err := h.pin.Prepared(ctx)
+	if err != nil {
+		return nil, &apiError{status: http.StatusInternalServerError,
+			code: "prepare_failed", msg: err.Error(), hash: h.pin.Hash()}
 	}
-	if h.pin != nil {
-		prep, wasHit, err := h.pin.Prepared(ctx)
-		if err != nil {
-			return nil, &apiError{status: http.StatusInternalServerError,
-				code: "prepare_failed", msg: err.Error(), hash: h.hash}
-		}
-		b.prep = prep
-		h.attrs = append(h.attrs, slog.Bool("cacheHit", wasHit))
+	h.attrs = append(h.attrs, slog.Bool("cacheHit", wasHit))
+	b := &batch{batchHead: h, srv: s,
+		v: prep.NewVerifier(engineOptions(h.req.Options)), budgets: engineBudgets(h.req.Budgets),
+		checkTimeout: minTimeout(s.cfg.CheckTimeout, time.Duration(h.req.CheckTimeoutMs)*time.Millisecond),
 	}
 	if s.cfg.TraceDir != "" {
 		b.ct = obs.NewClusterTrace(time.Now())
